@@ -138,6 +138,14 @@ def _load_b_json(path: str) -> List[int]:
     return seq
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
+
+
 def _parse_tuple(text: str) -> tuple:
     try:
         return tuple(int(part.strip()) for part in text.split(",") if part.strip())
@@ -158,12 +166,9 @@ def cmd_dims(args) -> int:
     write_dimension_csv(rows, buf)
     sys.stdout.write(buf.getvalue())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        _write_text(args.csv, buf.getvalue())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(dimension_report(table, rows), indent=2))
-            fh.write("\n")
+        _write_text(args.json, json.dumps(dimension_report(table, rows), indent=2) + "\n")
     bad = check_dimension_bounds(rows)
     if bad:
         print(

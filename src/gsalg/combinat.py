@@ -42,12 +42,6 @@ def weak_tuple_count(q: int, n: int) -> int:
     return math.comb(n + q - 1, q - 1)
 
 
-def weak_tuple_count_bound(q: int, n: int) -> int:
-    """The coarse polynomial bound (n+q-1)**(q-1), always >= weak_tuple_count."""
-    _check_qn(q, n)
-    return (n + q - 1) ** (q - 1)
-
-
 def weak_tuples(q: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WeakTuple]:
     """All weak tuples in lexicographic order."""
     count = weak_tuple_count(q, n)
@@ -76,35 +70,13 @@ def orbit_size(j: WeakTuple) -> int:
     return size
 
 
-def orbit(j: WeakTuple, cap: int = DEFAULT_ENUM_CAP) -> list[Tuple[int, ...]]:
-    """All distinct position-permutations of j, in lexicographic order."""
-    size = orbit_size(j)
-    if size > cap:
-        raise TooLarge("orbit of %r has %d elements, over the cap %d" % (j, size, cap))
-    cur = sorted(j)
-    n = len(cur)
-    out = [tuple(cur)]
-    while True:
-        # textbook next-permutation step
-        i = n - 2
-        while i >= 0 and cur[i] >= cur[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        k = n - 1
-        while cur[k] <= cur[i]:
-            k -= 1
-        cur[i], cur[k] = cur[k], cur[i]
-        cur[i + 1 :] = reversed(cur[i + 1 :])
-        out.append(tuple(cur))
-
-
 def orbit_iter(j: WeakTuple) -> Iterator[Tuple[int, ...]]:
-    """Lazy variant of orbit(), without the cap."""
+    """All distinct position-permutations of j, lazily, in lexicographic order."""
     cur = sorted(j)
     n = len(cur)
     while True:
         yield tuple(cur)
+        # textbook next-permutation step
         i = n - 2
         while i >= 0 and cur[i] >= cur[i + 1]:
             i -= 1

@@ -6,7 +6,7 @@ class GsalgError(Exception):
 
 
 class MixedFields(GsalgError):
-    """Scalars from two different coefficient fields were combined."""
+    """Coefficients from two different fields were combined."""
 
 
 class DivisionByZero(GsalgError, ZeroDivisionError):

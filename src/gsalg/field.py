@@ -3,8 +3,7 @@
 A FieldDescriptor carries the coefficient-field choice and implements the
 arithmetic on raw values: python ints in [0, p) for the finite fields,
 fractions.Fraction for the rationals.  Polynomials and the linear-algebra
-engines work on raw values tagged by a shared descriptor; the Scalar wrapper
-exists for callers that want values carrying their own field tag.
+engines work on raw values tagged by a shared descriptor.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZero, InvalidParams, MixedFields
+from .errors import DivisionByZero, InvalidParams
 
 Coeff = Union[int, Fraction]
 
@@ -153,56 +152,3 @@ def parse_field(text: str) -> FieldDescriptor:
         return GF(p)
     raise InvalidParams("bad field spec %r (expected gf2, gf<p>, or q)" % text)
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element carrying its own field tag."""
-
-    value: Coeff
-    field: FieldDescriptor
-
-    def _peer(self, other: "Scalar") -> Coeff:
-        if not isinstance(other, Scalar):
-            raise MixedFields("expected a Scalar, got %r" % (other,))
-        if other.field != self.field:
-            raise MixedFields("cannot combine %s with %s" % (self.field, other.field))
-        return other.value
-
-    def __add__(self, other):
-        return Scalar(self.field.add(self.value, self._peer(other)), self.field)
-
-    def __sub__(self, other):
-        return Scalar(self.field.sub(self.value, self._peer(other)), self.field)
-
-    def __mul__(self, other):
-        return Scalar(self.field.mul(self.value, self._peer(other)), self.field)
-
-    def __truediv__(self, other):
-        return Scalar(self.field.div(self.value, self._peer(other)), self.field)
-
-    def __neg__(self):
-        return Scalar(self.field.neg(self.value), self.field)
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def from_integer(k: int, field: FieldDescriptor) -> Scalar:
-    """The canonical image of the integer k as a tagged Scalar."""
-    return Scalar(field.from_int(k), field)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply 'add' | 'sub' | 'mul' | 'div' to two scalars of one field."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InvalidParams("unknown scalar op %r" % op)

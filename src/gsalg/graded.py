@@ -12,14 +12,13 @@ candidate words {b*x_t : b standard at n-1} as a basis, which keeps the
 working width at d*b_{n-1} columns instead of d**n.  Pivot sets of a row
 space are canonical (least-column convention), so the resulting standard
 words are exactly the non-pivot monomials of the textbook full-width
-reduction; naive_dimension_table() recomputes everything at full width for
-cross-checking.
+reduction; the naive oracle in tests/oracles.py recomputes everything at
+full width to cross-check them.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +35,7 @@ from .errors import (
     TooLarge,
 )
 from .field import BINARY, FieldDescriptor
-from .freealg import Polynomial, Word, word_index, words_of_degree
+from .freealg import Polynomial, Word, words_of_degree
 from .linalg import echelon_for, gf2_bits, gf2_from_bits
 
 DEFAULT_COLUMN_CAP = 2**20
@@ -537,137 +536,3 @@ def dimension_report(table: GradedIdealTable, rows: Optional[Sequence[DimensionR
         ],
         "all_nonnegative": not check_dimension_bounds(rows),
     }
-
-
-# -- naive full-width cross-check ----------------------------------------------
-
-class NaiveTable:
-    """Textbook reference: spans {m1*f*m2} at full d**n width and eliminates.
-
-    Deliberately simple and independent of the incremental machinery; used to
-    cross-check dimensions, standard words, and membership at desk scale.
-    """
-
-    def __init__(self, d, field, b, standard_words, bases):
-        self.d = d
-        self.field = field
-        self.b = b
-        self.standard_words = standard_words
-        self._bases = bases
-
-    def contains(self, p: Polynomial) -> bool:
-        if p.d != self.d:
-            raise AmbientMismatch("polynomial ambient does not match")
-        if p.field != self.field:
-            raise MixedFields("polynomial field does not match")
-        for m, comp in p.homogeneous_components().items():
-            if m >= len(self._bases):
-                raise DegreeExceedsTable("degree %d beyond naive table" % m)
-            if self.field.kind == BINARY:
-                if _naive_reduce_gf2(_pack_gf2(comp, self.d), self._bases[m]):
-                    return False
-            else:
-                vec = _full_vector(comp, self.d, self.field)
-                if any(_naive_reduce(vec, self._bases[m], self.field)):
-                    return False
-        return True
-
-
-def _full_vector(p: Polynomial, d: int, field: FieldDescriptor):
-    n = p.degree()
-    vec = [field.zero] * (d**n)
-    for word, c in p.terms.items():
-        idx = word_index(word, d)
-        vec[idx] = field.add(vec[idx], c)
-    return vec
-
-
-def _pack_gf2(p: Polynomial, d: int) -> int:
-    row = 0
-    for word in p.terms:
-        row ^= 1 << word_index(word, d)
-    return row
-
-
-def _naive_reduce_gf2(row: int, basis) -> int:
-    # basis rows sorted by pivot; each row is zero before its own pivot,
-    # so one ascending pass is a complete reduction
-    for pivbit, brow in basis:
-        if row & pivbit:
-            row ^= brow
-    return row
-
-
-def _naive_insert_gf2(row: int, basis) -> None:
-    row = _naive_reduce_gf2(row, basis)
-    if row:
-        insort(basis, (row & -row, row))
-
-
-def _naive_reduce(vec, basis, field):
-    # same ascending-pass argument as the packed variant
-    for piv, row in basis:
-        c = vec[piv]
-        if c:
-            vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
-    return vec
-
-
-def _naive_insert(vec, basis, field):
-    vec = _naive_reduce(vec, basis, field)
-    piv = next((i for i, a in enumerate(vec) if a), None)
-    if piv is None:
-        return
-    inv = field.inv(vec[piv])
-    insort(basis, (piv, [field.mul(inv, a) for a in vec]))
-
-
-def naive_dimension_table(
-    generators: Sequence[Polynomial],
-    maxdeg: int,
-    *,
-    d: Optional[int] = None,
-    field: Optional[FieldDescriptor] = None,
-    column_cap: int = 2**14,
-) -> NaiveTable:
-    gens, d, field = _check_generators(generators, d, field)
-    if not isinstance(maxdeg, int) or isinstance(maxdeg, bool) or maxdeg < 0:
-        raise InvalidParams("maxdeg must be a nonnegative integer, got %r" % (maxdeg,))
-    if d**maxdeg > column_cap:
-        raise TooLarge(
-            "d**maxdeg = %d exceeds the naive %d-column cap" % (d**maxdeg, column_cap)
-        )
-    dims: List[int] = []
-    std_words: List[List[Word]] = []
-    bases = []
-    binary = field.kind == BINARY
-    for n in range(maxdeg + 1):
-        basis: list = []
-        for f in gens:
-            k = f.degree()
-            if k > n:
-                continue
-            for a in range(n - k + 1):
-                for u in words_of_degree(d, a):
-                    for v in words_of_degree(d, n - k - a):
-                        if binary:
-                            row = 0
-                            for w in f.terms:
-                                row ^= 1 << word_index(u + w + v, d)
-                            _naive_insert_gf2(row, basis)
-                        else:
-                            vec = [field.zero] * (d**n)
-                            for w, c in f.terms.items():
-                                idx = word_index(u + w + v, d)
-                                vec[idx] = field.add(vec[idx], c)
-                            _naive_insert(vec, basis, field)
-        if field.kind == BINARY:
-            pivots = {pb.bit_length() - 1 for pb, _ in basis}
-        else:
-            pivots = {piv for piv, _ in basis}
-        dims.append(d**n - len(basis))
-        std_words.append(
-            [w for i, w in enumerate(words_of_degree(d, n)) if i not in pivots]
-        )
-        bases.append(basis)
-    return NaiveTable(d, field, dims, std_words, bases)

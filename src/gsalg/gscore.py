@@ -7,16 +7,18 @@ and (v*d - c)/(v + u) >= v) force the quotient dimensions to grow at least
 like (d - v)**n; verify_growth replays that induction line by line on a
 concrete b-sequence.  Second, minimal_power finds the smallest block degree
 n whose weak-tuple count C(n+q-1, q-1) drops below eps**2 * u**(n-2); the
-count grows polynomially in n while the bound grows exponentially, so the
-scan terminates.  Third, blueprints: the block-by-block construction whose
-union of window generators bounds every generator count by the block's
-tuple count while covering every low-degree polynomial with a nil exponent.
+count grows polynomially in n while the bound grows exponentially, so such
+an n exists, and the log of bound/count is convex in n, so a gallop and
+bisection on the comparison finds the least one.  Third, blueprints: the
+block-by-block construction whose union of window generators bounds every
+generator count by the block's tuple count while covering every low-degree
+polynomial with a nil exponent.
 
-All verdicts are exact.  The linear scan uses integer/Fraction arithmetic
-throughout; beyond the exact caps (block-2 boundary sizes reach 10**20-bit
-binomials) the search switches to certified multiprecision log comparisons
-with an explicit error threshold and precision escalation, and re-confirms
-the boundary exactly whenever the numbers are representable.
+All verdicts are exact.  Each count/bound comparison is a certified
+multiprecision log comparison with an explicit error threshold and
+precision escalation (block-2 boundary sizes reach 10**20-bit binomials);
+an exact tie falls back to integer/Fraction arithmetic, and the boundary
+found is re-confirmed exactly whenever the numbers are representable.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from .symfun import generator_degree, monomial_window, window_generators, window
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
-SCAN_STEP_CAP = 200_000
-SCAN_BIT_CAP = 200_000
 EXACT_VALUE_BIT_CAP = 50_000
 EXACT_CONFIRM_BIT_CAP = 400_000
 _DPS_LADDER = (40, 80, 160, 320, 640, 1280)
@@ -310,23 +310,19 @@ def _exact_predicate(q: int, n: int, params: GSParams, log2_count: float):
     return count < params.eps_sq * params.u ** (n - 2)
 
 
-def minimal_power(
-    q: int,
-    c_prev: int,
-    params: GSParams,
-    *,
-    scan_step_cap: int = SCAN_STEP_CAP,
-    scan_bit_cap: int = SCAN_BIT_CAP,
-) -> int:
+def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     """Smallest n > c_prev with C(n+q-1, q-1) < eps**2 * (d-2*eps)**(n-2).
 
-    Primary route is a literal linear scan in exact arithmetic.  When the
-    scan outgrows its caps (the second block of a realistic construction
-    pushes n past 10**20) it hands over to a bracket search on the certified
-    log comparison; the difference of the two log sides has increasing
-    increments in n, so the false region above any false point is an
-    interval and bisection is sound.  The boundary is re-confirmed exactly
-    whenever the binomial still fits the confirm cap.
+    The predicate is the certified log comparison, settled in exact
+    arithmetic when the two sides tie to working precision.  It is tested at
+    n_lo = max(c_prev + 1, 2); if false there, the search gallops upward
+    from n_lo in doubling steps until it holds and bisects the last bracket.
+    Bisection is sound because the log-gap ln(eps**2 * u**(n-2)) -
+    ln C(n+q-1, q-1) is convex in n: its increment ln u - ln((n+q)/(n+1))
+    grows with n.  A convex gap that is not positive at n_lo and at some
+    m > n_lo is not positive anywhere in between, so above a false n_lo the
+    false region is a prefix and the true region the rest.  The boundary is
+    re-confirmed exactly whenever the binomial still fits the confirm cap.
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise InvalidParams("q must be an integer >= 2, got %r" % (q,))
@@ -334,28 +330,6 @@ def minimal_power(
         raise InvalidParams("c_prev must be a nonnegative integer, got %r" % (c_prev,))
     n_lo = max(c_prev + 1, 2)
 
-    # exact scan
-    n = n_lo
-    count = comb(n + q - 1, n)
-    bound = params.eps_sq * params.u ** (n - 2)
-    u = params.u
-    steps = 0
-    while True:
-        if count < bound:
-            return n
-        if (
-            steps >= scan_step_cap
-            or count.bit_length() > scan_bit_cap
-            or bound.numerator.bit_length() > scan_bit_cap
-            or bound.denominator.bit_length() > scan_bit_cap
-        ):
-            break
-        n += 1
-        steps += 1
-        count = count * (n + q - 1) // n
-        bound = bound * u
-
-    # certified bracket: predicate is false at every scanned point
     def rough_log2_count(m: int) -> float:
         # cost gate only; accuracy needs are mild even when the sign isn't
         # certifiable (ties are near-equalities, not wild values)
@@ -376,17 +350,16 @@ def minimal_power(
                 cache[m] = exact
         return cache[m]
 
-    last_false = n
-    lo, step = last_false, 1
-    hi = None
-    for _ in range(200):
-        cand = last_false + step
-        if pred(cand):
-            hi = cand
+    # gallop through n_lo, n_lo + 1, n_lo + 2, n_lo + 4, ...; lo trails as
+    # the last false probe
+    lo = hi = n_lo
+    step = 1
+    for _ in range(201):
+        if pred(hi):
             break
-        lo = cand
+        lo, hi = hi, n_lo + step
         step *= 2
-    if hi is None:
+    else:
         raise TooLarge("no block degree found below astronomically large bounds")
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -443,6 +416,15 @@ class BlueprintBlock:
     generators: Optional[Tuple[Polynomial, ...]]
 
 
+def _summed_counts(blocks: Sequence[BlueprintBlock]) -> Dict[int, int]:
+    """Degree -> generator count summed over the blocks with exact counts."""
+    merged: Dict[int, int] = {}
+    for block in blocks:
+        for deg, cnt in (block.degree_counts or {}).items():
+            merged[deg] = merged.get(deg, 0) + cnt
+    return dict(sorted(merged.items()))
+
+
 @dataclass(frozen=True)
 class GSBlueprint:
     d: int
@@ -473,16 +455,13 @@ class GSBlueprint:
         representation; Def-1 style soundness is then available through
         check_blueprint's per-block domination route instead.
         """
-        merged: Dict[int, int] = {}
         for block in self.blocks:
             if block.degree_counts is None:
                 raise TooLarge(
                     "block %d has no exact degree counts; use check_blueprint"
                     % block.k
                 )
-            for deg, cnt in block.degree_counts.items():
-                merged[deg] = merged.get(deg, 0) + cnt
-        return dict(sorted(merged.items()))
+        return _summed_counts(self.blocks)
 
     def all_generators(self) -> List[Polynomial]:
         out: List[Polynomial] = []
@@ -736,17 +715,8 @@ def blueprint_to_dict(bp: GSBlueprint) -> dict:
             }
             for b in bp.blocks
         ],
-        "r": _exact_r_entries(bp),
+        "r": {str(deg): cnt for deg, cnt in _summed_counts(bp.blocks).items()},
     }
-
-
-def _exact_r_entries(bp: GSBlueprint) -> dict:
-    merged: Dict[int, int] = {}
-    for block in bp.blocks:
-        if block.degree_counts:
-            for deg, cnt in block.degree_counts.items():
-                merged[deg] = merged.get(deg, 0) + cnt
-    return {str(deg): cnt for deg, cnt in sorted(merged.items())}
 
 
 def blueprint_from_dict(data: dict) -> GSBlueprint:
@@ -780,12 +750,15 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
                     else tuple(parse_poly(s, d, field) for s in gens),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+        mode = data["mode"]
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise InvalidParams("malformed blueprint data: %s" % exc) from None
+    if not blocks:
+        raise InvalidParams("malformed blueprint data: no blocks")
     return GSBlueprint(
         d=d,
         eps=eps,
-        mode=data["mode"],
+        mode=mode,
         toy=bool(data.get("toy", False)),
         field=field,
         blocks=tuple(blocks),
@@ -793,14 +766,22 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
 
 
 def save_blueprint(bp: GSBlueprint, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(blueprint_to_dict(bp), indent=2))
-        fh.write("\n")
+    text = json.dumps(blueprint_to_dict(bp), indent=2) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParams("cannot write blueprint %s: %s" % (path, exc)) from None
 
 
 def load_blueprint(path: str) -> GSBlueprint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return blueprint_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError and undecodable bytes
+        raise InvalidParams("cannot read blueprint %s: %s" % (path, exc)) from None
+    return blueprint_from_dict(data)
 
 
 # -- nil certificates ----------------------------------------------------------------
@@ -854,7 +835,7 @@ def blueprint_table(
     if bp.mode != "dense" or any(block.generators is None for block in bp.blocks):
         raise InvalidParams("a dense blueprint with materialized generators is required")
     gens = [p for p in bp.all_generators() if not p.is_zero()]
-    r_nominal = _merged_counts(bp)
+    r_nominal = _summed_counts(bp.blocks)
     if maxdeg is None:
         maxdeg = max(block.c_prime for block in bp.blocks)
     return build_table(
@@ -865,11 +846,3 @@ def blueprint_table(
         column_cap=column_cap,
         r_override=r_nominal,
     )
-
-
-def _merged_counts(bp: GSBlueprint) -> Dict[int, int]:
-    merged: Dict[int, int] = {}
-    for block in bp.blocks:
-        for deg, cnt in (block.degree_counts or {}).items():
-            merged[deg] = merged.get(deg, 0) + cnt
-    return merged

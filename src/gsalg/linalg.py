@@ -22,6 +22,19 @@ from .errors import InvalidParams
 from .field import BINARY, FieldDescriptor
 
 
+class _RowByRow:
+    """insert_rows for engines whose block insert is a loop over insert()."""
+
+    def insert_rows(self, rows) -> list[int]:
+        """Add rows one at a time; returns the new pivot columns."""
+        out = []
+        for v in rows:
+            piv = self.insert(v)
+            if piv is not None:
+                out.append(piv)
+        return out
+
+
 # -- GF(2): int bitsets -------------------------------------------------------
 
 def gf2_bits(v: int, width: int) -> np.ndarray:
@@ -40,7 +53,7 @@ def gf2_from_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-class GF2Echelon:
+class GF2Echelon(_RowByRow):
     """Echelon basis over GF(2); rows are ints, pivot = lowest set bit."""
 
     def __init__(self, width: int):
@@ -77,14 +90,6 @@ class GF2Echelon:
         self._rows[b] = v
         self._mask |= b
         return b.bit_length() - 1
-
-    def insert_rows(self, rows) -> list[int]:
-        out = []
-        for v in rows:
-            piv = self.insert(v)
-            if piv is not None:
-                out.append(piv)
-        return out
 
 
 # -- GF(p): blocked numpy elimination -----------------------------------------
@@ -208,7 +213,7 @@ class GFpEchelon:
 
 # -- rationals: dense Fraction rows -------------------------------------------
 
-class FractionEchelon:
+class FractionEchelon(_RowByRow):
     """Fully reduced echelon basis over the rationals (desk scale)."""
 
     def __init__(self, width: int):
@@ -246,14 +251,6 @@ class FractionEchelon:
         self._rows.append(v)
         self._piv.append(piv)
         return piv
-
-    def insert_rows(self, rows) -> list[int]:
-        out = []
-        for v in rows:
-            piv = self.insert(v)
-            if piv is not None:
-                out.append(piv)
-        return out
 
 
 def echelon_for(field: FieldDescriptor, width: int):

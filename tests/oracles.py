@@ -3,20 +3,34 @@
 Everything here is deliberately implemented with different machinery than
 the package under test: Decimal-based Stirling bounds with explicit
 remainder and rounding slack (the package uses mpmath), direct
-transfer-style word counting (the package uses row reduction), and literal
-binomial scans (the package uses an incremental scan plus a bracket
-search).  Agreement between the two stacks is the point.
+transfer-style word counting (the package uses row reduction), literal
+binomial scans (the package uses a gallop-and-bisect search), and
+full-width elimination over all d**n words (the package works in the
+d*b_{n-1}-column quotient space).  Agreement between the two stacks is the
+point.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from gsalg.errors import (
+    AmbientMismatch,
+    DegreeExceedsTable,
+    InvalidParams,
+    MixedFields,
+    TooLarge,
+)
+from gsalg.field import BINARY, FieldDescriptor
+from gsalg.freealg import Polynomial, Word, word_index, words_of_degree
+from gsalg.graded import _check_generators
 
 # 100 digits, hardcoded so the oracle does not depend on any library constant
 PI_100 = Decimal(
@@ -152,3 +166,137 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+# -- naive full-width cross-check ----------------------------------------------
+
+class NaiveTable:
+    """Textbook reference: spans {m1*f*m2} at full d**n width and eliminates.
+
+    Deliberately simple and independent of the incremental machinery; used to
+    cross-check dimensions, standard words, and membership at desk scale.
+    """
+
+    def __init__(self, d, field, b, standard_words, bases):
+        self.d = d
+        self.field = field
+        self.b = b
+        self.standard_words = standard_words
+        self._bases = bases
+
+    def contains(self, p: Polynomial) -> bool:
+        if p.d != self.d:
+            raise AmbientMismatch("polynomial ambient does not match")
+        if p.field != self.field:
+            raise MixedFields("polynomial field does not match")
+        for m, comp in p.homogeneous_components().items():
+            if m >= len(self._bases):
+                raise DegreeExceedsTable("degree %d beyond naive table" % m)
+            if self.field.kind == BINARY:
+                if _naive_reduce_gf2(_pack_gf2(comp, self.d), self._bases[m]):
+                    return False
+            else:
+                vec = _full_vector(comp, self.d, self.field)
+                if any(_naive_reduce(vec, self._bases[m], self.field)):
+                    return False
+        return True
+
+
+def _full_vector(p: Polynomial, d: int, field: FieldDescriptor):
+    n = p.degree()
+    vec = [field.zero] * (d**n)
+    for word, c in p.terms.items():
+        idx = word_index(word, d)
+        vec[idx] = field.add(vec[idx], c)
+    return vec
+
+
+def _pack_gf2(p: Polynomial, d: int) -> int:
+    row = 0
+    for word in p.terms:
+        row ^= 1 << word_index(word, d)
+    return row
+
+
+def _naive_reduce_gf2(row: int, basis) -> int:
+    # basis rows sorted by pivot; each row is zero before its own pivot,
+    # so one ascending pass is a complete reduction
+    for pivbit, brow in basis:
+        if row & pivbit:
+            row ^= brow
+    return row
+
+
+def _naive_insert_gf2(row: int, basis) -> None:
+    row = _naive_reduce_gf2(row, basis)
+    if row:
+        insort(basis, (row & -row, row))
+
+
+def _naive_reduce(vec, basis, field):
+    # same ascending-pass argument as the packed variant
+    for piv, row in basis:
+        c = vec[piv]
+        if c:
+            vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
+    return vec
+
+
+def _naive_insert(vec, basis, field):
+    vec = _naive_reduce(vec, basis, field)
+    piv = next((i for i, a in enumerate(vec) if a), None)
+    if piv is None:
+        return
+    inv = field.inv(vec[piv])
+    insort(basis, (piv, [field.mul(inv, a) for a in vec]))
+
+
+def naive_dimension_table(
+    generators: Sequence[Polynomial],
+    maxdeg: int,
+    *,
+    d: Optional[int] = None,
+    field: Optional[FieldDescriptor] = None,
+    column_cap: int = 2**14,
+) -> NaiveTable:
+    gens, d, field = _check_generators(generators, d, field)
+    if not isinstance(maxdeg, int) or isinstance(maxdeg, bool) or maxdeg < 0:
+        raise InvalidParams("maxdeg must be a nonnegative integer, got %r" % (maxdeg,))
+    if d**maxdeg > column_cap:
+        raise TooLarge(
+            "d**maxdeg = %d exceeds the naive %d-column cap" % (d**maxdeg, column_cap)
+        )
+    dims: List[int] = []
+    std_words: List[List[Word]] = []
+    bases = []
+    binary = field.kind == BINARY
+    for n in range(maxdeg + 1):
+        basis: list = []
+        for f in gens:
+            k = f.degree()
+            if k > n:
+                continue
+            for a in range(n - k + 1):
+                for u in words_of_degree(d, a):
+                    for v in words_of_degree(d, n - k - a):
+                        if binary:
+                            row = 0
+                            for w in f.terms:
+                                row ^= 1 << word_index(u + w + v, d)
+                            _naive_insert_gf2(row, basis)
+                        else:
+                            vec = [field.zero] * (d**n)
+                            for w, c in f.terms.items():
+                                idx = word_index(u + w + v, d)
+                                vec[idx] = field.add(vec[idx], c)
+                            _naive_insert(vec, basis, field)
+        if field.kind == BINARY:
+            pivots = {pb.bit_length() - 1 for pb, _ in basis}
+        else:
+            pivots = {piv for piv, _ in basis}
+        dims.append(d**n - len(basis))
+        std_words.append(
+            [w for i, w in enumerate(words_of_degree(d, n)) if i not in pivots]
+        )
+        bases.append(basis)
+    return NaiveTable(d, field, dims, std_words, bases)

@@ -26,7 +26,6 @@ from gsalg.graded import (
     check_dimension_bounds,
     dimension_report,
     dimension_rows,
-    naive_dimension_table,
     write_dimension_csv,
 )
 from gsalg.gscore import (
@@ -45,6 +44,7 @@ from oracles import (
     certified_predicate,
     count_avoiding_factor,
     fibonacci,
+    naive_dimension_table,
     scan_all_false,
 )
 

@@ -1,12 +1,14 @@
 """Subcommand flows, exit codes, and artifact determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import gsalg
 from gsalg.cli import main
 from gsalg.field import GF
 from gsalg.gscore import GSParams, build_blueprint, load_blueprint, save_blueprint
@@ -403,6 +405,68 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["dims"]) == 2  # missing required flags
     capsys.readouterr()
+
+
+_BLOCK = {"k": 1, "c": 1, "c_prime": 3, "q": 2, "n": 3, "min_degree": 3, "max_degree": 3}
+_BAD_BLUEPRINT_TEXT = {
+    "nilcheck-not-json": "not json {\n",
+    "nilcheck-no-mode": json.dumps({"d": 2, "blocks": [_BLOCK]}),
+    "nilcheck-no-blocks": json.dumps({"d": 2, "mode": "symbolic", "blocks": []}),
+    "nilcheck-eps-zero-denominator": json.dumps(
+        {"d": 2, "eps": "1/0", "mode": "symbolic", "blocks": [_BLOCK]}
+    ),
+}
+
+
+def _io_error_argv(case, tmp_path, gens_file):
+    missing = str(tmp_path / "missing.json")
+    unwritable = str(tmp_path / "no_such_dir" / "out")
+    if case == "nilcheck-missing":
+        return ["nilcheck", "--blueprint", missing, "--g", "x1"]
+    if case in _BAD_BLUEPRINT_TEXT:
+        path = tmp_path / "bad_blueprint.json"
+        path.write_text(_BAD_BLUEPRINT_TEXT[case])
+        return ["nilcheck", "--blueprint", str(path), "--g", "x1"]
+    if case == "bound-r-from-missing":
+        return ["bound", "--d", "3", "--eps", "1/2", "--r-from", missing]
+    if case == "construct-out-unwritable":
+        return ["construct", "--d", "3", "--eps", "1/2", "--out", unwritable]
+    dims = ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "3"]
+    if case == "dims-csv-unwritable":
+        return dims + ["--csv", unwritable]
+    return dims + ["--json", unwritable]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "nilcheck-missing",
+        *_BAD_BLUEPRINT_TEXT,
+        "bound-r-from-missing",
+        "construct-out-unwritable",
+        "dims-csv-unwritable",
+        "dims-json-unwritable",
+    ],
+)
+def test_io_errors_exit_two_without_traceback(case, tmp_path, gens_file):
+    argv = _io_error_argv(case, tmp_path, gens_file)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gsalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_console_script_runs():

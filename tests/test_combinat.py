@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from gsalg.combinat import (
     multiplicities,
-    orbit,
     orbit_iter,
     orbit_size,
     validate_weak_tuple,
     weak_tuple_count,
-    weak_tuple_count_bound,
     weak_tuples,
 )
 from gsalg.errors import InvalidParams, TooLarge
@@ -28,12 +26,6 @@ def test_count_examples():
         for n in range(0, 7):
             assert weak_tuple_count(q, n) == comb(n + q - 1, q - 1)
             assert weak_tuple_count(q, n) == len(weak_tuples(q, n))
-
-
-def test_count_bound_dominates():
-    for q in range(2, 8):
-        for n in range(1, 8):
-            assert weak_tuple_count_bound(q, n) >= weak_tuple_count(q, n)
 
 
 def test_tuples_are_sorted_and_weakly_increasing():
@@ -74,11 +66,10 @@ def test_multiplicities():
 
 def test_orbit_matches_permutation_set():
     for j in [(1, 2), (1, 1, 2), (1, 2, 3), (2, 2, 2), (1, 1, 2, 3)]:
-        got = orbit(j)
+        got = list(orbit_iter(j))
         want = sorted(set(itertools.permutations(j)))
         assert got == want
         assert len(got) == orbit_size(j)
-        assert list(orbit_iter(j)) == got
 
 
 def test_partition_identity():
@@ -91,8 +82,6 @@ def test_partition_identity():
 def test_enumeration_caps():
     with pytest.raises(TooLarge):
         weak_tuples(100, 50, cap=1000)
-    with pytest.raises(TooLarge):
-        orbit(tuple(range(1, 12)), cap=1000)
 
 
 @given(
@@ -101,7 +90,7 @@ def test_enumeration_caps():
     )
 )
 def test_orbit_properties(j):
-    got = orbit(j)
+    got = list(orbit_iter(j))
     assert got == sorted(set(itertools.permutations(j)))
     assert got[0] == j  # the weakly increasing tuple is its orbit's minimum
     assert len(got) == orbit_size(j)

@@ -24,11 +24,10 @@ from gsalg.graded import (
     check_dimension_bounds,
     dimension_report,
     dimension_rows,
-    naive_dimension_table,
     write_dimension_csv,
 )
 
-from oracles import count_avoiding_factor, fibonacci
+from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 
 
 # -- frozen dimension sequences --------------------------------------------------

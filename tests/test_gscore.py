@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gsalg.errors import (
@@ -274,11 +274,26 @@ def test_minimal_power_matches_brute_oracle():
         assert minimal_power(q, c_prev, params) == want
 
 
-def test_minimal_power_certified_route_agrees():
-    for q, c_prev, params in [(2, 0, P2), (3, 0, P3), (2, 0, P3), (6, 0, P3)]:
-        via_scan = minimal_power(q, c_prev, params)
-        via_bracket = minimal_power(q, c_prev, params, scan_step_cap=0)
-        assert via_scan == via_bracket
+@st.composite
+def _minimal_power_cases(draw):
+    q = draw(st.integers(min_value=2, max_value=12))
+    c_prev = draw(st.integers(min_value=0, max_value=30))
+    d = draw(st.integers(min_value=2, max_value=5))
+    den = draw(st.integers(min_value=3, max_value=30))
+    # 20*num <= den*(10*d - 11) gives u = d - 2*eps >= 11/10
+    top = den * (10 * d - 11) // 20
+    num = draw(st.integers(min_value=1, max_value=top))
+    return q, c_prev, GSParams(d, Fraction(num, den))
+
+
+@given(_minimal_power_cases())
+def test_minimal_power_matches_brute_oracle_on_random_params(case):
+    q, c_prev, params = case
+    try:
+        want = brute_minimal_n(q, c_prev, params.eps, params.u, limit=2000)
+    except ArithmeticError:
+        assume(False)
+    assert minimal_power(q, c_prev, params) == want
 
 
 def test_minimal_power_astronomical_blocks():
