@@ -14,6 +14,12 @@ space are canonical (least-column convention), so the resulting standard
 words are exactly the non-pivot monomials of the textbook full-width
 reduction; the naive oracle in tests/oracles.py recomputes everything at
 full width to cross-check them.
+
+Over GF(p) the rows b*f are built by walking f's terms letter by letter,
+whole blocks of standard words b at once.  The row of state*x_t sits in the
+candidate columns of class t (column i*d + t-1), so each step reduces it by
+that letter's pivot rows only, cached per level on the standard columns, and
+the same walk started from the empty word gives normal forms.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
 )
 from .field import BINARY, FieldDescriptor
 from .freealg import Polynomial, Word, words_of_degree
-from .linalg import echelon_for, gf2_bits, gf2_from_bits
+from .linalg import echelon_for, gf2_bits, gf2_from_bits, sub_mulmod
 
 DEFAULT_COLUMN_CAP = 2**20
 
@@ -91,13 +97,35 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
 # -- per-degree level data -----------------------------------------------------
 
 class _Level:
-    __slots__ = ("words", "ech", "std_cols", "free")
+    __slots__ = ("words", "ech", "std_cols", "free", "_split")
 
     def __init__(self, words, ech, std_cols, free):
         self.words = words          # standard words, monomial order
         self.ech = ech              # echelon over candidate columns (None at degree 0)
         self.std_cols = std_cols    # candidate columns of the standard words
         self.free = free            # no relations at this degree or below
+        self._split = None
+
+    def step(self, M: np.ndarray, t: int, d: int, p: int) -> np.ndarray:
+        """GF(p) state rows M one degree below, times x_t, in standard coordinates.
+
+        Per letter the level caches its pivot rows of class t on the standard
+        columns and the states they reduce; the result is M on the standard
+        columns of class t minus coef @ rows.
+        """
+        if self._split is None:
+            piv, std = self.ech.pivots, self.std_cols
+            self._split = []
+            for c in range(d):
+                sel = np.flatnonzero(piv % d == c)
+                pos = np.flatnonzero(std % d == c)
+                rows = self.ech.rows[np.ix_(sel, std)]
+                self._split.append((piv[sel] // d, rows, pos, std[pos] // d))
+        piv_idx, rows, pos, src = self._split[t - 1]
+        S = np.zeros((M.shape[0], len(self.words)), dtype=np.int64)
+        S[:, pos] = M[:, src]
+        sub_mulmod(S, M[:, piv_idx], rows, p)
+        return S
 
 
 def _term_trie(f: Polynomial):
@@ -195,38 +223,32 @@ def _walk_exact(levels, trie, start_idx, start_level, n, d, field):
     return acc
 
 
+def _walk_gfp(levels, trie, M, level, n, d, p, acc):
+    """Add (state rows M at `level`) * f to acc, candidate rows at degree n."""
+    for t in sorted(trie):
+        sub = trie[t]
+        if level + 1 == n:
+            # coeff < p and M < p, so the product fits int64 exactly
+            r, i = np.nonzero(M)
+            col = i * d + (t - 1)
+            acc[r, col] = (acc[r, col] + int(sub) * M[r, i]) % p
+            continue
+        S = levels[level + 1].step(M, t, d, p)
+        if S.any():
+            _walk_gfp(levels, sub, S, level + 1, n, d, p, acc)
+
+
 def _insert_rows_gfp(levels, trie, k, n, d, p, ech):
     """Batched GF(p) row construction: whole chunks of B_{n-k} walk together."""
     nb = len(levels[n - k].words)
     widths = [len(levels[m].words) * d for m in range(n - k, n)]
-    chunk = max(1, (1 << 23) // max(widths))
-    pivots: List[int] = []
+    chunk = max(1, (1 << 18) // max(widths))  # 2 MB int64 blocks stay in cache
     for s in range(0, nb, chunk):
         m_rows = min(chunk, nb - s)
-        state = np.zeros((m_rows, nb), dtype=np.int64)
-        state[np.arange(m_rows), s + np.arange(m_rows)] = 1
+        state = np.eye(m_rows, nb, s, dtype=np.int64)
         acc = np.zeros((m_rows, widths[-1]), dtype=np.int64)
-
-        def step(level, M, node):
-            b_here = len(levels[level].words)
-            for t in sorted(node):
-                sub = node[t]
-                W = np.zeros((M.shape[0], b_here * d), dtype=np.int64)
-                W[:, t - 1 :: d] = M
-                if level + 1 == n:
-                    # coeff < p and W < p, so the product fits int64 exactly
-                    np.add(acc, int(sub) * W, out=acc)
-                    np.mod(acc, p, out=acc)
-                    continue
-                nxt = levels[level + 1]
-                if nxt.ech.rank:
-                    W = nxt.ech.reduce_rows(W)[:, nxt.std_cols]
-                if W.any():
-                    step(level + 1, W, sub)
-
-        step(n - k, state, trie)
-        pivots.extend(ech.insert_rows(acc))
-    return pivots
+        _walk_gfp(levels, trie, state, n - k, n, d, p, acc)
+        ech.insert_rows(acc)
 
 
 # -- the table -----------------------------------------------------------------
@@ -322,10 +344,14 @@ class GradedIdealTable:
                 acc ^= self._word_nf_gf2(word)
             return acc
         if field.p is not None:
-            acc = np.zeros(len(levels[m].words), dtype=np.int64)
-            for word, c in comp.sorted_terms():
-                acc = (acc + c * self._word_nf_gfp(word)) % field.p
-            return [int(a) for a in acc]
+            if m == 0:
+                return [c for _, c in comp.sorted_terms()]
+            # the row-building walk from the empty word, then one reduction
+            acc = np.zeros((1, len(levels[m - 1].words) * d), dtype=np.int64)
+            start = np.ones((1, 1), dtype=np.int64)
+            _walk_gfp(levels, _term_trie(comp), start, 0, m, d, field.p, acc)
+            lvl = levels[m]
+            return [int(a) for a in lvl.ech.reduce(acc[0])[lvl.std_cols]]
         acc = [field.zero] * len(levels[m].words)
         for word, c in comp.sorted_terms():
             vec = self._word_nf_exact(word)
@@ -355,21 +381,6 @@ class GradedIdealTable:
             tag, state = "v", _gf2_gather(cw, b_here * d, lvl.std_cols) if lvl.ech.rank else cw
         if tag == "w":
             return 1 << state
-        return state
-
-    def _word_nf_gfp(self, word: Word) -> np.ndarray:
-        levels, d = self._levels, self.d
-        state = np.ones(1, dtype=np.int64)
-        for m, t in enumerate(word):
-            b_here = len(levels[m].words)
-            out = np.zeros(b_here * d, dtype=np.int64)
-            out[t - 1 :: d] = state
-            lvl = levels[m + 1]
-            if lvl.ech.rank:
-                out = lvl.ech.reduce(out)[lvl.std_cols]
-            state = out
-            if not state.any():
-                return np.zeros(len(levels[len(word)].words), dtype=np.int64)
         return state
 
     def _word_nf_exact(self, word: Word):

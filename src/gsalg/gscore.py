@@ -719,38 +719,52 @@ def blueprint_to_dict(bp: GSBlueprint) -> dict:
     }
 
 
+_BLOCK_INTS = ("k", "c", "c_prime", "q", "n", "min_degree", "max_degree")
+
+
+def _field_int(rec: dict, key: str, least: int) -> int:
+    value = rec[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InvalidParams(
+            "malformed blueprint data: %s = %r is not an integer >= %d" % (key, value, least)
+        )
+    return value
+
+
 def blueprint_from_dict(data: dict) -> GSBlueprint:
+    """Blueprint from its JSON form; every field is type- and range-checked."""
     try:
-        d = data["d"]
+        d = _field_int(data, "d", 2)
+        mode = data["mode"]
+        if mode not in ("symbolic", "dense"):
+            raise InvalidParams("malformed blueprint data: unknown mode %r" % (mode,))
         field = None if data.get("field") is None else parse_field(data["field"])
         eps = None if data.get("eps") is None else Fraction(data["eps"])
         blocks = []
         for rec in data["blocks"]:
             gens = rec.get("generators")
+            if gens is not None and not (
+                isinstance(gens, list) and all(isinstance(s, str) for s in gens)
+            ):
+                raise InvalidParams("malformed blueprint data: generators must be a list of strings")
             margin = rec.get("margin")
             counts = rec.get("degree_counts")
+            if counts is not None:
+                counts = {int(k): v for k, v in counts.items()}
+                validate_r(counts, "malformed blueprint data: degree_counts")
             blocks.append(
                 BlueprintBlock(
-                    k=rec["k"],
-                    c=rec["c"],
-                    c_prime=rec["c_prime"],
-                    q=rec["q"],
-                    n=rec["n"],
+                    **{key: _field_int(rec, key, 1) for key in _BLOCK_INTS},
                     j_count=rec.get("j_count"),
                     j_count_log2=rec.get("j_count_log2"),
                     margin=None if margin is None else Fraction(margin),
                     margin_log2_lo=rec.get("margin_log2_lo"),
-                    min_degree=rec["min_degree"],
-                    max_degree=rec["max_degree"],
-                    degree_counts=None
-                    if counts is None
-                    else {int(k): v for k, v in counts.items()},
+                    degree_counts=counts,
                     generators=None
                     if gens is None
                     else tuple(parse_poly(s, d, field) for s in gens),
                 )
             )
-        mode = data["mode"]
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise InvalidParams("malformed blueprint data: %s" % exc) from None
     if not blocks:

@@ -7,9 +7,11 @@ zero at every pivot column.  The pivot set of a row space does not depend on
 insertion order, so the resulting standard/pivot split is canonical.
 
 Row formats: GF(2) rows are python ints (bit i = column i, XOR in C); GF(p)
-rows are numpy integer matrices eliminated with blocked float64 matmuls,
-exact because every dot product is chunked below 2**53; rational rows are
-dense lists of Fractions (desk scale only).
+rows are numpy arrays stored in the smallest signed type holding p - 1,
+inserted in base blocks of BASE_BLOCK rows that are eliminated directly, with
+products as float64 matmuls on only the nonzero coefficients, exact because
+sums are chunked below 2**53 and, above p = 2**26, B is split as
+B_hi * 2**16 + B_lo; rational rows are dense lists of Fractions (desk scale).
 """
 
 from __future__ import annotations
@@ -92,119 +94,144 @@ class GF2Echelon(_RowByRow):
         return b.bit_length() - 1
 
 
-# -- GF(p): blocked numpy elimination -----------------------------------------
+# -- GF(p): base-block elimination with split-operand float64 products ----------
 
-def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) % p for integer matrices with entries in [0, p)."""
-    m, k = A.shape
-    w = B.shape[1]
-    if m == 0 or w == 0 or k == 0:
-        return np.zeros((m, w), dtype=np.int64)
-    if p > 2**26:
-        # a single product no longer fits float64 exactly; use object ints
-        out = np.dot(A.astype(object), B.astype(object)) % p
-        return out.astype(np.int64)
-    chunk = max(1, int(2**52 // ((p - 1) * (p - 1))))
-    acc = np.zeros((m, w), dtype=np.float64)
-    for s in range(0, k, chunk):
+BASE_BLOCK = 64  # rows of one directly eliminated block in insert_rows
+
+
+def _dotmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(A @ B) % p in float64, in chunks whose sums of products stay below 2**53."""
+    chunk = max(1, 2**52 // ((p - 1) * max(int(B.max()), 1)))
+    acc = A[:, :chunk].astype(np.float64) @ B[:chunk].astype(np.float64) % p
+    for s in range(chunk, A.shape[1], chunk):
         acc += A[:, s : s + chunk].astype(np.float64) @ B[s : s + chunk].astype(np.float64)
         acc %= p
     return acc.astype(np.int64)
 
 
-def _block_rref(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced echelon of M's row space via recursive halving; drops zero rows.
+def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """Exact (A @ B) % p for integer matrices with entries in [0, p), p < 2**31.
 
-    Returns (rows int64, pivot columns aligned with rows).
+    Above p = 2**26 a single product (p-1)**2 no longer fits a float64
+    exactly, so B is split as B_hi * 2**16 + B_lo and the halves are
+    multiplied separately.
     """
-    m = M.shape[0]
-    if m == 0:
-        return M.astype(np.int64), np.zeros(0, dtype=np.intp)
-    if m == 1:
-        row = np.remainder(M[0], p).astype(np.int64)
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            return row[:0].reshape(0, M.shape[1]), np.zeros(0, dtype=np.intp)
-        piv = int(nz[0])
-        inv = pow(int(row[piv]), -1, p)
-        row = (row * inv) % p
-        return row[None, :], np.array([piv], dtype=np.intp)
-    half = m // 2
-    top, ptop = _block_rref(M[:half], p)
-    rest = np.remainder(M[half:], p).astype(np.int64)
-    if top.shape[0]:
-        coef = rest[:, ptop]
-        if coef.any():
-            rest = (rest - _mulmod(coef, top, p)) % p
-    bot, pbot = _block_rref(rest, p)
-    if bot.shape[0] and top.shape[0]:
-        coef = top[:, pbot]
-        if coef.any():
-            top = (top - _mulmod(coef, bot, p)) % p
-    return np.vstack([top, bot]), np.concatenate([ptop, pbot])
+    m, k = A.shape
+    w = B.shape[1]
+    if m == 0 or w == 0 or k == 0:
+        return np.zeros((m, w), dtype=np.int64)
+    if p <= 2**26:
+        return _dotmod(A, B, p)
+    hi, lo = np.divmod(B, 1 << 16)
+    return ((_dotmod(A, hi, p) << 16) + _dotmod(A, lo, p)) % p
+
+
+def sub_mulmod(X: np.ndarray, coef: np.ndarray, R: np.ndarray, p: int) -> None:
+    """X -= coef @ R (mod p) in place, touching only coef's nonzero entries.
+
+    A row of coef with one nonzero takes a scaled row of R (exact in int64,
+    as both factors are below p < 2**31); the rest go through _mulmod.
+    """
+    r, c = np.nonzero(coef)
+    if not r.size:
+        return
+    one = np.bincount(r, minlength=len(coef))[r] == 1
+    if one.any():
+        rs, cs = r[one], c[one]
+        X[rs] = (X[rs] - coef[rs, cs][:, None] * R[cs]) % p
+    if not one.all():
+        rows, cols = np.unique(r[~one]), np.unique(c[~one])
+        X[rows] = (X[rows] - _mulmod(coef[np.ix_(rows, cols)], R[cols], p)) % p
+
+
+def _rref_block(B: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on a few int64 rows in place; returns (nonzero rows, pivots)."""
+    keep, piv = [], []
+    for i in range(B.shape[0]):
+        nz = np.flatnonzero(B[i])
+        if not nz.size:
+            continue
+        c = int(nz[0])
+        B[i, nz] = B[i, nz] * pow(int(B[i, c]), -1, p) % p
+        hit = np.flatnonzero(B[:, c])
+        hit = hit[hit != i]
+        if hit.size:
+            # entries are below p < 2**31, so each product fits int64 exactly
+            B[np.ix_(hit, nz)] = (B[np.ix_(hit, nz)] - np.outer(B[hit, c], B[i, nz])) % p
+        keep.append(i)
+        piv.append(c)
+    return keep, piv
 
 
 class GFpEchelon:
-    """Fully reduced echelon basis over GF(p), blocked for BLAS throughput.
+    """Fully reduced echelon basis over GF(p).
 
-    reduce_rows() is the bulk path (one matmul pass; stored rows are kept
-    fully reduced, so one pass is complete); reduce() serves single vectors
-    by gathering just the basis rows it actually hits.
+    Rows live in storage that doubles as it fills, in the smallest signed
+    type holding p - 1, in insertion order and aligned with pivots.
+    insert_rows() takes BASE_BLOCK rows at a time: it reduces them by the
+    stored rows, eliminates them directly, back-substitutes the new pivots
+    into the stored rows with a nonzero there, and appends them.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self._store_dtype = np.int16 if p < 2**15 else np.int64
-        self._rows = np.zeros((0, width), dtype=self._store_dtype)
-        self._piv = np.zeros(0, dtype=np.intp)
+        dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
+        self._buf = np.zeros((0, width), dtype=dtype)
+        self._pbuf = np.zeros(0, dtype=np.intp)
+        self._n = 0
 
     @property
     def rank(self) -> int:
-        return self._rows.shape[0]
+        return self._n
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The stored rows (a view in the storage type), aligned with pivots."""
+        return self._buf[: self._n]
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return self._pbuf[: self._n]
 
     def pivot_columns(self) -> list[int]:
-        return sorted(int(c) for c in self._piv)
+        return sorted(int(c) for c in self.pivots)
 
     def reduce_rows(self, M: np.ndarray) -> np.ndarray:
         """Normal forms of a whole block of rows (int64 in, int64 out)."""
-        M = np.remainder(np.asarray(M), self.p).astype(np.int64)
-        if self._piv.size and M.shape[0]:
-            coef = M[:, self._piv]
-            if coef.any():
-                M = (M - _mulmod(coef, self._rows, self.p)) % self.p
+        M = np.remainder(np.asarray(M), self.p).astype(np.int64, copy=False)
+        sub_mulmod(M, M[:, self.pivots], self.rows, self.p)
         return M
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Normal form of one vector; touches only the basis rows it needs."""
-        v = np.remainder(np.asarray(v), self.p).astype(np.int64)
-        if self._piv.size:
-            coef = v[self._piv]
-            nz = np.flatnonzero(coef)
-            if nz.size:
-                prod = _mulmod(coef[nz][None, :], self._rows[nz], self.p)[0]
-                v = (v - prod) % self.p
-        return v
+        """Normal form of one vector."""
+        return self.reduce_rows(np.asarray(v).reshape(1, -1))[0]
 
     def insert_rows(self, M) -> list[int]:
         """Add a block of rows; returns the new pivot columns."""
         M = np.asarray(M)
         if M.ndim == 1:
             M = M.reshape(1, -1)
-        if M.shape[0] == 0:
-            return []
-        M = self.reduce_rows(M)
-        rows, piv = _block_rref(M, self.p)
-        if rows.shape[0] == 0:
-            return []
-        if self._rows.shape[0]:
-            coef = self._rows[:, piv].astype(np.int64)
-            if coef.any():
-                reduced = (self._rows.astype(np.int64) - _mulmod(coef, rows, self.p)) % self.p
-                self._rows = reduced.astype(self._store_dtype)
-        self._rows = np.vstack([self._rows, rows.astype(self._store_dtype)])
-        self._piv = np.concatenate([self._piv, piv])
-        return [int(c) for c in piv]
+        new: list[int] = []
+        for s in range(0, M.shape[0], BASE_BLOCK):
+            B = self.reduce_rows(M[s : s + BASE_BLOCK])
+            keep, piv = _rref_block(B, self.p)
+            if not piv:
+                continue
+            n, k, B = self._n, len(piv), B[keep]
+            sub_mulmod(self.rows, self.rows[:, piv], B, self.p)
+            if n + k > self._buf.shape[0]:
+                cap = min(self.width, max(2 * self._buf.shape[0], n + k, BASE_BLOCK))
+                buf = np.empty((cap, self.width), dtype=self._buf.dtype)
+                buf[:n] = self.rows
+                pbuf = np.empty(cap, dtype=np.intp)
+                pbuf[:n] = self.pivots
+                self._buf, self._pbuf = buf, pbuf
+            self._buf[n : n + k] = B
+            self._pbuf[n : n + k] = piv
+            self._n += k
+            new.extend(piv)
+        return new
 
     def insert(self, v) -> int | None:
         new = self.insert_rows(np.asarray(v).reshape(1, -1))

@@ -415,6 +415,16 @@ _BAD_BLUEPRINT_TEXT = {
     "nilcheck-eps-zero-denominator": json.dumps(
         {"d": 2, "eps": "1/0", "mode": "symbolic", "blocks": [_BLOCK]}
     ),
+    "nilcheck-n-string": json.dumps({"d": 2, "mode": "symbolic", "blocks": [dict(_BLOCK, n="5")]}),
+    "nilcheck-c-negative": json.dumps({"d": 2, "mode": "symbolic", "blocks": [dict(_BLOCK, c=-1)]}),
+    "nilcheck-mode-unknown": json.dumps({"d": 2, "mode": "foo", "blocks": [_BLOCK]}),
+    "nilcheck-d-bool": json.dumps({"d": True, "mode": "symbolic", "blocks": [_BLOCK]}),
+    "nilcheck-generators-string": json.dumps(
+        {"d": 2, "mode": "dense", "field": "gf5", "blocks": [dict(_BLOCK, generators="x1*x1*x1")]}
+    ),
+    "nilcheck-degree-counts-bad": json.dumps(
+        {"d": 2, "mode": "symbolic", "blocks": [dict(_BLOCK, degree_counts={"3": "4"})]}
+    ),
 }
 
 
@@ -467,6 +477,8 @@ def test_io_errors_exit_two_without_traceback(case, tmp_path, gens_file):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+    if case in _BAD_BLUEPRINT_TEXT and case != "nilcheck-not-json":
+        assert "malformed blueprint data" in proc.stderr
 
 
 def test_console_script_runs():

@@ -85,14 +85,19 @@ def _random_homogeneous(rng, d, deg, field):
     return p
 
 
-@pytest.mark.parametrize("field", [GF2, GF(5), QQ], ids=["gf2", "gf5", "q"])
+@pytest.mark.parametrize(
+    "field",
+    [GF2, GF(5), GF(65521), GF(2**31 - 1), QQ],
+    ids=["gf2", "gf5", "gf65521", "gf2147483647", "q"],
+)
 def test_table_matches_naive_reference(field):
     rng = random.Random(101)
     for trial in range(4):
         d = rng.choice([2, 3])
         gens = []
-        for _ in range(rng.randrange(1, 3)):
-            deg = rng.randrange(2, 4)
+        # a degree-3 generator walks through a reduced middle level, where
+        # the state rows stop being single words
+        for deg in [3] + [rng.randrange(2, 4) for _ in range(rng.randrange(0, 2))]:
             g = _random_homogeneous(rng, d, deg, field)
             if not g.is_zero():
                 gens.append(g)

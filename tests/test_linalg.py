@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsalg.errors import InvalidParams
 from gsalg.field import GF, GF2, QQ
 from gsalg.linalg import (
+    BASE_BLOCK,
     FractionEchelon,
     GF2Echelon,
     GFpEchelon,
@@ -22,12 +23,18 @@ from gsalg.linalg import (
 
 
 def _naive_rank_mod_p(rows, p):
-    # textbook row reduction, no shortcuts; the reference for every engine
+    return len(_naive_rref_mod_p(rows, p)[1])
+
+
+def _naive_rref_mod_p(rows, p):
+    # textbook row reduction, no shortcuts; the reference for every engine.
+    # Returns (reduced nonzero rows, their pivot columns), in pivot order.
     rows = [[x % p for x in r] for r in rows]
     if not rows:
-        return 0
+        return [], []
     width = len(rows[0])
     r = 0
+    pivots = []
     for col in range(width):
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
@@ -39,8 +46,9 @@ def _naive_rank_mod_p(rows, p):
             if i != r and rows[i][col]:
                 c = rows[i][col]
                 rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
         r += 1
-    return r
+    return rows[:r], pivots
 
 
 def _known_rank_matrix(rng, rank, width, extra, p):
@@ -140,6 +148,29 @@ def test_mulmod_matches_object_ints():
         assert np.array_equal(got, want.astype(np.int64))
 
 
+class _NoObjectArray(np.ndarray):
+    """Fails as soon as an array derived from it takes the object dtype."""
+
+    def __array_finalize__(self, obj):
+        assert self.dtype != object, "object-dtype arithmetic"
+
+
+@pytest.mark.parametrize("p", [2**26 + 1, 2**31 - 1])
+def test_mulmod_large_p_is_exact_without_object_ints(p):
+    # k spans several chunks of both split halves (32 to 1024 rows each)
+    rng = np.random.default_rng(p % 1000)
+    k = 3000
+    cases = [
+        (rng.integers(0, p, size=(5, k)), rng.integers(0, p, size=(k, 4))),
+        (np.full((3, k), p - 1), np.full((k, 6), p - 1)),
+    ]
+    for A, B in cases:
+        want = np.dot(A.astype(object), B.astype(object)) % p
+        got = _mulmod(A.view(_NoObjectArray), B.view(_NoObjectArray), p)
+        assert got.dtype == np.int64
+        assert np.array_equal(np.asarray(got), want.astype(np.int64))
+
+
 def test_mulmod_empty_shapes():
     for shape_a, shape_b in (((0, 4), (4, 3)), ((3, 0), (0, 2)), ((2, 5), (5, 0))):
         out = _mulmod(
@@ -156,6 +187,44 @@ def test_gfp_echelon_against_naive(p):
         ech = GFpEchelon(p, width)
         ech.insert_rows(np.array(mat, dtype=np.int64))
         assert ech.rank == _naive_rank_mod_p(mat, p)
+
+
+@given(
+    p=st.sampled_from([2, 5, 65521, 2**31 - 1]),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(1, 2 * BASE_BLOCK + 40), max_size=6),
+)
+@settings(max_examples=25)
+def test_gfp_echelon_differential(p, seed, cuts):
+    rng = random.Random(seed)
+    width = rng.randrange(8, 40)
+    base = [
+        [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(width)]
+        for _ in range(rng.randrange(1, width + 1))
+    ]
+    mat = list(base)
+    while len(mat) < 2 * BASE_BLOCK + 10:
+        a, b = rng.choice(base), rng.choice(base)
+        ca, cb = rng.randrange(p), rng.randrange(p)
+        mat.append([(ca * x + cb * y) % p for x, y in zip(a, b)])
+    rng.shuffle(mat)
+    M = np.array(mat, dtype=np.int64)
+    whole = GFpEchelon(p, width)
+    whole.insert_rows(M)
+    split = GFpEchelon(p, width)
+    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(mat)]):
+        split.insert_rows(M[lo:hi])
+    want_rows, want_piv = _naive_rref_mod_p(mat, p)
+    for ech in (whole, split):
+        assert ech.rank == len(want_piv)
+        assert ech.pivot_columns() == want_piv
+        order = np.argsort(ech.pivots)
+        assert np.array_equal(ech.rows[order], np.array(want_rows, dtype=np.int64).reshape(-1, width))
+    for _ in range(5):
+        v = np.array([rng.randrange(p) for _ in range(width)], dtype=np.int64)
+        red = split.reduce(v)
+        assert not red[want_piv].any()
+        assert np.array_equal(split.reduce(red), red)
 
 
 def test_gfp_echelon_incremental_batches():
