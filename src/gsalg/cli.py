@@ -226,6 +226,9 @@ def cmd_construct(args) -> int:
 
 def cmd_nilcheck(args) -> int:
     bp = load_blueprint(args.blueprint)
+    if not check_blueprint(bp).ok:
+        print("blueprint invariants FAILED", file=sys.stderr)
+        return 1
     field = bp.field
     if args.field is not None:
         requested = parse_field(args.field)

@@ -15,19 +15,33 @@ words are exactly the non-pivot monomials of the textbook full-width
 reduction; the naive oracle in tests/oracles.py recomputes everything at
 full width to cross-check them.
 
-Over GF(p) the rows b*f are built by walking f's terms letter by letter,
-whole blocks of standard words b at once.  The row of state*x_t sits in the
-candidate columns of class t (column i*d + t-1), so each step reduces it by
-that letter's pivot rows only, cached per level on the standard columns, and
-the same walk started from the empty word gives normal forms.
+The rows b*f are built by walking f's terms letter by letter.  The row of
+state*x_t sits in the candidate columns of class t (column i*d + t-1), so a
+step reduces it by that letter's pivot rows only.  Pivots sit at the least
+column of each row, the column rank profile, the same for every field, so
+only the row format differs, and _walk picks the walk from the engine that
+linalg.echelon_for returned:
+
+- GFpEchelon (GF(p)) and FractionEchelon (QQ): the batched walk moves whole
+  blocks of standard words b at once as int64 (mod p) or Fraction object
+  arrays, with each level's pivot rows cached per letter on its standard
+  columns.
+- GF2Echelon: rows stay packed ints, walked one word b at a time, because
+  dense integer rows cost far more time and memory on the GF(2) dims
+  workload.  On a 2-core Xeon VM the batched walk over GF(5) took 13.8 s /
+  631 MB for the d=2 binary cubic to degree 20 (packed GF(2): 1.4 s /
+  103 MB), 6.9 s / 364 MB for the d=3 cubic pair to 11 (0.9 s / 72 MB)
+  and 13.1 s / 595 MB for the d=3 quadric to 11 (5.8 s / 463 MB to 12).
+
+Normal forms are the same walk from the empty word over each homogeneous
+component, one reduction at the top level, then the standard columns.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +54,9 @@ from .errors import (
     NonHomogeneousGenerator,
     TooLarge,
 )
-from .field import BINARY, FieldDescriptor
+from .field import FieldDescriptor
 from .freealg import Polynomial, Word, words_of_degree
-from .linalg import echelon_for, gf2_bits, gf2_from_bits, sub_mulmod
+from .linalg import GF2Echelon, echelon_for, gf2_bits, gf2_from_bits, mod_p, sub_mulmod
 
 DEFAULT_COLUMN_CAP = 2**20
 
@@ -97,21 +111,20 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
 # -- per-degree level data -----------------------------------------------------
 
 class _Level:
-    __slots__ = ("words", "ech", "std_cols", "free", "_split")
+    __slots__ = ("words", "ech", "std_cols", "_split")
 
-    def __init__(self, words, ech, std_cols, free):
+    def __init__(self, words, ech, std_cols):
         self.words = words          # standard words, monomial order
         self.ech = ech              # echelon over candidate columns (None at degree 0)
         self.std_cols = std_cols    # candidate columns of the standard words
-        self.free = free            # no relations at this degree or below
         self._split = None
 
-    def step(self, M: np.ndarray, t: int, d: int, p: int) -> np.ndarray:
-        """GF(p) state rows M one degree below, times x_t, in standard coordinates.
+    def step(self, M: np.ndarray, t: int, d: int, p: Optional[int]) -> np.ndarray:
+        """State rows M one degree below, times x_t, in standard coordinates.
 
         Per letter the level caches its pivot rows of class t on the standard
         columns and the states they reduce; the result is M on the standard
-        columns of class t minus coef @ rows.
+        columns of class t minus coef @ rows (mod p; p is None over QQ).
         """
         if self._split is None:
             piv, std = self.ech.pivots, self.std_cols
@@ -122,7 +135,7 @@ class _Level:
                 rows = self.ech.rows[np.ix_(sel, std)]
                 self._split.append((piv[sel] // d, rows, pos, std[pos] // d))
         piv_idx, rows, pos, src = self._split[t - 1]
-        S = np.zeros((M.shape[0], len(self.words)), dtype=np.int64)
+        S = np.zeros((M.shape[0], len(self.words)), dtype=M.dtype)
         S[:, pos] = M[:, src]
         sub_mulmod(S, M[:, piv_idx], rows, p)
         return S
@@ -192,38 +205,7 @@ def _walk_gf2(levels, trie, start_idx, start_level, n, d) -> int:
     return acc
 
 
-def _walk_exact(levels, trie, start_idx, start_level, n, d, field):
-    """Same walk over an exact scalar field; vectors are raw-value lists."""
-    zero = field.zero
-    acc = [zero] * (len(levels[n - 1].words) * d)
-
-    def step(level, state, node):
-        b_here = len(levels[level].words)
-        for t in sorted(node):
-            sub = node[t]
-            if level + 1 == n:
-                c = sub
-                for idx, a in enumerate(state):
-                    if a:
-                        col = idx * d + (t - 1)
-                        acc[col] = field.add(acc[col], field.mul(c, a))
-                continue
-            out = [zero] * (b_here * d)
-            out[t - 1 :: d] = state
-            nxt = levels[level + 1]
-            if nxt.ech.rank:
-                red = nxt.ech.reduce(out)
-                out = [red[c] for c in nxt.std_cols]
-            if any(out):
-                step(level + 1, out, sub)
-
-    base = [zero] * len(levels[start_level].words)
-    base[start_idx] = field.one
-    step(start_level, base, trie)
-    return acc
-
-
-def _walk_gfp(levels, trie, M, level, n, d, p, acc):
+def _walk_batched(levels, trie, M, level, n, d, p, acc):
     """Add (state rows M at `level`) * f to acc, candidate rows at degree n."""
     for t in sorted(trie):
         sub = trie[t]
@@ -231,24 +213,27 @@ def _walk_gfp(levels, trie, M, level, n, d, p, acc):
             # coeff < p and M < p, so the product fits int64 exactly
             r, i = np.nonzero(M)
             col = i * d + (t - 1)
-            acc[r, col] = (acc[r, col] + int(sub) * M[r, i]) % p
+            acc[r, col] = mod_p(acc[r, col] + sub * M[r, i], p)
             continue
         S = levels[level + 1].step(M, t, d, p)
         if S.any():
-            _walk_gfp(levels, sub, S, level + 1, n, d, p, acc)
+            _walk_batched(levels, sub, S, level + 1, n, d, p, acc)
 
 
-def _insert_rows_gfp(levels, trie, k, n, d, p, ech):
-    """Batched GF(p) row construction: whole chunks of B_{n-k} walk together."""
-    nb = len(levels[n - k].words)
-    widths = [len(levels[m].words) * d for m in range(n - k, n)]
-    chunk = max(1, (1 << 18) // max(widths))  # 2 MB int64 blocks stay in cache
-    for s in range(0, nb, chunk):
-        m_rows = min(chunk, nb - s)
-        state = np.eye(m_rows, nb, s, dtype=np.int64)
-        acc = np.zeros((m_rows, widths[-1]), dtype=np.int64)
-        _walk_gfp(levels, trie, state, n - k, n, d, p, acc)
-        ech.insert_rows(acc)
+def _walk(levels, trie, level, idx: range, n, d, ech):
+    """Candidate rows at degree n of (standard words #idx at `level`) * f.
+
+    This is the one place the walk is chosen, by the engine ech at degree n:
+    a list of packed-int rows for GF2Echelon, else one array built by the
+    batched walk (int64 mod p for GFpEchelon, Fractions for FractionEchelon).
+    """
+    if isinstance(ech, GF2Echelon):
+        return [_walk_gf2(levels, trie, i, level, n, d) for i in idx]
+    dtype = np.int64 if ech.p else object
+    state = np.eye(len(idx), len(levels[level].words), idx.start, dtype=dtype)
+    acc = np.zeros((len(idx), ech.width), dtype=dtype)
+    _walk_batched(levels, trie, state, level, n, d, ech.p, acc)
+    return acc
 
 
 # -- the table -----------------------------------------------------------------
@@ -311,91 +296,29 @@ class GradedIdealTable:
             raise MixedFields(
                 "polynomial is over %s, table over %s" % (p.field, self.field)
             )
-        out: dict = {}
+        levels, out = self._levels, {}
         for m, comp in p.homogeneous_components().items():
             if m > self.maxdeg:
                 raise DegreeExceedsTable(
                     "component of degree %d exceeds table maximum %d" % (m, self.maxdeg)
                 )
-            words = self._levels[m].words
-            if not words:
+            if m == 0:
+                out[()] = comp.constant_coefficient()
                 continue
-            vec = self._component_nf(comp, m)
-            if self.field.kind == BINARY:
-                v = vec
-                while v:
-                    low = v & -v
-                    out[words[low.bit_length() - 1]] = 1
-                    v ^= low
-            else:
-                for i, a in enumerate(vec):
-                    if a:
-                        out[words[i]] = a if isinstance(a, (int, Fraction)) else int(a)
+            lvl = levels[m]
+            if not lvl.words:
+                continue
+            # the row-building walk from the empty word, then one reduction
+            row = _walk(levels, _term_trie(comp), 0, range(1), m, self.d, lvl.ech)[0]
+            red = lvl.ech.reduce(row)
+            vec = gf2_bits(red, lvl.ech.width) if isinstance(red, int) else np.asarray(red)
+            for word, a in zip(lvl.words, vec[lvl.std_cols].tolist()):
+                if a:
+                    out[word] = a
         return Polynomial._raw(self.d, self.field, out)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
-
-    def _component_nf(self, comp: Polynomial, m: int):
-        levels, d, field = self._levels, self.d, self.field
-        if field.kind == BINARY:
-            acc = 0
-            for word, _ in comp.sorted_terms():
-                acc ^= self._word_nf_gf2(word)
-            return acc
-        if field.p is not None:
-            if m == 0:
-                return [c for _, c in comp.sorted_terms()]
-            # the row-building walk from the empty word, then one reduction
-            acc = np.zeros((1, len(levels[m - 1].words) * d), dtype=np.int64)
-            start = np.ones((1, 1), dtype=np.int64)
-            _walk_gfp(levels, _term_trie(comp), start, 0, m, d, field.p, acc)
-            lvl = levels[m]
-            return [int(a) for a in lvl.ech.reduce(acc[0])[lvl.std_cols]]
-        acc = [field.zero] * len(levels[m].words)
-        for word, c in comp.sorted_terms():
-            vec = self._word_nf_exact(word)
-            acc = [a + c * v for a, v in zip(acc, vec)]
-        return acc
-
-    def _word_nf_gf2(self, word: Word) -> int:
-        levels, d = self._levels, self.d
-        tag, state = "w", 0
-        for m, t in enumerate(word):
-            lvl = levels[m + 1]
-            b_here = len(levels[m].words)
-            if tag == "w":
-                col = state * d + (t - 1)
-                if lvl.ech.rank == 0 or not lvl.ech.has_pivot(col):
-                    state = col if lvl.ech.rank == 0 else int(
-                        np.searchsorted(lvl.std_cols, col)
-                    )
-                    continue
-                cw = 1 << col
-            else:
-                cw = _gf2_scatter(state, b_here, d, t)
-            if lvl.ech.rank:
-                cw = lvl.ech.reduce(cw)
-            if not cw:
-                return 0
-            tag, state = "v", _gf2_gather(cw, b_here * d, lvl.std_cols) if lvl.ech.rank else cw
-        if tag == "w":
-            return 1 << state
-        return state
-
-    def _word_nf_exact(self, word: Word):
-        levels, d, field = self._levels, self.d, self.field
-        state = [field.one]
-        for m, t in enumerate(word):
-            b_here = len(levels[m].words)
-            out = [field.zero] * (b_here * d)
-            out[t - 1 :: d] = state
-            lvl = levels[m + 1]
-            if lvl.ech.rank:
-                red = lvl.ech.reduce(out)
-                out = [red[c] for c in lvl.std_cols]
-            state = out
-        return state
 
     def __repr__(self):
         return "GradedIdealTable(d=%d, field=%s, maxdeg=%d, %d generators)" % (
@@ -439,27 +362,23 @@ def build_table(
             r_counts[g.degree()] = r_counts.get(g.degree(), 0) + 1
 
     tries = [(_term_trie(g), g.degree()) for g in gens]
-    levels = [_Level([()], None, None, True)]
+    levels = [_Level([()], None, None)]
     for n in range(1, maxdeg + 1):
         prev = levels[n - 1]
         width = len(prev.words) * d
         ech = echelon_for(field, width)
-        if width:
-            for trie, k in tries:
-                if k > n or not levels[n - k].words:
-                    continue
-                if field.kind == BINARY:
-                    for i in range(len(levels[n - k].words)):
-                        ech.insert(_walk_gf2(levels, trie, i, n - k, n, d))
-                elif field.p is not None:
-                    _insert_rows_gfp(levels, trie, k, n, d, field.p, ech)
-                else:
-                    for i in range(len(levels[n - k].words)):
-                        ech.insert(_walk_exact(levels, trie, i, n - k, n, d, field))
+        for trie, k in tries:
+            if not width or k > n or not levels[n - k].words:
+                continue
+            nb = len(levels[n - k].words)
+            # 2 MB int64 walk blocks stay in cache
+            chunk = max(1, (1 << 18) // max(len(levels[m].words) * d for m in range(n - k, n)))
+            for s in range(0, nb, chunk):
+                ech.insert_rows(_walk(levels, trie, n - k, range(s, min(s + chunk, nb)), n, d, ech))
         piv = np.array(ech.pivot_columns(), dtype=np.intp)
         std_cols = np.setdiff1d(np.arange(width, dtype=np.intp), piv)
         words = [prev.words[int(c) // d] + (int(c) % d + 1,) for c in std_cols]
-        levels.append(_Level(words, ech, std_cols, prev.free and ech.rank == 0))
+        levels.append(_Level(words, ech, std_cols))
     return GradedIdealTable(d, field, gens, maxdeg, levels, r_counts)
 
 

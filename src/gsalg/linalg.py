@@ -1,17 +1,20 @@
 """Exact row-echelon engines backing the graded dimension tables.
 
-The three engines share one interface: rows go in (singly or as a block), the
+The engines share one interface: rows go in (singly or as a block), the
 engine keeps a basis of the row space with pivots at the least nonzero column
 of each basis row, and reduce() maps any vector to its unique normal form,
 zero at every pivot column.  The pivot set of a row space does not depend on
 insertion order, so the resulting standard/pivot split is canonical.
 
-Row formats: GF(2) rows are python ints (bit i = column i, XOR in C); GF(p)
+Row formats: GF(2) rows are python ints (bit i = column i, XOR in C).  GF(p)
 rows are numpy arrays stored in the smallest signed type holding p - 1,
 inserted in base blocks of BASE_BLOCK rows that are eliminated directly, with
 products as float64 matmuls on only the nonzero coefficients, exact because
 sums are chunked below 2**53 and, above p = 2**26, B is split as
-B_hi * 2**16 + B_lo; rational rows are dense lists of Fractions (desk scale).
+B_hi * 2**16 + B_lo.  Rational rows (desk scale) run through the same engine
+with p None (FractionEchelon): they are object arrays of Fractions, exposed
+as rows and pivots like the GF(p) rows, so the graded walk reads both the
+same way, and sub_mulmod subtracts without a modulus.
 """
 
 from __future__ import annotations
@@ -22,19 +25,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from .field import BINARY, FieldDescriptor
-
-
-class _RowByRow:
-    """insert_rows for engines whose block insert is a loop over insert()."""
-
-    def insert_rows(self, rows) -> list[int]:
-        """Add rows one at a time; returns the new pivot columns."""
-        out = []
-        for v in rows:
-            piv = self.insert(v)
-            if piv is not None:
-                out.append(piv)
-        return out
 
 
 # -- GF(2): int bitsets -------------------------------------------------------
@@ -55,7 +45,7 @@ def gf2_from_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-class GF2Echelon(_RowByRow):
+class GF2Echelon:
     """Echelon basis over GF(2); rows are ints, pivot = lowest set bit."""
 
     def __init__(self, width: int):
@@ -93,6 +83,15 @@ class GF2Echelon(_RowByRow):
         self._mask |= b
         return b.bit_length() - 1
 
+    def insert_rows(self, rows) -> list[int]:
+        """Add rows one at a time; returns the new pivot columns."""
+        out = []
+        for v in rows:
+            piv = self.insert(v)
+            if piv is not None:
+                out.append(piv)
+        return out
+
 
 # -- GF(p): base-block elimination with split-operand float64 products ----------
 
@@ -126,11 +125,20 @@ def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return ((_dotmod(A, hi, p) << 16) + _dotmod(A, lo, p)) % p
 
 
-def sub_mulmod(X: np.ndarray, coef: np.ndarray, R: np.ndarray, p: int) -> None:
-    """X -= coef @ R (mod p) in place, touching only coef's nonzero entries.
+def mod_p(x, p: int | None):
+    """x % p, or x itself over the rationals (p None)."""
+    return x if p is None else x % p
 
-    A row of coef with one nonzero takes a scaled row of R (exact in int64,
-    as both factors are below p < 2**31); the rest go through _mulmod.
+
+def sub_mulmod(X: np.ndarray, coef: np.ndarray, R: np.ndarray, p: int | None) -> None:
+    """X -= coef @ R (mod p; no modulus when p is None) in place.
+
+    Only coef's nonzero entries are touched.  A row of coef with one nonzero
+    takes a scaled row of R (exact in int64, as both factors are below
+    p < 2**31); the rest take a product on their nonzero rows and columns,
+    _mulmod mod p or a plain object-array matmul over the rationals.  The
+    reduction mod p stays in the expression that subtracts, so X may be
+    narrow row storage: the int64 intermediate never wraps in it.
     """
     r, c = np.nonzero(coef)
     if not r.size:
@@ -138,45 +146,51 @@ def sub_mulmod(X: np.ndarray, coef: np.ndarray, R: np.ndarray, p: int) -> None:
     one = np.bincount(r, minlength=len(coef))[r] == 1
     if one.any():
         rs, cs = r[one], c[one]
-        X[rs] = (X[rs] - coef[rs, cs][:, None] * R[cs]) % p
+        X[rs] = mod_p(X[rs] - coef[rs, cs][:, None] * R[cs], p)
     if not one.all():
         rows, cols = np.unique(r[~one]), np.unique(c[~one])
-        X[rows] = (X[rows] - _mulmod(coef[np.ix_(rows, cols)], R[cols], p)) % p
+        A, B = coef[np.ix_(rows, cols)], R[cols]
+        X[rows] = mod_p(X[rows] - (A @ B if p is None else _mulmod(A, B, p)), p)
 
 
-def _rref_block(B: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan on a few int64 rows in place; returns (nonzero rows, pivots)."""
+def _rref_block(B: np.ndarray, p: int | None) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on a few rows in place; returns (nonzero rows, pivots)."""
     keep, piv = [], []
     for i in range(B.shape[0]):
         nz = np.flatnonzero(B[i])
         if not nz.size:
             continue
         c = int(nz[0])
-        B[i, nz] = B[i, nz] * pow(int(B[i, c]), -1, p) % p
+        inv = 1 / Fraction(B[i, c]) if p is None else pow(int(B[i, c]), -1, p)
+        B[i, nz] = mod_p(B[i, nz] * inv, p)
         hit = np.flatnonzero(B[:, c])
         hit = hit[hit != i]
         if hit.size:
-            # entries are below p < 2**31, so each product fits int64 exactly
-            B[np.ix_(hit, nz)] = (B[np.ix_(hit, nz)] - np.outer(B[hit, c], B[i, nz])) % p
+            # GF(p) entries are below p < 2**31, so each product fits int64 exactly
+            B[np.ix_(hit, nz)] = mod_p(B[np.ix_(hit, nz)] - np.outer(B[hit, c], B[i, nz]), p)
         keep.append(i)
         piv.append(c)
     return keep, piv
 
 
 class GFpEchelon:
-    """Fully reduced echelon basis over GF(p).
+    """Fully reduced echelon basis over GF(p), or over QQ when p is None.
 
     Rows live in storage that doubles as it fills, in the smallest signed
-    type holding p - 1, in insertion order and aligned with pivots.
-    insert_rows() takes BASE_BLOCK rows at a time: it reduces them by the
-    stored rows, eliminates them directly, back-substitutes the new pivots
-    into the stored rows with a nonzero there, and appends them.
+    type holding p - 1 (an object array of Fractions over QQ), in insertion
+    order and aligned with pivots.  insert_rows() takes BASE_BLOCK rows at a
+    time: it reduces them by the stored rows, eliminates them directly,
+    back-substitutes the new pivots into the stored rows with a nonzero
+    there, and appends them.
     """
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, p: int | None, width: int):
         self.p = p
         self.width = width
-        dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
+        if p is None:
+            dtype = object
+        else:
+            dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
         self._buf = np.zeros((0, width), dtype=dtype)
         self._pbuf = np.zeros(0, dtype=np.intp)
         self._n = 0
@@ -198,8 +212,11 @@ class GFpEchelon:
         return sorted(int(c) for c in self.pivots)
 
     def reduce_rows(self, M: np.ndarray) -> np.ndarray:
-        """Normal forms of a whole block of rows (int64 in, int64 out)."""
-        M = np.remainder(np.asarray(M), self.p).astype(np.int64, copy=False)
+        """Normal forms of a whole block of rows (int64 mod p, else object)."""
+        if self.p is None:
+            M = np.array(M, dtype=object)
+        else:
+            M = np.remainder(np.asarray(M), self.p).astype(np.int64, copy=False)
         sub_mulmod(M, M[:, self.pivots], self.rows, self.p)
         return M
 
@@ -238,46 +255,18 @@ class GFpEchelon:
         return new[0] if new else None
 
 
-# -- rationals: dense Fraction rows -------------------------------------------
+class FractionEchelon(GFpEchelon):
+    """Fully reduced echelon basis over the rationals (desk scale).
 
-class FractionEchelon(_RowByRow):
-    """Fully reduced echelon basis over the rationals (desk scale)."""
+    The GF(p) engine with no modulus: rows are an object array of Fractions,
+    which the batched walk reads like GFpEchelon's; reduce() returns a list.
+    """
 
     def __init__(self, width: int):
-        self.width = width
-        self._rows: list[list[Fraction]] = []
-        self._piv: list[int] = []
+        super().__init__(None, width)
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._piv)
-
-    def reduce(self, v) -> list[Fraction]:
-        v = list(v)
-        for i, pc in enumerate(self._piv):
-            c = v[pc]
-            if c:
-                row = self._rows[i]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, v) -> int | None:
-        v = self.reduce(v)
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return None
-        inv = 1 / v[piv]
-        v = [a * inv for a in v]
-        for i, row in enumerate(self._rows):
-            c = row[piv]
-            if c:
-                self._rows[i] = [a - c * b for a, b in zip(row, v)]
-        self._rows.append(v)
-        self._piv.append(piv)
-        return piv
+    def reduce(self, v) -> list:
+        return super().reduce(v).tolist()
 
 
 def echelon_for(field: FieldDescriptor, width: int):

@@ -253,6 +253,19 @@ def test_nilcheck_verify_needs_dense(capsys, tmp_path):
     assert out.strip() == "n=11"
 
 
+def test_nilcheck_rejects_blueprint_failing_invariants(capsys, tmp_path):
+    # a dense toy block edited to n = 7 breaks c' = n*c and the degree floor
+    path = tmp_path / "toy22.json"
+    save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=2), str(path))
+    data = json.loads(path.read_text())
+    data["blocks"][0]["n"] = 7
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1"])
+    assert code == 1
+    assert out == ""
+    assert "blueprint invariants FAILED" in err
+
+
 # -- bound -----------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gsalg import graded
 from gsalg.errors import (
     AmbientMismatch,
     DegreeBelowTwo,
@@ -26,6 +27,7 @@ from gsalg.graded import (
     dimension_rows,
     write_dimension_csv,
 )
+from gsalg.linalg import GFpEchelon
 
 from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 
@@ -124,10 +126,13 @@ def test_table_matches_naive_reference(field):
 # -- normal forms ----------------------------------------------------------------
 
 
-def test_normal_form_properties():
-    field = GF(5)
+@pytest.mark.parametrize(
+    "field", [GF2, GF(5), GF(2**31 - 1), QQ], ids=["gf2", "gf5", "gf2147483647", "q"]
+)
+def test_normal_form_properties(field):
     gens = [parse_poly("x1*x2 + 2*x2*x1", 2, field)]
     table = build_table(gens, 6)
+    oracle = naive_dimension_table(gens, 6)
     rng = random.Random(7)
     for g in gens:
         assert table.contains(g)
@@ -137,8 +142,36 @@ def test_normal_form_properties():
         nf = table.normal_form(p)
         assert table.normal_form(nf) == nf
         assert table.contains(p - nf)
+        assert oracle.contains(p - nf)
         if not nf.is_zero():
             assert set(nf.terms) <= set(table.basis(nf.degree()))
+
+
+def test_packed_gf2_walk_matches_batched_walk(monkeypatch):
+    # the batched walk runs over GF(2) when the tables get GFpEchelon(2, w)
+    rng = random.Random(2013)
+    for _ in range(30):
+        d = rng.choice([2, 3])
+        gens = []
+        for deg in [3] + [rng.randrange(2, 4) for _ in range(rng.randrange(0, 3))]:
+            g = _random_homogeneous(rng, d, deg, GF2)
+            if not g.is_zero():
+                gens.append(g)
+        if not gens:
+            continue
+        maxdeg = 7 if d == 2 else 5
+        packed = build_table(gens, maxdeg)
+        with monkeypatch.context() as m:
+            m.setattr(graded, "echelon_for", lambda field, width: GFpEchelon(2, width))
+            batched = build_table(gens, maxdeg)
+        assert isinstance(batched._levels[maxdeg].ech, GFpEchelon)
+        for n in range(maxdeg + 1):
+            assert packed.basis(n) == batched.basis(n)
+        for _ in range(5):
+            probe = Polynomial.zero(d, GF2)
+            for n in range(maxdeg + 1):
+                probe = probe + _random_homogeneous(rng, d, n, GF2)
+            assert packed.normal_form(probe) == batched.normal_form(probe)
 
 
 def test_normal_form_mixed_degrees():
