@@ -6,8 +6,9 @@ tables with the degree-wise bound), construct (block blueprints), nilcheck
 ledger), jcount and symfun (combinatorial helpers).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (negative
-slack, violated condition, failed ledger line, unverified membership),
-2 usage or input errors.  Outputs are deterministic: fixed orderings, no
+slack, violated condition, failed ledger line, unverified membership, a
+blueprint file that differs from the rebuild of its parameters), 2 usage
+or input errors.  Outputs are deterministic: fixed orderings, no
 timestamps, exact rationals printed as num/den.
 """
 
@@ -29,6 +30,7 @@ from .combinat import (
     weak_tuples,
 )
 from .errors import (
+    BlueprintMismatch,
     DegreeBelowTwo,
     DimensionBoundViolated,
     GsalgError,
@@ -226,9 +228,6 @@ def cmd_construct(args) -> int:
 
 def cmd_nilcheck(args) -> int:
     bp = load_blueprint(args.blueprint)
-    if not check_blueprint(bp).ok:
-        print("blueprint invariants FAILED", file=sys.stderr)
-        return 1
     field = bp.field
     if args.field is not None:
         requested = parse_field(args.field)
@@ -426,7 +425,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except DimensionBoundViolated as exc:
+    except (DimensionBoundViolated, BlueprintMismatch) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except GsalgError as exc:

@@ -46,7 +46,7 @@ def weak_tuples(q: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WeakTuple]:
     """All weak tuples in lexicographic order."""
     count = weak_tuple_count(q, n)
     if count > cap:
-        raise TooLarge("%d weak tuples exceed the cap %d" % (count, cap))
+        raise TooLarge("J(%d, %d) has more weak tuples than the cap %d" % (q, n, cap))
     return list(itertools.combinations_with_replacement(range(1, q + 1), n))
 
 

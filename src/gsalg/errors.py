@@ -61,6 +61,10 @@ class DimensionBoundViolated(GsalgError):
     """
 
 
+class BlueprintMismatch(GsalgError):
+    """A loaded blueprint differs from the rebuild of its own parameters."""
+
+
 class ConstantTerm(GsalgError):
     """A polynomial that must lie in T_{>=1} has a constant term."""
 

@@ -22,7 +22,7 @@ column of each row, the column rank profile, the same for every field, so
 only the row format differs, and _walk picks the walk from the engine that
 linalg.echelon_for returned:
 
-- GFpEchelon (GF(p)) and FractionEchelon (QQ): the batched walk moves whole
+- GFpEchelon (GF(p), and QQ with p None): the batched walk moves whole
   blocks of standard words b at once as int64 (mod p) or Fraction object
   arrays, with each level's pivot rows cached per letter on its standard
   columns.
@@ -225,7 +225,7 @@ def _walk(levels, trie, level, idx: range, n, d, ech):
 
     This is the one place the walk is chosen, by the engine ech at degree n:
     a list of packed-int rows for GF2Echelon, else one array built by the
-    batched walk (int64 mod p for GFpEchelon, Fractions for FractionEchelon).
+    batched walk (int64 mod p, or Fractions when ech.p is None).
     """
     if isinstance(ech, GF2Echelon):
         return [_walk_gf2(levels, trie, i, level, n, d) for i in idx]
@@ -344,15 +344,11 @@ def build_table(
     empty list (zero ideal) needs explicit d and field.  r_override replaces
     the derived degree -> count table used for bound reporting, which matters
     when a nominal generator vanishes over the field yet must still be
-    counted.
+    counted.  column_cap bounds each degree's working width d*b_{n-1}.
     """
     gens, d, field = _check_generators(generators, d, field)
     if not isinstance(maxdeg, int) or isinstance(maxdeg, bool) or maxdeg < 0:
         raise InvalidParams("maxdeg must be a nonnegative integer, got %r" % (maxdeg,))
-    if d**maxdeg > column_cap:
-        raise TooLarge(
-            "d**maxdeg = %d exceeds the %d-column cap" % (d**maxdeg, column_cap)
-        )
     if r_override is not None:
         validate_r(r_override, "r_override")
         r_counts = dict(r_override)
@@ -366,6 +362,11 @@ def build_table(
     for n in range(1, maxdeg + 1):
         prev = levels[n - 1]
         width = len(prev.words) * d
+        if width > column_cap:
+            raise TooLarge(
+                "degree %d needs d*b_%d = %d columns, over the %d-column cap"
+                % (n, n - 1, width, column_cap)
+            )
         ech = echelon_for(field, width)
         for trie, k in tries:
             if not width or k > n or not levels[n - k].words:

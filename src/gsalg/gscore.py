@@ -33,8 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .combinat import DEFAULT_ENUM_CAP, weak_tuple_count
+from .combinat import DEFAULT_ENUM_CAP
 from .errors import (
+    BlueprintMismatch,
     ConstantTerm,
     DegreeNotCovered,
     DimensionBoundViolated,
@@ -42,7 +43,7 @@ from .errors import (
     TooLarge,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .freealg import Polynomial, parse_poly, poly_str
+from .freealg import Polynomial, poly_str
 from .graded import DEFAULT_COLUMN_CAP, GradedIdealTable, build_table, validate_r
 from .symfun import generator_degree, monomial_window, window_generators, window_size
 
@@ -512,8 +513,8 @@ def build_blueprint(
         if d is not None and d != params.d:
             raise InvalidParams("conflicting d: %r vs params.d = %d" % (d, params.d))
         d = params.d
-    if d is None:
-        raise InvalidParams("d is required when params are omitted")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise InvalidParams("d must be an integer >= 2, got %r" % (d,))
     if not isinstance(num_blocks, int) or isinstance(num_blocks, bool) or num_blocks < 1:
         raise InvalidParams("num_blocks must be a positive integer")
     if mode == "dense":
@@ -534,9 +535,7 @@ def build_blueprint(
         c_prime = n * c
 
         j_count = j_log2 = margin = margin_lo = None
-        if toy:
-            j_count = weak_tuple_count(q, n)
-        else:
+        if not toy:
             gap_lo, log2_count = certified_log2_gap(q, n, params)
             j_log2 = log2_count
             margin_lo = gap_lo
@@ -557,6 +556,9 @@ def build_blueprint(
             generators = tuple(p for _, p in pairs)
             counts = Counter(generator_degree(j, window) for j, _ in pairs)
             degree_counts = dict(sorted(counts.items()))
+            if toy:
+                # one generator per weak tuple; counted after the window's cap check
+                j_count = len(pairs)
         elif c == 1 and j_count is not None:
             # a width-1 window makes every generator degree exactly n
             degree_counts = {n: j_count}
@@ -719,64 +721,55 @@ def blueprint_to_dict(bp: GSBlueprint) -> dict:
     }
 
 
-_BLOCK_INTS = ("k", "c", "c_prime", "q", "n", "min_degree", "max_degree")
+def _first_difference(built: dict, data: dict) -> str:
+    """Where data first departs from its rebuild: a block and key, or a key."""
 
-
-def _field_int(rec: dict, key: str, least: int) -> int:
-    value = rec[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise InvalidParams(
-            "malformed blueprint data: %s = %r is not an integer >= %d" % (key, value, least)
+    def first_key(want: dict, got) -> str:
+        got = got if isinstance(got, dict) else {}
+        return next(
+            key for key in [*want, *got]
+            if key not in want or key not in got or want[key] != got[key]
         )
-    return value
+
+    for rec_built, rec in zip(built["blocks"], data["blocks"]):
+        if rec_built != rec:
+            return "block %d key %r" % (rec_built["k"], first_key(rec_built, rec))
+    return "key %r" % first_key(built, data)
 
 
 def blueprint_from_dict(data: dict) -> GSBlueprint:
-    """Blueprint from its JSON form; every field is type- and range-checked."""
+    """Blueprint from its JSON form, rebuilt from the construction's inputs.
+
+    Only d, eps, mode, field, toy and the number of blocks are read, plus c
+    and n of a toy's one block; build_blueprint derives everything else, and
+    the data must equal the rebuild's dict.  Malformed or refused inputs
+    raise InvalidParams; data that differs from its rebuild raises
+    BlueprintMismatch naming the first block and key that differ.
+    """
     try:
-        d = _field_int(data, "d", 2)
-        mode = data["mode"]
-        if mode not in ("symbolic", "dense"):
-            raise InvalidParams("malformed blueprint data: unknown mode %r" % (mode,))
-        field = None if data.get("field") is None else parse_field(data["field"])
-        eps = None if data.get("eps") is None else Fraction(data["eps"])
-        blocks = []
-        for rec in data["blocks"]:
-            gens = rec.get("generators")
-            if gens is not None and not (
-                isinstance(gens, list) and all(isinstance(s, str) for s in gens)
-            ):
-                raise InvalidParams("malformed blueprint data: generators must be a list of strings")
-            margin = rec.get("margin")
-            counts = rec.get("degree_counts")
-            if counts is not None:
-                counts = {int(k): v for k, v in counts.items()}
-                validate_r(counts, "malformed blueprint data: degree_counts")
-            blocks.append(
-                BlueprintBlock(
-                    **{key: _field_int(rec, key, 1) for key in _BLOCK_INTS},
-                    j_count=rec.get("j_count"),
-                    j_count_log2=rec.get("j_count_log2"),
-                    margin=None if margin is None else Fraction(margin),
-                    margin_log2_lo=rec.get("margin_log2_lo"),
-                    degree_counts=counts,
-                    generators=None
-                    if gens is None
-                    else tuple(parse_poly(s, d, field) for s in gens),
-                )
-            )
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        blocks, toy, eps, field = data["blocks"], data["toy"], data["eps"], data["field"]
+        if not isinstance(blocks, list) or not blocks:
+            raise InvalidParams("blocks must be a non-empty list")
+        if not isinstance(toy, bool):
+            raise InvalidParams("toy = %r is not a boolean" % (toy,))
+        bp = build_blueprint(
+            None if eps is None else GSParams(data["d"], parse_ratio(eps)),
+            len(blocks),
+            data["mode"],
+            d=data["d"],
+            field=None if field is None else parse_field(field),
+            toy_c=blocks[0]["c"] if toy else None,
+            toy_n=blocks[0]["n"] if toy else None,
+        )
+    except (InvalidParams, KeyError, TypeError, AttributeError) as exc:
         raise InvalidParams("malformed blueprint data: %s" % exc) from None
-    if not blocks:
-        raise InvalidParams("malformed blueprint data: no blocks")
-    return GSBlueprint(
-        d=d,
-        eps=eps,
-        mode=mode,
-        toy=bool(data.get("toy", False)),
-        field=field,
-        blocks=tuple(blocks),
-    )
+    built = blueprint_to_dict(bp)
+    if built != data:
+        raise BlueprintMismatch(
+            "blueprint invariants FAILED: %s differs from its rebuild"
+            % _first_difference(built, data)
+        )
+    return bp
 
 
 def save_blueprint(bp: GSBlueprint, path: str) -> None:

@@ -12,7 +12,7 @@ inserted in base blocks of BASE_BLOCK rows that are eliminated directly, with
 products as float64 matmuls on only the nonzero coefficients, exact because
 sums are chunked below 2**53 and, above p = 2**26, B is split as
 B_hi * 2**16 + B_lo.  Rational rows (desk scale) run through the same engine
-with p None (FractionEchelon): they are object arrays of Fractions, exposed
+with p None: they are object arrays of Fractions, exposed
 as rows and pivots like the GF(p) rows, so the graded walk reads both the
 same way, and sub_mulmod subtracts without a modulus.
 """
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams
 from .field import BINARY, FieldDescriptor
 
 
@@ -255,26 +254,9 @@ class GFpEchelon:
         return new[0] if new else None
 
 
-class FractionEchelon(GFpEchelon):
-    """Fully reduced echelon basis over the rationals (desk scale).
-
-    The GF(p) engine with no modulus: rows are an object array of Fractions,
-    which the batched walk reads like GFpEchelon's; reduce() returns a list.
-    """
-
-    def __init__(self, width: int):
-        super().__init__(None, width)
-
-    def reduce(self, v) -> list:
-        return super().reduce(v).tolist()
-
-
 def echelon_for(field: FieldDescriptor, width: int):
     """The echelon engine matching a coefficient field."""
     if field.kind == BINARY:
         return GF2Echelon(width)
-    if field.p is not None:
-        return GFpEchelon(field.p, width)
-    if field.kind == "rational":
-        return FractionEchelon(width)
-    raise InvalidParams("no echelon engine for field %s" % field)
+    # p is None over QQ: the same engine on Fractions
+    return GFpEchelon(field.p, width)

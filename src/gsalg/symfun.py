@@ -62,7 +62,7 @@ def window_size(d: int, c: int) -> int:
 def monomial_window(d: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> MonomialWindow:
     q = window_size(d, c)
     if q > cap:
-        raise TooLarge("window has %d words, over the cap %d" % (q, cap))
+        raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, cap))
     words = []
     for n in range(1, c + 1):
         words.extend(itertools.product(range(1, d + 1), repeat=n))

@@ -1,5 +1,6 @@
 """Subcommand flows, exit codes, and artifact determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -12,6 +13,12 @@ import gsalg
 from gsalg.cli import main
 from gsalg.field import GF
 from gsalg.gscore import GSParams, build_blueprint, load_blueprint, save_blueprint
+
+
+def _src_env():
+    """The environment with this checkout's gsalg first on a child's path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gsalg.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def run(capsys, argv):
@@ -103,16 +110,19 @@ def test_dims_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_dims_column_cap(capsys, gens_file):
+def test_dims_column_cap(capsys, tmp_path):
+    # a generator above maxdeg leaves b_n = 2**n: degree 11 needs 2048 columns
+    path = tmp_path / "x1_13.txt"
+    path.write_text("*".join(["x1"] * 13) + "\n")
     code, out, err = run(
         capsys,
         [
-            "dims", "--gens", gens_file, "--d", "2", "--maxdeg", "12",
+            "dims", "--gens", str(path), "--d", "2", "--maxdeg", "12",
             "--column-cap", "1024",
         ],
     )
     assert code == 2
-    assert "cap" in err
+    assert "2048 columns, over the 1024-column cap" in err
 
 
 def test_dims_artifacts_deterministic(capsys, gens_file, tmp_path):
@@ -264,6 +274,118 @@ def test_nilcheck_rejects_blueprint_failing_invariants(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "blueprint invariants FAILED" in err
+
+
+# -- tampered blueprints -----------------------------------------------------------
+
+
+_TAMPER_SOURCES = {
+    "d3-eps1/2-1block": lambda: build_blueprint(GSParams(3, Fraction(1, 2))),
+    "d3-eps1/2-2blocks": lambda: build_blueprint(GSParams(3, Fraction(1, 2)), 2),
+    "toy22-gf2": lambda: build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=2),
+    "toy13-gf5": lambda: build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=GF(5)),
+}
+
+
+def _one_value_edits(data):
+    """(label, edited copy) pairs, each changing one value of the saved data:
+    ints + 1, strings to another string, booleans flipped, present values
+    made null, and the first generator of each block dropped."""
+    edits = []
+
+    def edit(path, value):
+        new = copy.deepcopy(data)
+        target = new
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        edits.append(("/".join(map(str, path)), new))
+
+    def visit(path, value):
+        if isinstance(value, bool):
+            edit(path, not value)
+        elif isinstance(value, int):
+            edit(path, value + 1)
+        elif isinstance(value, str):
+            edit(path, value + "0")
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                visit(path + (key,), item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                visit(path + (i,), item)
+        if value is not None and path:
+            edit(path, None)
+
+    visit((), data)
+    for i, rec in enumerate(data["blocks"]):
+        if rec["generators"]:
+            edit(("blocks", i, "generators"), rec["generators"][1:])
+    return edits
+
+
+@pytest.mark.parametrize("source", sorted(_TAMPER_SOURCES))
+def test_tampered_blueprint_never_passes(capsys, tmp_path, source):
+    path = tmp_path / "bp.json"
+    save_blueprint(_TAMPER_SOURCES[source](), str(path))
+    data = json.loads(path.read_text())
+    commands = (
+        ["nilcheck", "--blueprint", str(path), "--g", "x1"],
+        ["bound", "--d", str(data["d"]), "--eps", "2/5", "--r-from", str(path)],
+    )
+    edits = _one_value_edits(data)
+    assert len(edits) > 20
+    wrong = []
+    for label, edited in edits:
+        path.write_text(json.dumps(edited))
+        for argv in commands:
+            code, out, err = run(capsys, argv)
+            rejected = (
+                code in (1, 2)
+                and out == ""
+                and err.startswith("error: ")
+                and err.count("\n") == 1
+                and ("malformed blueprint data" in err or "blueprint invariants FAILED" in err)
+            )
+            if not rejected:
+                wrong.append((label, argv[0], code, err))
+    assert wrong == []
+
+
+def test_tampered_blueprint_cases_that_passed_unchecked(capsys, tmp_path):
+    path = tmp_path / "bp.json"
+    save_blueprint(build_blueprint(GSParams(3, Fraction(1, 2))), str(path))
+    saved = json.loads(path.read_text())
+    # a symbolic file flagged as a toy with n = 2 is refused, not certified at n=2
+    data = copy.deepcopy(saved)
+    data["toy"], data["blocks"][0]["n"] = True, 2
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1+x2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed blueprint data") and err.count("\n") == 1
+    # a forged degree count never reaches condition (a)
+    data = copy.deepcopy(saved)
+    data["blocks"][0]["degree_counts"] = {"2": 0, "11": 1}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["bound", "--d", "3", "--eps", "1/2", "--r-from", str(path)])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: blueprint invariants FAILED: block 1 key 'degree_counts'"
+        " differs from its rebuild\n"
+    )
+
+
+def test_tampered_toy_over_the_enumeration_cap_exits_two(capsys, tmp_path):
+    # the window of c = 10**6 has a 301030-digit word count; it must be
+    # refused at the cap, before the tuple count C(q + 999, 1000) is formed
+    path = tmp_path / "toy.json"
+    save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=2), str(path))
+    data = json.loads(path.read_text())
+    data["blocks"][0]["c"], data["blocks"][0]["n"] = 10**6, 1000
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1"])
+    assert code == 2 and out == ""
+    assert err == "error: window d=2, c=1000000 has more words than the cap 10000000\n"
 
 
 # -- bound -----------------------------------------------------------------------
@@ -473,8 +595,6 @@ def _io_error_argv(case, tmp_path, gens_file):
 )
 def test_io_errors_exit_two_without_traceback(case, tmp_path, gens_file):
     argv = _io_error_argv(case, tmp_path, gens_file)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gsalg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -484,7 +604,7 @@ def test_io_errors_exit_two_without_traceback(case, tmp_path, gens_file):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -499,6 +619,7 @@ def test_console_script_runs():
         [sys.executable, "-c", "import gsalg.cli, sys; sys.exit(gsalg.cli.main(['jcount', '--q', '2', '--n', '7']))"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"

@@ -211,8 +211,17 @@ def test_generator_validation():
 
 
 def test_column_cap():
-    with pytest.raises(TooLarge):
-        build_table([parse_poly("x1*x2", 2, GF2)], 25, column_cap=2**20)
+    # a generator above maxdeg leaves b_n = 2**n, so degree 11 needs 2048 columns
+    x1_13 = parse_poly("*".join(["x1"] * 13), 2, GF2)
+    with pytest.raises(TooLarge, match="2048 columns"):
+        build_table([x1_13], 12, column_cap=2**10)
+    assert build_table([x1_13], 10, column_cap=2**10).b(10) == 2**10
+
+
+def test_column_cap_counts_working_width():
+    # d**21 is over the default cap, but b_n = n + 1 keeps d*b_{n-1} tiny
+    table = build_table([parse_poly("x1*x2", 2, GF2)], 21)
+    assert table.b_sequence() == list(range(1, 23))
 
 
 def test_degree_exceeds_table():

@@ -413,6 +413,9 @@ def test_build_blueprint_validation():
         build_blueprint(None, mode="symbolic", d=2, toy_c=1, toy_n=3)
     with pytest.raises(InvalidParams):
         build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, num_blocks=2)
+    for d in (None, True, 1):
+        with pytest.raises(InvalidParams, match="d must be an integer >= 2"):
+            build_blueprint(None, mode="dense", d=d, toy_c=1, toy_n=3)
 
 
 # -- toy materialization -----------------------------------------------------------------
