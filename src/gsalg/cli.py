@@ -61,6 +61,7 @@ from .gscore import (
     blueprint_table,
     save_blueprint,
     verify_growth,
+    write_text_atomic,
 )
 from .symfun import monomial_window, window_generator
 
@@ -140,14 +141,6 @@ def _load_b_json(path: str) -> List[int]:
     return seq
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
-
-
 def _parse_tuple(text: str) -> tuple:
     try:
         return tuple(int(part.strip()) for part in text.split(",") if part.strip())
@@ -168,9 +161,9 @@ def cmd_dims(args) -> int:
     write_dimension_csv(rows, buf)
     sys.stdout.write(buf.getvalue())
     if args.csv:
-        _write_text(args.csv, buf.getvalue())
+        write_text_atomic(args.csv, buf.getvalue())
     if args.json:
-        _write_text(args.json, json.dumps(dimension_report(table, rows), indent=2) + "\n")
+        write_text_atomic(args.json, json.dumps(dimension_report(table, rows), indent=2) + "\n")
     bad = check_dimension_bounds(rows)
     if bad:
         print(

@@ -15,26 +15,40 @@ words are exactly the non-pivot monomials of the textbook full-width
 reduction; the naive oracle in tests/oracles.py recomputes everything at
 full width to cross-check them.
 
-The rows b*f are built by walking f's terms letter by letter.  The row of
-state*x_t sits in the candidate columns of class t (column i*d + t-1), so a
-step reduces it by that letter's pivot rows only.  Pivots sit at the least
-column of each row, the column rank profile, the same for every field, so
-only the row format differs, and _walk picks the walk from the engine that
-linalg.echelon_for returned:
+One sparse engine serves every field: vectors are dicts {index: coefficient}
+mod p (GF(2) is p = 2), or Fractions over QQ (p None).  Each finished degree
+n stores, for every candidate column c = i*d + t-1, the image of the word
+b_i*x_t in the standard coordinates of degree n: the standard index itself
+when c is not a pivot, and minus the fully reduced pivot row on the standard
+columns when it is.  These tables are the right multiplications by x_t in
+the quotient, so the rows b*f are built by walking f's terms letter by
+letter through them, as in F4 (rows built as products, then eliminated as
+one sparse system); only the last step at the degree being built writes
+candidate columns.  Those rows go into linalg.SparseEchelon (least-column
+pivots, the column rank profile, so the standard words are canonical), one
+back-substitution sweep reduces them fully, and the degree's table is read
+off.  A normal form is the same walk from the empty word over each
+homogeneous component; it ends in standard coordinates, with no reduction
+left to do.
 
-- GFpEchelon (GF(p), and QQ with p None): the batched walk moves whole
-  blocks of standard words b at once as int64 (mod p) or Fraction object
-  arrays, with each level's pivot rows cached per letter on its standard
-  columns.
-- GF2Echelon: rows stay packed ints, walked one word b at a time, because
-  dense integer rows cost far more time and memory on the GF(2) dims
-  workload.  On a 2-core Xeon VM the batched walk over GF(5) took 13.8 s /
-  631 MB for the d=2 binary cubic to degree 20 (packed GF(2): 1.4 s /
-  103 MB), 6.9 s / 364 MB for the d=3 cubic pair to 11 (0.9 s / 72 MB)
-  and 13.1 s / 595 MB for the d=3 quadric to 11 (5.8 s / 463 MB to 12).
+The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
+keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
+a 2-core Xeon VM (median of 3 alternating runs), against the packed-int
+GF(2) walk and the dense batched GF(p) walk this engine replaced:
 
-Normal forms are the same walk from the empty word over each homogeneous
-component, one reduction at the top level, then the standard columns.
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.55 s / 74 MB
+  (was 3.84 s / 464 MB); GF(5), degree 10: 0.08 s / 28 MB (was 1.59 s /
+  145 MB)
+- d=3 cubic pair, GF(2), degree 12: 0.38 s / 50 MB (was 2.25 s / 224 MB)
+- d=2 binary cubic, GF(2), degree 20: 0.28 s / 45 MB (was 1.21 s / 103 MB)
+
+Generators whose fully reduced rows fill in cost more than they did in
+packed ints over GF(2), since a dict entry costs far more than a bit: of
+three pairs of d=3 quadrics with random GF(2) coefficients on all nine
+words, to degree 12, two got faster (0.58 -> 0.37 s, 0.43 -> 0.30 s) and
+one, whose degree-12 table holds about a million nonzeros, took 13.2 s /
+199 MB against 1.4 s / 50 MB.  Over GF(5) the same draws to degree 10 took
+0.12-0.23 s against 0.85-1.00 s.
 """
 
 from __future__ import annotations
@@ -42,8 +56,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     AmbientMismatch,
@@ -56,7 +68,7 @@ from .errors import (
 )
 from .field import FieldDescriptor
 from .freealg import Polynomial, Word, words_of_degree
-from .linalg import GF2Echelon, echelon_for, gf2_bits, gf2_from_bits, mod_p, sub_mulmod
+from .linalg import SparseEchelon, mod_p
 
 DEFAULT_COLUMN_CAP = 2**20
 
@@ -108,37 +120,18 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
             raise InvalidParams("%s[%d] must be 0 (no generators below degree 2)" % (what, deg))
 
 
-# -- per-degree level data -----------------------------------------------------
+# -- per-degree level data ------------------------------------------------------
 
 class _Level:
-    __slots__ = ("words", "ech", "std_cols", "_split")
+    __slots__ = ("words", "image")
 
-    def __init__(self, words, ech, std_cols):
-        self.words = words          # standard words, monomial order
-        self.ech = ech              # echelon over candidate columns (None at degree 0)
-        self.std_cols = std_cols    # candidate columns of the standard words
-        self._split = None
-
-    def step(self, M: np.ndarray, t: int, d: int, p: Optional[int]) -> np.ndarray:
-        """State rows M one degree below, times x_t, in standard coordinates.
-
-        Per letter the level caches its pivot rows of class t on the standard
-        columns and the states they reduce; the result is M on the standard
-        columns of class t minus coef @ rows (mod p; p is None over QQ).
-        """
-        if self._split is None:
-            piv, std = self.ech.pivots, self.std_cols
-            self._split = []
-            for c in range(d):
-                sel = np.flatnonzero(piv % d == c)
-                pos = np.flatnonzero(std % d == c)
-                rows = self.ech.rows[np.ix_(sel, std)]
-                self._split.append((piv[sel] // d, rows, pos, std[pos] // d))
-        piv_idx, rows, pos, src = self._split[t - 1]
-        S = np.zeros((M.shape[0], len(self.words)), dtype=M.dtype)
-        S[:, pos] = M[:, src]
-        sub_mulmod(S, M[:, piv_idx], rows, p)
-        return S
+    def __init__(self, words, image):
+        self.words = words   # standard words, monomial order
+        # image[c] for candidate column c = i*d + t-1 is (word i one degree
+        # below)*x_t in standard coordinates: its standard index j, or for a
+        # pivot column a dict {j: coef} (empty when the word lies in the
+        # ideal); None at degree 0, which has no candidate columns
+        self.image = image
 
 
 def _term_trie(f: Polynomial):
@@ -152,88 +145,37 @@ def _term_trie(f: Polynomial):
     return root
 
 
-def _gf2_scatter(vec: int, b_prev: int, d: int, t: int) -> int:
-    bits = gf2_bits(vec, b_prev)
-    out = np.zeros(b_prev * d, dtype=np.uint8)
-    out[t - 1 :: d] = bits
-    return gf2_from_bits(out)
+def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
+    """out += coef * state * x_t, through image (candidate columns if None)."""
+    get = out.get
+    for i, a in state.items():
+        c = i * d + t - 1
+        img = c if image is None else image[c]
+        if img.__class__ is int:
+            out[img] = get(img, 0) + coef * a
+        else:
+            a *= coef
+            for j, v in img.items():
+                out[j] = get(j, 0) + a * v
 
 
-def _gf2_gather(vec: int, width: int, std_cols: np.ndarray) -> int:
-    return gf2_from_bits(gf2_bits(vec, width)[std_cols])
+def _walk(levels, d, p, trie, state: dict, level: int, top: int, acc: dict) -> None:
+    """acc += state * f at degree top, f the polynomial whose trie is given.
 
-
-def _walk_gf2(levels, trie, start_idx, start_level, n, d) -> int:
-    """Candidate-coordinate row of (standard word #start_idx) * f over GF(2)."""
-    acc = 0
-
-    def step(level, tag, state, node):
-        nonlocal acc
-        b_here = len(levels[level].words)
-        for t in sorted(node):
-            sub = node[t]
-            if tag == "w":
-                col = state * d + (t - 1)
-                cw = 1 << col
-            else:
-                cw = _gf2_scatter(state, b_here, d, t)
-                if not cw:
-                    continue
-            if level + 1 == n:
-                acc ^= cw
-                continue
-            nxt = levels[level + 1]
-            if nxt.ech.rank == 0:
-                if tag == "w":
-                    step(level + 1, "w", col, sub)
-                else:
-                    step(level + 1, "v", cw, sub)
-                continue
-            if tag == "w" and not nxt.ech.has_pivot(col):
-                # a standard candidate word stays a single basis word
-                pos = int(np.searchsorted(nxt.std_cols, col))
-                step(level + 1, "w", pos, sub)
-                continue
-            red = nxt.ech.reduce(cw)
-            if not red:
-                continue
-            g = _gf2_gather(red, b_here * d, nxt.std_cols)
-            if g:
-                step(level + 1, "v", g, sub)
-
-    step(start_level, "w", start_idx, trie)
-    return acc
-
-
-def _walk_batched(levels, trie, M, level, n, d, p, acc):
-    """Add (state rows M at `level`) * f to acc, candidate rows at degree n."""
-    for t in sorted(trie):
-        sub = trie[t]
-        if level + 1 == n:
-            # coeff < p and M < p, so the product fits int64 exactly
-            r, i = np.nonzero(M)
-            col = i * d + (t - 1)
-            acc[r, col] = mod_p(acc[r, col] + sub * M[r, i], p)
-            continue
-        S = levels[level + 1].step(M, t, d, p)
-        if S.any():
-            _walk_batched(levels, sub, S, level + 1, n, d, p, acc)
-
-
-def _walk(levels, trie, level, idx: range, n, d, ech):
-    """Candidate rows at degree n of (standard words #idx at `level`) * f.
-
-    This is the one place the walk is chosen, by the engine ech at degree n:
-    a list of packed-int rows for GF2Echelon, else one array built by the
-    batched walk (int64 mod p, or Fractions when ech.p is None).
+    state is a vector at `level` in standard coordinates; every step maps it
+    through the next level's image table, except that the last step of a
+    degree still being built (top == len(levels)) writes candidate columns.
     """
-    if isinstance(ech, GF2Echelon):
-        return [_walk_gf2(levels, trie, i, level, n, d) for i in idx]
-    dtype = np.int64 if ech.p else object
-    state = np.eye(len(idx), len(levels[level].words), idx.start, dtype=dtype)
-    acc = np.zeros((len(idx), ech.width), dtype=dtype)
-    _walk_batched(levels, trie, state, level, n, d, ech.p, acc)
-    return acc
+    image = levels[level + 1].image if level + 1 < len(levels) else None
+    for t, sub in trie.items():
+        if level + 1 == top:
+            _step(state, image, d, t, sub, acc)
+            continue
+        out: dict = {}
+        _step(state, image, d, t, 1, out)
+        out = mod_p(out, p)
+        if out:
+            _walk(levels, d, p, sub, out, level + 1, top, acc)
 
 
 # -- the table -----------------------------------------------------------------
@@ -305,16 +247,11 @@ class GradedIdealTable:
             if m == 0:
                 out[()] = comp.constant_coefficient()
                 continue
-            lvl = levels[m]
-            if not lvl.words:
-                continue
-            # the row-building walk from the empty word, then one reduction
-            row = _walk(levels, _term_trie(comp), 0, range(1), m, self.d, lvl.ech)[0]
-            red = lvl.ech.reduce(row)
-            vec = gf2_bits(red, lvl.ech.width) if isinstance(red, int) else np.asarray(red)
-            for word, a in zip(lvl.words, vec[lvl.std_cols].tolist()):
-                if a:
-                    out[word] = a
+            words = levels[m].words
+            acc: dict = {}
+            _walk(levels, self.d, self.field.p, _term_trie(comp), {0: 1}, 0, m, acc)
+            for j, a in sorted(mod_p(acc, self.field.p).items()):
+                out[words[j]] = a
         return Polynomial._raw(self.d, self.field, out)
 
     def contains(self, p: Polynomial) -> bool:
@@ -358,7 +295,8 @@ def build_table(
             r_counts[g.degree()] = r_counts.get(g.degree(), 0) + 1
 
     tries = [(_term_trie(g), g.degree()) for g in gens]
-    levels = [_Level([()], None, None)]
+    p = field.p
+    levels = [_Level([()], None)]
     for n in range(1, maxdeg + 1):
         prev = levels[n - 1]
         width = len(prev.words) * d
@@ -367,19 +305,27 @@ def build_table(
                 "degree %d needs d*b_%d = %d columns, over the %d-column cap"
                 % (n, n - 1, width, column_cap)
             )
-        ech = echelon_for(field, width)
+        ech = SparseEchelon(p)
         for trie, k in tries:
-            if not width or k > n or not levels[n - k].words:
+            if k > n:
                 continue
-            nb = len(levels[n - k].words)
-            # 2 MB int64 walk blocks stay in cache
-            chunk = max(1, (1 << 18) // max(len(levels[m].words) * d for m in range(n - k, n)))
-            for s in range(0, nb, chunk):
-                ech.insert_rows(_walk(levels, trie, n - k, range(s, min(s + chunk, nb)), n, d, ech))
-        piv = np.array(ech.pivot_columns(), dtype=np.intp)
-        std_cols = np.setdiff1d(np.arange(width, dtype=np.intp), piv)
-        words = [prev.words[int(c) // d] + (int(c) % d + 1,) for c in std_cols]
-        levels.append(_Level(words, ech, std_cols))
+            for s in range(len(levels[n - k].words)):
+                acc: dict = {}
+                _walk(levels, d, p, trie, {s: 1}, n - k, n, acc)
+                row = mod_p(acc, p)
+                if row:
+                    ech.insert(row)
+        ech.back_substitute()
+        pivots = ech.rows
+        std = [c for c in range(width) if c not in pivots]
+        image: list = [None] * width
+        for j, c in enumerate(std):
+            image[c] = j
+        for c, row in pivots.items():
+            # the pivot word is minus the rest of its row, on standard columns
+            image[c] = mod_p({image[k]: -v for k, v in row.items() if k != c}, p)
+        words = [prev.words[c // d] + (c % d + 1,) for c in std]
+        levels.append(_Level(words, image))
     return GradedIdealTable(d, field, gens, maxdeg, levels, r_counts)
 
 

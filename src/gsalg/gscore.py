@@ -24,6 +24,7 @@ found is re-confirmed exactly whenever the numbers are representable.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -772,21 +773,43 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
     return bp
 
 
-def save_blueprint(bp: GSBlueprint, path: str) -> None:
-    text = json.dumps(blueprint_to_dict(bp), indent=2) + "\n"
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path all at once or not at all.
+
+    The text goes to a new file beside path, is flushed to disk and then
+    renamed over path, so a failed write leaves an earlier file unchanged
+    and removes its own temporary file.  Write errors raise InvalidParams.
+    """
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        ".%s.%s.tmp" % (os.path.basename(path), os.urandom(4).hex()),
+    )
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise InvalidParams("cannot write blueprint %s: %s" % (path, exc)) from None
+        raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
+
+
+def save_blueprint(bp: GSBlueprint, path: str) -> None:
+    write_text_atomic(path, json.dumps(blueprint_to_dict(bp), indent=2) + "\n")
 
 
 def load_blueprint(path: str) -> GSBlueprint:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError and undecodable bytes
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers json.JSONDecodeError and undecodable bytes;
+        # RecursionError a file nested deeper than the decoder recurses
         raise InvalidParams("cannot read blueprint %s: %s" % (path, exc)) from None
     return blueprint_from_dict(data)
 

@@ -218,23 +218,36 @@ def _pack_gf2(p: Polynomial, d: int) -> int:
     return row
 
 
-def _naive_reduce_gf2(row: int, basis) -> int:
-    # basis rows sorted by pivot; each row is zero before its own pivot,
-    # so one ascending pass is a complete reduction
-    for pivbit, brow in basis:
-        if row & pivbit:
-            row ^= brow
+class _GF2Basis:
+    """Packed GF(2) rows keyed by their lowest set bit, and the mask of those bits."""
+
+    def __init__(self):
+        self.rows = {}
+        self.mask = 0
+
+
+def _naive_reduce_gf2(row: int, basis: _GF2Basis) -> int:
+    # each basis row is zero below its own pivot bit, so clearing the lowest
+    # pivot bit of row changes only higher bits, and the loop ends
+    rows, mask = basis.rows, basis.mask
+    x = row & mask
+    while x:
+        row ^= rows[x & -x]
+        x = row & mask
     return row
 
 
-def _naive_insert_gf2(row: int, basis) -> None:
+def _naive_insert_gf2(row: int, basis: _GF2Basis) -> None:
     row = _naive_reduce_gf2(row, basis)
     if row:
-        insort(basis, (row & -row, row))
+        low = row & -row
+        basis.rows[low] = row
+        basis.mask |= low
 
 
 def _naive_reduce(vec, basis, field):
-    # same ascending-pass argument as the packed variant
+    # basis rows sorted by pivot; each row is zero before its own pivot,
+    # so one ascending pass is a complete reduction
     for piv, row in basis:
         c = vec[piv]
         if c:
@@ -271,7 +284,7 @@ def naive_dimension_table(
     bases = []
     binary = field.kind == BINARY
     for n in range(maxdeg + 1):
-        basis: list = []
+        basis = _GF2Basis() if binary else []
         for f in gens:
             k = f.degree()
             if k > n:
@@ -290,11 +303,11 @@ def naive_dimension_table(
                                 idx = word_index(u + w + v, d)
                                 vec[idx] = field.add(vec[idx], c)
                             _naive_insert(vec, basis, field)
-        if field.kind == BINARY:
-            pivots = {pb.bit_length() - 1 for pb, _ in basis}
+        if binary:
+            pivots = {pb.bit_length() - 1 for pb in basis.rows}
         else:
             pivots = {piv for piv, _ in basis}
-        dims.append(d**n - len(basis))
+        dims.append(d**n - len(pivots))
         std_words.append(
             [w for i, w in enumerate(words_of_degree(d, n)) if i not in pivots]
         )

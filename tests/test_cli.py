@@ -572,6 +572,10 @@ def _io_error_argv(case, tmp_path, gens_file):
         path = tmp_path / "bad_blueprint.json"
         path.write_text(_BAD_BLUEPRINT_TEXT[case])
         return ["nilcheck", "--blueprint", str(path), "--g", "x1"]
+    if case == "nilcheck-deep-nesting":
+        path = tmp_path / "deep_blueprint.json"
+        path.write_text("[" * 200_000)
+        return ["nilcheck", "--blueprint", str(path), "--g", "x1"]
     if case == "bound-r-from-missing":
         return ["bound", "--d", "3", "--eps", "1/2", "--r-from", missing]
     if case == "construct-out-unwritable":
@@ -587,6 +591,7 @@ def _io_error_argv(case, tmp_path, gens_file):
     [
         "nilcheck-missing",
         *_BAD_BLUEPRINT_TEXT,
+        "nilcheck-deep-nesting",
         "bound-r-from-missing",
         "construct-out-unwritable",
         "dims-csv-unwritable",
@@ -612,6 +617,34 @@ def test_io_errors_exit_two_without_traceback(case, tmp_path, gens_file):
     assert proc.stderr.count("\n") == 1
     if case in _BAD_BLUEPRINT_TEXT and case != "nilcheck-not-json":
         assert "malformed blueprint data" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json", "--out"])
+def test_failed_write_keeps_the_earlier_file(flag, tmp_path, gens_file, monkeypatch, capsys):
+    # the write fails after its data went out: the earlier file stays as it
+    # was and no temporary file is left beside it
+    target = tmp_path / "result"
+    target.write_bytes(b"earlier contents\n")
+    if flag == "--out":
+        argv = ["construct", "--d", "3", "--eps", "1/2", "--out", str(target)]
+    else:
+        argv = ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "3", flag, str(target)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def fail(fd):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fsync", fail)
+        code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert target.read_bytes() == b"earlier contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # the same write without the fault replaces the file
+    assert run(capsys, argv)[0] == 0
+    assert target.read_bytes() != b"earlier contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_console_script_runs():

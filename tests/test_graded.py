@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from gsalg import graded
 from gsalg.errors import (
     AmbientMismatch,
     DegreeBelowTwo,
@@ -27,7 +26,6 @@ from gsalg.graded import (
     dimension_rows,
     write_dimension_csv,
 )
-from gsalg.linalg import GFpEchelon
 
 from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 
@@ -147,8 +145,9 @@ def test_normal_form_properties(field):
             assert set(nf.terms) <= set(table.basis(nf.degree()))
 
 
-def test_packed_gf2_walk_matches_batched_walk(monkeypatch):
-    # the batched walk runs over GF(2) when the tables get GFpEchelon(2, w)
+def test_sparse_gf2_engine_matches_naive_table():
+    # GF(2) runs on the generic sparse engine with p = 2; the naive
+    # full-width oracle is independent of it
     rng = random.Random(2013)
     for _ in range(30):
         d = rng.choice([2, 3])
@@ -160,18 +159,29 @@ def test_packed_gf2_walk_matches_batched_walk(monkeypatch):
         if not gens:
             continue
         maxdeg = 7 if d == 2 else 5
-        packed = build_table(gens, maxdeg)
-        with monkeypatch.context() as m:
-            m.setattr(graded, "echelon_for", lambda field, width: GFpEchelon(2, width))
-            batched = build_table(gens, maxdeg)
-        assert isinstance(batched._levels[maxdeg].ech, GFpEchelon)
+        table = build_table(gens, maxdeg)
+        oracle = naive_dimension_table(gens, maxdeg)
         for n in range(maxdeg + 1):
-            assert packed.basis(n) == batched.basis(n)
+            assert table.basis(n) == oracle.standard_words[n]
         for _ in range(5):
             probe = Polynomial.zero(d, GF2)
             for n in range(maxdeg + 1):
                 probe = probe + _random_homogeneous(rng, d, n, GF2)
-            assert packed.normal_form(probe) == batched.normal_form(probe)
+            nf = table.normal_form(probe)
+            assert oracle.contains(probe - nf)
+            assert all(w in set(table.basis(len(w))) for w in nf.terms)
+
+
+def test_stored_nonzeros_stay_sparse():
+    # fill-in guard: the image tables of the d=3 quadric over GF(2) hold
+    # exactly these many nonzeros per degree (one per standard column plus
+    # each pivot's reduced row); a densifying change moves these counts
+    table = build_table([parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)], 10)
+    nnz = [
+        sum(1 if img.__class__ is int else len(img) for img in level.image)
+        for level in table._levels[1:]
+    ]
+    assert nnz == [3, 10, 28, 75, 198, 520, 1363, 3570, 9348, 24475]
 
 
 def test_normal_form_mixed_degrees():

@@ -1,24 +1,13 @@
-"""Echelon engines against naive eliminations and known-rank matrices."""
+"""The sparse echelon against naive eliminations and known-rank matrices."""
 
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsalg.errors import InvalidParams
-from gsalg.field import GF, GF2, QQ
-from gsalg.linalg import (
-    BASE_BLOCK,
-    GF2Echelon,
-    GFpEchelon,
-    _mulmod,
-    echelon_for,
-    gf2_bits,
-    gf2_from_bits,
-)
+from gsalg.linalg import SparseEchelon
 
 
 def _naive_rank_mod_p(rows, p):
@@ -71,24 +60,57 @@ def _known_rank_matrix(rng, rank, width, extra, p):
     return rows
 
 
-# -- GF(2) bit rows --------------------------------------------------------------
+def _naive_rref_q(rows):
+    # the same textbook reduction over the rationals
+    rows = [[Fraction(x) for x in r] for r in rows]
+    width = len(rows[0]) if rows else 0
+    r = 0
+    pivots = []
+    for col in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
 
 
-def test_gf2_bits_round_trip():
-    rng = random.Random(7)
-    for width in (1, 7, 8, 9, 63, 64, 65, 200):
-        for _ in range(10):
-            v = rng.getrandbits(width)
-            bits = gf2_bits(v, width)
-            assert bits.shape == (width,)
-            assert gf2_from_bits(bits) == v
-    assert gf2_bits(0, 0).shape == (0,)
-    assert gf2_from_bits(np.zeros(0, dtype=np.uint8)) == 0
+def _sparse(row, p=None):
+    return {c: (x if p is None else x % p) for c, x in enumerate(row) if (x if p is None else x % p)}
 
 
-@given(st.integers(min_value=0, max_value=2**130 - 1))
-def test_gf2_bits_round_trip_property(v):
-    assert gf2_from_bits(gf2_bits(v, 130)) == v
+def _dense(row, width):
+    return [row.get(c, 0) for c in range(width)]
+
+
+def _insert_all(ech, mat, p=None):
+    for r in mat:
+        ech.insert(_sparse(r, p))
+
+
+def _reduce(ech, row):
+    # normal form by the fully reduced rows: subtract at each pivot once
+    out = dict(row)
+    for c, prow in ech.rows.items():
+        a = out.get(c)
+        if a:
+            for k, v in prow.items():
+                x = out.get(k, 0) - a * v
+                x = x if ech.p is None else x % ech.p
+                if x:
+                    out[k] = x
+                else:
+                    out.pop(k, None)
+    return out
+
+
+# -- GF(2) as p = 2 ----------------------------------------------------------------
 
 
 def test_gf2_echelon_against_naive():
@@ -96,86 +118,43 @@ def test_gf2_echelon_against_naive():
     for width in (5, 17, 40):
         for rows_n in (3, 10, 25):
             mat = [[rng.randrange(2) for _ in range(width)] for _ in range(rows_n)]
-            ech = GF2Echelon(width)
-            ech.insert_rows(gf2_from_bits(np.array(r, dtype=np.uint8)) for r in mat)
-            assert ech.rank == _naive_rank_mod_p(mat, 2)
+            ech = SparseEchelon(2)
+            _insert_all(ech, mat)
+            assert len(ech.rows) == _naive_rank_mod_p(mat, 2)
 
 
 def test_gf2_echelon_normal_form():
     rng = random.Random(13)
     width = 30
-    ech = GF2Echelon(width)
-    rows = [rng.getrandbits(width) for _ in range(12)]
-    ech.insert_rows(rows)
-    mask = sum(1 << c for c in ech.pivot_columns())
+    ech = SparseEchelon(2)
+    rows = [[rng.randrange(2) for _ in range(width)] for _ in range(12)]
+    _insert_all(ech, rows)
+    ech.back_substitute()
+    piv = set(ech.rows)
+    for c, row in ech.rows.items():
+        assert min(row) == c and row[c] == 1
+        assert not (set(row) & piv) - {c}
     for _ in range(50):
-        v = rng.getrandbits(width)
-        red = ech.reduce(v)
-        assert red & mask == 0
-        assert ech.reduce(red) == red
-    # anything already in the span reduces to zero and cannot be reinserted
-    combo = 0
-    for r in rows[:5]:
-        combo ^= r
-    assert ech.reduce(ech.reduce(combo) ^ combo) == 0
-    span_elt = rows[0] ^ rows[3]
-    assert ech.insert(span_elt) is None
+        v = _sparse([rng.randrange(2) for _ in range(width)])
+        red = _reduce(ech, v)
+        assert not set(red) & piv
+        assert _reduce(ech, red) == red
+    # anything already in the span is dependent
+    span_elt = [(a + b) % 2 for a, b in zip(rows[0], rows[3])]
+    assert ech.insert(_sparse(span_elt)) is None
+    assert _reduce(ech, _sparse(span_elt)) == {}
 
 
 def test_gf2_echelon_known_rank():
     rng = random.Random(17)
     mat = _known_rank_matrix(rng, rank=6, width=14, extra=9, p=2)
-    ech = GF2Echelon(14)
-    ech.insert_rows(gf2_from_bits(np.array(r, dtype=np.uint8)) for r in mat)
-    assert ech.rank == 6
-    assert len(ech.pivot_columns()) == 6
-    for c in ech.pivot_columns():
-        assert ech.has_pivot(c)
+    ech = SparseEchelon(2)
+    _insert_all(ech, mat)
+    assert len(ech.rows) == 6
+    assert all(min(r) == c and r[c] == 1 for c, r in ech.rows.items())
 
 
-# -- GF(p) blocked elimination ---------------------------------------------------
-
-
-def test_mulmod_matches_object_ints():
-    rng = np.random.default_rng(23)
-    for p in (3, 32003, 2**26 - 5, 2**26 + 1, 2**30 + 1):
-        A = rng.integers(0, p, size=(7, 30), dtype=np.int64)
-        B = rng.integers(0, p, size=(30, 5), dtype=np.int64)
-        want = np.dot(A.astype(object), B.astype(object)) % p
-        got = _mulmod(A, B, p)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want.astype(np.int64))
-
-
-class _NoObjectArray(np.ndarray):
-    """Fails as soon as an array derived from it takes the object dtype."""
-
-    def __array_finalize__(self, obj):
-        assert self.dtype != object, "object-dtype arithmetic"
-
-
-@pytest.mark.parametrize("p", [2**26 + 1, 2**31 - 1])
-def test_mulmod_large_p_is_exact_without_object_ints(p):
-    # k spans several chunks of both split halves (32 to 1024 rows each)
-    rng = np.random.default_rng(p % 1000)
-    k = 3000
-    cases = [
-        (rng.integers(0, p, size=(5, k)), rng.integers(0, p, size=(k, 4))),
-        (np.full((3, k), p - 1), np.full((k, 6), p - 1)),
-    ]
-    for A, B in cases:
-        want = np.dot(A.astype(object), B.astype(object)) % p
-        got = _mulmod(A.view(_NoObjectArray), B.view(_NoObjectArray), p)
-        assert got.dtype == np.int64
-        assert np.array_equal(np.asarray(got), want.astype(np.int64))
-
-
-def test_mulmod_empty_shapes():
-    for shape_a, shape_b in (((0, 4), (4, 3)), ((3, 0), (0, 2)), ((2, 5), (5, 0))):
-        out = _mulmod(
-            np.zeros(shape_a, dtype=np.int64), np.zeros(shape_b, dtype=np.int64), 7
-        )
-        assert out.shape == (shape_a[0], shape_b[1])
+# -- GF(p) and QQ --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p", [2, 5, 97, 32749, 2**31 - 1])
@@ -183,47 +162,55 @@ def test_gfp_echelon_against_naive(p):
     rng = random.Random(p)
     for width, rows_n in ((6, 4), (12, 20), (25, 10)):
         mat = [[rng.randrange(p) for _ in range(width)] for _ in range(rows_n)]
-        ech = GFpEchelon(p, width)
-        ech.insert_rows(np.array(mat, dtype=np.int64))
-        assert ech.rank == _naive_rank_mod_p(mat, p)
+        ech = SparseEchelon(p)
+        _insert_all(ech, mat, p)
+        assert len(ech.rows) == _naive_rank_mod_p(mat, p)
 
 
 @given(
-    p=st.sampled_from([2, 5, 65521, 2**31 - 1]),
+    p=st.sampled_from([2, 5, 65521, 2**31 - 1, None]),
     seed=st.integers(0, 2**32 - 1),
-    cuts=st.lists(st.integers(1, 2 * BASE_BLOCK + 40), max_size=6),
+    cuts=st.lists(st.integers(1, 140), max_size=6),
 )
 @settings(max_examples=25)
 def test_gfp_echelon_differential(p, seed, cuts):
+    # rank, pivots and fully reduced rows equal the naive RREF, whether the
+    # rows go in at once or in batches with a back-substitution after each
     rng = random.Random(seed)
     width = rng.randrange(8, 40)
+
+    def draw():
+        if p is None:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return rng.randrange(p)
+
     base = [
-        [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(width)]
+        [draw() if rng.random() < 0.3 else 0 for _ in range(width)]
         for _ in range(rng.randrange(1, width + 1))
     ]
     mat = list(base)
-    while len(mat) < 2 * BASE_BLOCK + 10:
+    while len(mat) < 138:
         a, b = rng.choice(base), rng.choice(base)
-        ca, cb = rng.randrange(p), rng.randrange(p)
-        mat.append([(ca * x + cb * y) % p for x, y in zip(a, b)])
+        ca, cb = draw(), draw()
+        mat.append([ca * x + cb * y if p is None else (ca * x + cb * y) % p for x, y in zip(a, b)])
     rng.shuffle(mat)
-    M = np.array(mat, dtype=np.int64)
-    whole = GFpEchelon(p, width)
-    whole.insert_rows(M)
-    split = GFpEchelon(p, width)
+    whole = SparseEchelon(p)
+    _insert_all(whole, mat, p)
+    whole.back_substitute()
+    split = SparseEchelon(p)
     for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(mat)]):
-        split.insert_rows(M[lo:hi])
-    want_rows, want_piv = _naive_rref_mod_p(mat, p)
+        _insert_all(split, mat[lo:hi], p)
+        split.back_substitute()
+    want_rows, want_piv = _naive_rref_q(mat) if p is None else _naive_rref_mod_p(mat, p)
     for ech in (whole, split):
-        assert ech.rank == len(want_piv)
-        assert ech.pivot_columns() == want_piv
-        order = np.argsort(ech.pivots)
-        assert np.array_equal(ech.rows[order], np.array(want_rows, dtype=np.int64).reshape(-1, width))
+        assert len(ech.rows) == len(want_piv)
+        assert sorted(ech.rows) == want_piv
+        assert [_dense(ech.rows[c], width) for c in want_piv] == want_rows
     for _ in range(5):
-        v = np.array([rng.randrange(p) for _ in range(width)], dtype=np.int64)
-        red = split.reduce(v)
-        assert not red[want_piv].any()
-        assert np.array_equal(split.reduce(red), red)
+        v = _sparse([draw() for _ in range(width)], p)
+        red = _reduce(split, v)
+        assert not set(red) & set(want_piv)
+        assert _reduce(split, red) == red
 
 
 def test_gfp_echelon_incremental_batches():
@@ -231,42 +218,27 @@ def test_gfp_echelon_incremental_batches():
     rng = random.Random(29)
     width = 20
     mat = _known_rank_matrix(rng, rank=8, width=width, extra=14, p=p)
-    ech = GFpEchelon(p, width)
+    ech = SparseEchelon(p)
     # feeding in uneven batches must land on the same rank and keep rows reduced
     for lo in range(0, len(mat), 5):
-        ech.insert_rows(np.array(mat[lo : lo + 5], dtype=np.int64))
-    assert ech.rank == 8
-    piv = ech.pivot_columns()
+        _insert_all(ech, mat[lo : lo + 5], p)
+        ech.back_substitute()
+    assert len(ech.rows) == 8
+    piv = set(ech.rows)
     for _ in range(40):
-        v = np.array([rng.randrange(p) for _ in range(width)], dtype=np.int64)
-        red = ech.reduce(v)
-        assert not red[piv].any()
-        assert np.array_equal(ech.reduce(red), red)
-
-
-def test_gfp_reduce_rows_matches_single_reduce():
-    p = 5
-    rng = random.Random(31)
-    width = 15
-    ech = GFpEchelon(p, width)
-    ech.insert_rows(
-        np.array([[rng.randrange(p) for _ in range(width)] for _ in range(7)])
-    )
-    block = np.array(
-        [[rng.randrange(p) for _ in range(width)] for _ in range(9)], dtype=np.int64
-    )
-    bulk = ech.reduce_rows(block)
-    for i in range(block.shape[0]):
-        assert np.array_equal(bulk[i], ech.reduce(block[i]))
+        v = _sparse([rng.randrange(p) for _ in range(width)], p)
+        red = _reduce(ech, v)
+        assert not set(red) & piv
+        assert _reduce(ech, red) == red
 
 
 def test_gfp_insert_dependent_row():
     p = 5
-    ech = GFpEchelon(p, 4)
-    assert ech.insert(np.array([1, 2, 3, 4])) == 0
-    assert ech.insert(np.array([2, 4, 6, 8])) is None
-    assert ech.insert(np.array([0, 1, 1, 1])) == 1
-    assert ech.rank == 2
+    ech = SparseEchelon(p)
+    assert ech.insert({0: 1, 1: 2, 2: 3, 3: 4}) == 0
+    assert ech.insert({0: 2, 1: 4, 2: 1, 3: 3}) is None
+    assert ech.insert({1: 1, 2: 1, 3: 1}) == 1
+    assert len(ech.rows) == 2
 
 
 # -- rationals --------------------------------------------------------------------
@@ -278,25 +250,27 @@ def test_fraction_echelon_known_rank():
     # entries were built mod a large prime; reuse them as plain integers, the
     # integer combinations stay dependent over the rationals only if built there
     base = [[Fraction(x) for x in row] for row in mat[:5]]
-    ech = GFpEchelon(None, 11)
+    ech = SparseEchelon(None)
     for row in base:
-        assert ech.insert(row) is not None
+        assert ech.insert(_sparse(row)) is not None
     combo = [sum((3 * b[j] for b in base), start=Fraction(0)) for j in range(11)]
-    assert ech.insert(combo) is None
-    assert ech.rank == 5
+    assert ech.insert(_sparse(combo)) is None
+    assert len(ech.rows) == 5
 
 
 def test_fraction_echelon_normal_form():
-    ech = GFpEchelon(None, 3)
-    ech.insert([Fraction(1, 2), Fraction(1, 3), Fraction(0)])
-    ech.insert([Fraction(0), Fraction(2), Fraction(5)])
-    piv = ech.pivot_columns()
+    ech = SparseEchelon(None)
+    ech.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
+    ech.insert({1: Fraction(2), 2: Fraction(5)})
+    ech.back_substitute()
+    piv = sorted(ech.rows)
     assert piv == [0, 1]
-    v = [Fraction(7), Fraction(-2), Fraction(1, 6)]
-    red = ech.reduce(v)
-    for c in piv:
-        assert red[c] == 0
-    assert np.array_equal(ech.reduce(red), red)
+    assert ech.rows[0] == {0: 1, 2: Fraction(-5, 3)}
+    assert ech.rows[1] == {1: 1, 2: Fraction(5, 2)}
+    v = {0: Fraction(7), 1: Fraction(-2), 2: Fraction(1, 6)}
+    red = _reduce(ech, v)
+    assert not set(red) & set(piv)
+    assert _reduce(ech, red) == red
 
 
 def test_fraction_echelon_against_modular_rank():
@@ -306,31 +280,6 @@ def test_fraction_echelon_against_modular_rank():
     p = 2**31 - 1
     for _ in range(5):
         mat = [[rng.randrange(-9, 10) for _ in range(8)] for _ in range(6)]
-        ech = GFpEchelon(None, 8)
-        ech.insert_rows([[Fraction(x) for x in row] for row in mat])
-        assert ech.rank == _naive_rank_mod_p(mat, p)
-
-
-# -- dispatch ---------------------------------------------------------------------
-
-
-def test_echelon_for_dispatch():
-    assert isinstance(echelon_for(GF2, 10), GF2Echelon)
-    eng = echelon_for(GF(7), 10)
-    assert isinstance(eng, GFpEchelon)
-    assert eng.p == 7
-    eng = echelon_for(QQ, 10)
-    assert isinstance(eng, GFpEchelon)
-    assert eng.p is None
-
-
-def test_engines_agree_on_binary_matrices():
-    rng = random.Random(43)
-    for _ in range(5):
-        mat = [[rng.randrange(2) for _ in range(12)] for _ in range(9)]
-        g2 = GF2Echelon(12)
-        g2.insert_rows(gf2_from_bits(np.array(r, dtype=np.uint8)) for r in mat)
-        gp = GFpEchelon(2, 12)
-        gp.insert_rows(np.array(mat, dtype=np.int64))
-        assert g2.rank == gp.rank
-        assert g2.pivot_columns() == gp.pivot_columns()
+        ech = SparseEchelon(None)
+        _insert_all(ech, [[Fraction(x) for x in row] for row in mat])
+        assert len(ech.rows) == _naive_rank_mod_p(mat, p)
