@@ -24,31 +24,38 @@ columns when it is.  These tables are the right multiplications by x_t in
 the quotient, so the rows b*f are built by walking f's terms letter by
 letter through them, as in F4 (rows built as products, then eliminated as
 one sparse system); only the last step at the degree being built writes
-candidate columns.  Those rows go into linalg.SparseEchelon (least-column
-pivots, the column rank profile, so the standard words are canonical), one
-back-substitution sweep reduces them fully, and the degree's table is read
-off.  A normal form is the same walk from the empty word over each
-homogeneous component; it ends in standard coordinates, with no reduction
-left to do.
+candidate columns.  The generators of one degree share one prefix tree of
+their words, walked once per standard start word b: each tree node takes
+one step for all the generators below it, and each generator's row gets its
+own accumulator at the leaves.  A walk state that is a single standard word
+stays an index, since its step is the image entry itself, already reduced.
+Those rows go into linalg.SparseEchelon (least-column pivots, the column
+rank profile, so the standard words are canonical, whatever the order the
+rows come in), one back-substitution sweep reduces them fully, and the
+degree's table is read off.  A normal form is the same walk from the empty
+word; it ends in standard coordinates, with no reduction left to do.  The
+normal form of g**n is n such multiplications by g, nf(a*g) = nf(nf(a)*g)
+since the ideal is two-sided, so g**n is never expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
-a 2-core Xeon VM (median of 3 alternating runs), against the packed-int
-GF(2) walk and the dense batched GF(p) walk this engine replaced:
+a 2-core Xeon VM (median of 3 alternating runs, each in its own process),
+against the walk with one prefix tree per generator that this one replaced:
 
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.55 s / 74 MB
-  (was 3.84 s / 464 MB); GF(5), degree 10: 0.08 s / 28 MB (was 1.59 s /
-  145 MB)
-- d=3 cubic pair, GF(2), degree 12: 0.38 s / 50 MB (was 2.25 s / 224 MB)
-- d=2 binary cubic, GF(2), degree 20: 0.28 s / 45 MB (was 1.21 s / 103 MB)
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.42 s / 70 MB
+  (was 0.51 s / 73 MB); GF(5), degree 10: 0.06 s / 24 MB (was 0.06 s /
+  27 MB)
+- d=3 cubic pair, GF(2), degree 12: 0.32 s / 46 MB (was 0.36 s / 49 MB)
+- d=2 binary cubic, GF(2), degree 20: 0.20 s / 41 MB (was 0.29 s / 45 MB)
+- the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), degree
+  10: GF(5) 0.14 s (was 0.46 s), GF(2) 0.10 s (was 0.37 s)
 
-Generators whose fully reduced rows fill in cost more than they did in
-packed ints over GF(2), since a dict entry costs far more than a bit: of
-three pairs of d=3 quadrics with random GF(2) coefficients on all nine
-words, to degree 12, two got faster (0.58 -> 0.37 s, 0.43 -> 0.30 s) and
-one, whose degree-12 table holds about a million nonzeros, took 13.2 s /
-199 MB against 1.4 s / 50 MB.  Over GF(5) the same draws to degree 10 took
-0.12-0.23 s against 0.85-1.00 s.
+Generators whose fully reduced rows fill in cost more than in the deleted
+packed-int GF(2) engine, a dict entry costing far more than a bit: of three
+pairs of random d=3 GF(2) quadrics to degree 12, two got faster (0.58 ->
+0.37 s, 0.43 -> 0.30 s); the third, a million nonzeros at degree 12, takes
+13.2 s / 195 MB against 1.4 s / 50 MB, nearly all in back-substitution.
+Over GF(5) the same draws to degree 10 took 0.12-0.23 s against 0.85-1.00 s.
 """
 
 from __future__ import annotations
@@ -134,15 +141,22 @@ class _Level:
         self.image = image
 
 
-def _term_trie(f: Polynomial):
-    """Prefix tree of f's words; leaves hold raw coefficients."""
-    root: dict = {}
-    for word, c in f.sorted_terms():
-        node = root
-        for letter in word[:-1]:
-            node = node.setdefault(letter, {})
-        node[word[-1]] = c
-    return root
+def _term_tries(polys):
+    """{degree: (prefix tree, count)} over the words of the polynomials with
+    terms of that degree, degrees ascending, constant terms left out.  A leaf
+    (a word's last letter) lists (position among those count, coefficient)."""
+    tries: dict = {}
+    for f in polys:
+        for k, comp in f.homogeneous_components().items():
+            if k:
+                root, count = tries.get(k, ({}, 0))
+                for word, c in comp.sorted_terms():
+                    node = root
+                    for letter in word[:-1]:
+                        node = node.setdefault(letter, {})
+                    node.setdefault(word[-1], []).append((count, c))
+                tries[k] = (root, count + 1)
+    return dict(sorted(tries.items()))
 
 
 def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
@@ -159,23 +173,32 @@ def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
                 out[j] = get(j, 0) + a * v
 
 
-def _walk(levels, d, p, trie, state: dict, level: int, top: int, acc: dict) -> None:
-    """acc += state * f at degree top, f the polynomial whose trie is given.
+def _walk(levels, d, p, trie, state, level: int, top: int, accs) -> None:
+    """accs[i] += state * f_i at degree top, for the polynomials f_i in trie.
 
-    state is a vector at `level` in standard coordinates; every step maps it
-    through the next level's image table, except that the last step of a
+    state is a vector at `level` in standard coordinates, or a standard index
+    s for {s: 1}.  Each node's step, taken once for all polynomials below it,
+    maps the state through the next level's image table; the last step of a
     degree still being built (top == len(levels)) writes candidate columns.
+    A unit state's step is its image entry, already reduced.
     """
     image = levels[level + 1].image if level + 1 < len(levels) else None
+    unit = state.__class__ is int
+    if level + 1 == top:
+        state = {state: 1} if unit else state
+        for t, leaf in trie.items():
+            for i, c in leaf:
+                _step(state, image, d, t, c, accs[i])
+        return
     for t, sub in trie.items():
-        if level + 1 == top:
-            _step(state, image, d, t, sub, acc)
-            continue
-        out: dict = {}
-        _step(state, image, d, t, 1, out)
-        out = mod_p(out, p)
-        if out:
-            _walk(levels, d, p, sub, out, level + 1, top, acc)
+        if unit:
+            out = image[state * d + t - 1]
+        else:
+            out = {}
+            _step(state, image, d, t, 1, out)
+            out = mod_p(out, p)
+        if out.__class__ is int or out:
+            _walk(levels, d, p, sub, out, level + 1, top, accs)
 
 
 # -- the table -----------------------------------------------------------------
@@ -228,31 +251,46 @@ class GradedIdealTable:
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Residue of p modulo the ideal; zero iff p is a member."""
-        if not isinstance(p, Polynomial):
-            raise InvalidParams("normal_form expects a Polynomial")
-        if p.d != self.d:
+        return self.power_normal_form(p, 1)
+
+    def power_normal_form(self, g: Polynomial, n: int) -> Polynomial:
+        """Residue of g**n modulo the ideal, by n multiplications by g in the
+        quotient: nf(a*g) = nf(nf(a)*g), the ideal being two-sided, so g**n
+        itself is never formed."""
+        if not isinstance(g, Polynomial):
+            raise InvalidParams("expected a Polynomial, got %r" % (g,))
+        if g.d != self.d:
             raise AmbientMismatch(
-                "polynomial lives in %d letters, table has %d" % (p.d, self.d)
+                "polynomial lives in %d letters, table has %d" % (g.d, self.d)
             )
-        if p.field != self.field:
+        if g.field != self.field:
             raise MixedFields(
-                "polynomial is over %s, table over %s" % (p.field, self.field)
+                "polynomial is over %s, table over %s" % (g.field, self.field)
             )
-        levels, out = self._levels, {}
-        for m, comp in p.homogeneous_components().items():
-            if m > self.maxdeg:
-                raise DegreeExceedsTable(
-                    "component of degree %d exceeds table maximum %d" % (m, self.maxdeg)
-                )
-            if m == 0:
-                out[()] = comp.constant_coefficient()
-                continue
-            words = levels[m].words
-            acc: dict = {}
-            _walk(levels, self.d, self.field.p, _term_trie(comp), {0: 1}, 0, m, acc)
-            for j, a in sorted(mod_p(acc, self.field.p).items()):
-                out[words[j]] = a
-        return Polynomial._raw(self.d, self.field, out)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidParams("exponent must be a nonnegative integer, got %r" % (n,))
+        if n * g.degree() > self.maxdeg:
+            raise DegreeExceedsTable(
+                "component of degree %d exceeds table maximum %d" % (n * g.degree(), self.maxdeg)
+            )
+        levels, d, p = self._levels, self.d, self.field.p
+        tries, c0 = _term_tries([g]), g.constant_coefficient()
+        v: dict = {0: 0}  # degree -> walk state of nf(g**i), here nf(1)
+        for _ in range(n):
+            out: dict = {}
+            for m, state in v.items():
+                if c0:  # a constant term keeps the degree
+                    acc = out.setdefault(m, {})
+                    for j, a in ({state: 1} if state.__class__ is int else state).items():
+                        acc[j] = acc.get(j, 0) + c0 * a
+                for k, (trie, _) in tries.items():
+                    _walk(levels, d, p, trie, state, m, m + k, [out.setdefault(m + k, {})])
+            v = {m: vec for m, acc in sorted(out.items()) if (vec := mod_p(acc, p))}
+        terms = {}
+        for m, vec in v.items():
+            for j, a in sorted(({vec: self.field.one} if vec.__class__ is int else vec).items()):
+                terms[levels[m].words[j]] = a
+        return Polynomial._raw(self.d, self.field, terms)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -294,7 +332,7 @@ def build_table(
         for g in gens:
             r_counts[g.degree()] = r_counts.get(g.degree(), 0) + 1
 
-    tries = [(_term_trie(g), g.degree()) for g in gens]
+    tries = _term_tries(gens)
     p = field.p
     levels = [_Level([()], None)]
     for n in range(1, maxdeg + 1):
@@ -306,15 +344,16 @@ def build_table(
                 % (n, n - 1, width, column_cap)
             )
         ech = SparseEchelon(p)
-        for trie, k in tries:
+        for k, (trie, count) in tries.items():
             if k > n:
-                continue
+                break
             for s in range(len(levels[n - k].words)):
-                acc: dict = {}
-                _walk(levels, d, p, trie, {s: 1}, n - k, n, acc)
-                row = mod_p(acc, p)
-                if row:
-                    ech.insert(row)
+                accs = [{} for _ in range(count)]
+                _walk(levels, d, p, trie, s, n - k, n, accs)
+                for acc in accs:
+                    row = mod_p(acc, p)
+                    if row:
+                        ech.insert(row)
         ech.back_substitute()
         pivots = ech.rows
         std = [c for c in range(width) if c not in pivots]

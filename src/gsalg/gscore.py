@@ -32,8 +32,6 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import mpmath as mp
-
 from .combinat import DEFAULT_ENUM_CAP
 from .errors import (
     BlueprintMismatch,
@@ -275,6 +273,7 @@ def _certified_sides(q: int, n: int, params: GSParams):
     (|lhs|+|rhs|+1) * 10**(12 - dps), escalating the working precision
     otherwise; an exact tie therefore raises TooLarge instead of guessing.
     """
+    import mpmath as mp
     en, ed = params.eps.numerator, params.eps.denominator
     un, ud = params.u.numerator, params.u.denominator
     for dps in _DPS_LADDER:
@@ -330,6 +329,7 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
         raise InvalidParams("q must be an integer >= 2, got %r" % (q,))
     if not isinstance(c_prev, int) or isinstance(c_prev, bool) or c_prev < 0:
         raise InvalidParams("c_prev must be a nonnegative integer, got %r" % (c_prev,))
+    import mpmath as mp
     n_lo = max(c_prev + 1, 2)
 
     def rough_log2_count(m: int) -> float:
@@ -830,7 +830,8 @@ def nil_certificate(
 
     The certificate is g**n in the ideal for n the covering block's degree
     parameter.  With a dense table supplied, the membership is actually
-    verified (componentwise reduction) and `verified` reports the outcome;
+    verified by graded reduction, n multiplications by g in the quotient
+    (GradedIdealTable.power_normal_form), and `verified` reports the outcome;
     without one the certificate stands by construction.
     """
     if not isinstance(g, Polynomial):
@@ -846,7 +847,7 @@ def nil_certificate(
         )
     verified = False
     if table is not None:
-        verified = table.contains(g**block.n)
+        verified = table.power_normal_form(g, block.n).is_zero()
     return NilCertificate(exponent=block.n, block_index=block.k, verified=verified)
 
 

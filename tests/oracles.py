@@ -201,6 +201,23 @@ class NaiveTable:
                     return False
         return True
 
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """Residue on the standard words: each component reduced at full
+        width until it is zero at every pivot."""
+        terms = {}
+        for m, comp in p.homogeneous_components().items():
+            if m >= len(self._bases):
+                raise DegreeExceedsTable("degree %d beyond naive table" % m)
+            words = list(words_of_degree(self.d, m))
+            if self.field.kind == BINARY:
+                row = _naive_reduce_gf2(_pack_gf2(comp, self.d), self._bases[m])
+                coeffs = [(row >> i) & 1 for i in range(len(words))]
+            else:
+                vec = _full_vector(comp, self.d, self.field)
+                coeffs = _naive_reduce(vec, self._bases[m], self.field)
+            terms.update((w, c) for w, c in zip(words, coeffs) if c)
+        return Polynomial(self.d, self.field, terms)
+
 
 def _full_vector(p: Polynomial, d: int, field: FieldDescriptor):
     n = p.degree()

@@ -656,3 +656,21 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+def test_table_commands_never_import_mpmath(gens_file):
+    # only minimal_power and the certified log comparison need mpmath; the
+    # import and a dims run must not pay for loading it
+    script = (
+        "import sys, gsalg.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "code = gsalg.cli.main(['dims', '--gens', %r, '--d', '2', '--maxdeg', '6'])\n"
+        "print(code, 'mpmath' in sys.modules)\n" % gens_file
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"

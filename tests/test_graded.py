@@ -5,7 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsalg import graded
 from gsalg.errors import (
     AmbientMismatch,
     DegreeBelowTwo,
@@ -17,6 +20,7 @@ from gsalg.errors import (
 )
 from gsalg.field import GF, GF2, QQ
 from gsalg.freealg import Polynomial, parse_poly, words_of_degree
+from gsalg.gscore import blueprint_table, build_blueprint
 from gsalg.graded import (
     CSV_COLUMNS,
     DimensionRow,
@@ -172,6 +176,59 @@ def test_sparse_gf2_engine_matches_naive_table():
             assert all(w in set(table.basis(len(w))) for w in nf.terms)
 
 
+@st.composite
+def _shared_generators(draw):
+    """A field, d, maxdeg and generators that share first letters, repeat,
+    and come back as scalar multiples, over mixed degrees."""
+    field = draw(st.sampled_from([GF2, GF(5), QQ]))
+    d = draw(st.sampled_from([2, 3]))
+    first = draw(st.integers(1, d))
+    letters = st.integers(1, d)
+    coeffs = st.integers(-3, 3).filter(bool)
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            rest = tuple(draw(st.lists(letters, min_size=k - 1, max_size=k - 1)))
+            head = first if draw(st.booleans()) else draw(letters)
+            terms[(head,) + rest] = draw(coeffs)
+        g = Polynomial(d, field, terms)
+        if not g.is_zero():
+            base.append(g)
+    gens = list(base)
+    for g in base:
+        for c in draw(st.lists(st.sampled_from([1, 2, -3]), max_size=2)):
+            if not g.scale(c).is_zero():
+                gens.append(g.scale(c))  # c == 1 repeats g
+    gens = draw(st.permutations(gens))
+    return field, d, (6 if d == 2 else 4), gens
+
+
+@settings(max_examples=40)
+@given(case=_shared_generators(), data=st.data())
+def test_merged_walk_matches_naive_table(case, data):
+    field, d, maxdeg, gens = case
+    if not gens:
+        return
+    table = build_table(gens, maxdeg)
+    oracle = naive_dimension_table(gens, maxdeg)
+    for n in range(maxdeg + 1):
+        assert table.basis(n) == oracle.standard_words[n]
+    for _ in range(3):
+        words = data.draw(
+            st.lists(
+                st.integers(0, maxdeg).flatmap(
+                    lambda m: st.lists(st.integers(1, d), min_size=m, max_size=m)
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        probe = Polynomial(d, field, {tuple(w): data.draw(st.integers(1, 4)) for w in words})
+        assert table.normal_form(probe) == oracle.normal_form(probe)
+
+
 def test_stored_nonzeros_stay_sparse():
     # fill-in guard: the image tables of the d=3 quadric over GF(2) hold
     # exactly these many nonzeros per degree (one per standard column plus
@@ -182,6 +239,20 @@ def test_stored_nonzeros_stay_sparse():
         for level in table._levels[1:]
     ]
     assert nnz == [3, 10, 28, 75, 198, 520, 1363, 3570, 9348, 24475]
+
+
+def test_merged_walk_step_count(monkeypatch):
+    # one walk per start word serves every generator of a degree: the toy
+    # d=2, c=2, n=5 blueprint's table over GF(5) (244 nonzero generators of
+    # degree 5-10) takes exactly this many steps through _step; a walk per
+    # generator takes 55,400, and 133,284 without the unit-state shortcut
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=GF(5))
+    calls = []
+    step = graded._step
+    monkeypatch.setattr(graded, "_step", lambda *args: calls.append(1) or step(*args))
+    table = blueprint_table(bp)
+    assert table.b_sequence() == [1, 2, 4, 8, 16, 26, 44, 70, 104, 140, 185]
+    assert len(calls) == 33694
 
 
 def test_normal_form_mixed_degrees():

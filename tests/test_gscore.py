@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 
 from gsalg.errors import (
     ConstantTerm,
+    DegreeExceedsTable,
     DegreeNotCovered,
     DimensionBoundViolated,
     InvalidParams,
     TooLarge,
 )
-from gsalg.field import GF, GF2
-from gsalg.freealg import parse_poly
+from gsalg.field import GF, GF2, QQ
+from gsalg.freealg import Polynomial, parse_poly
+from gsalg.graded import build_table
 from gsalg.gscore import (
     BoundCertificate,
     GSParams,
@@ -38,7 +41,7 @@ from gsalg.gscore import (
     verify_growth,
 )
 
-from oracles import brute_minimal_n
+from oracles import brute_minimal_n, naive_dimension_table
 
 P2 = GSParams(2, Fraction(9, 20))  # u = 11/10
 P3 = GSParams(3, Fraction(1, 2))  # u = 2
@@ -489,6 +492,66 @@ def test_nil_certificate_errors(toy13):
         nil_certificate(parse_poly("1 + x1", 2, GF(5)), toy13)
     with pytest.raises(DegreeNotCovered):
         nil_certificate(parse_poly("x1*x2*x1", 2, GF(5)), toy13)
+
+
+@pytest.fixture(scope="module")
+def toy25():
+    return build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=GF(5))
+
+
+def _random_poly(rng, d, field, top, constant):
+    words = [
+        tuple(rng.randrange(1, d + 1) for _ in range(rng.randrange(not constant, top + 1)))
+        for _ in range(rng.randrange(1, 5))
+    ]
+    return Polynomial(d, field, {w: rng.randrange(1, 5) for w in words})
+
+
+@pytest.mark.parametrize("case", ["toy13", "toy22", "toy25", "qq"])
+def test_iterated_nil_check_matches_expansion(case, request):
+    # nf(g**n) by n multiplications in the quotient must equal the reduction
+    # of the expanded g**n, members and non-members alike
+    if case == "qq":
+        bp = None
+        gens = [parse_poly("x1*x2 - 2*x2*x1", 2, QQ), parse_poly("x1*x1*x2 + 3/2*x2*x2*x2", 2, QQ)]
+        table = build_table(gens, 6)
+    else:
+        bp = request.getfixturevalue(case)
+        table = blueprint_table(bp)
+    d, field, maxdeg = table.d, table.field, table.maxdeg
+    # the full-width oracle is cheap up to 2**6 columns
+    oracle = naive_dimension_table(list(table.generators), maxdeg) if maxdeg <= 6 else None
+    rng = random.Random(case)
+    outcomes = set()
+    for trial in range(40):
+        top = rng.randrange(1, 4)
+        n = rng.randrange(1, maxdeg // top + 1)
+        g = _random_poly(rng, d, field, top, constant=trial % 5 == 0)
+        if n * g.degree() > maxdeg:
+            with pytest.raises(DegreeExceedsTable):
+                table.power_normal_form(g, n)
+            continue
+        nf = table.power_normal_form(g, n)
+        assert nf.homogeneous_components() == table.normal_form(g**n).homogeneous_components()
+        if oracle is not None:
+            assert nf == oracle.normal_form(g**n)
+        outcomes.add(nf.is_zero())
+        if bp is not None and not g.constant_coefficient() and g.degree() <= bp.max_covered_degree():
+            cert = nil_certificate(g, bp, table)
+            if cert.exponent * g.degree() <= maxdeg:
+                # the construction makes every such g nil
+                assert cert.verified
+                assert table.normal_form(g**cert.exponent).is_zero()
+    assert outcomes == {True, False}
+
+
+def test_nil_certificate_degree_beyond_table(toy13, toy22):
+    # g**n would reach past the table: refused up front, as when g**n was
+    # expanded and reduced
+    with pytest.raises(DegreeExceedsTable):
+        nil_certificate(parse_poly("x1 + x2", 2, GF(5)), toy13, blueprint_table(toy13, 2))
+    with pytest.raises(DegreeExceedsTable):
+        nil_certificate(parse_poly("x1 + x2*x1", 2, GF2), toy22, blueprint_table(toy22, 3))
 
 
 def test_nil_certificate_symbolic_blocks(bp3):
