@@ -20,16 +20,20 @@ mod p (GF(2) is p = 2), or Fractions over QQ (p None).  Each finished degree
 n stores, for every candidate column c = i*d + t-1, the image of the word
 b_i*x_t in the standard coordinates of degree n: the standard index itself
 when c is not a pivot, and minus the fully reduced pivot row on the standard
-columns when it is.  These tables are the right multiplications by x_t in
-the quotient, so the rows b*f are built by walking f's terms letter by
-letter through them, as in F4 (rows built as products, then eliminated as
+columns when it is.  The standard words are prefix-closed (the tree of
+normal words), so a degree keeps just their candidate columns, read off the
+sorted pivots in runs; the word tuples are built from them on first use, and
+a dims run builds none.  The image tables are the right multiplications by
+x_t in the quotient, so the rows b*f are built by walking f's terms letter
+by letter through them, as in F4 (rows built as products, then eliminated as
 one sparse system); only the last step at the degree being built writes
 candidate columns.  The generators of one degree share one prefix tree of
 their words, walked once per standard start word b: each tree node takes
 one step for all the generators below it, and each generator's row gets its
 own accumulator at the leaves.  A walk state that is a single standard word
-stays an index, since its step is the image entry itself, already reduced.
-Those rows go into linalg.SparseEchelon (least-column pivots, the column
+stays an index, since its step is the image entry itself, already reduced;
+at the degree being built it writes its candidate column directly.  The raw
+accumulators go into linalg.SparseEchelon (least-column pivots, the column
 rank profile, so the standard words are canonical, whatever the order the
 rows come in), one back-substitution sweep reduces them fully, and the
 degree's table is read off.  A normal form is the same walk from the empty
@@ -40,15 +44,15 @@ since the ideal is two-sided, so g**n is never expanded.
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
 a 2-core Xeon VM (median of 3 alternating runs, each in its own process),
-against the walk with one prefix tree per generator that this one replaced:
+against the levels that held word tuples, split by a scan of every column:
 
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.42 s / 70 MB
-  (was 0.51 s / 73 MB); GF(5), degree 10: 0.06 s / 24 MB (was 0.06 s /
-  27 MB)
-- d=3 cubic pair, GF(2), degree 12: 0.32 s / 46 MB (was 0.36 s / 49 MB)
-- d=2 binary cubic, GF(2), degree 20: 0.20 s / 41 MB (was 0.29 s / 45 MB)
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.13 s / 44 MB
+  (was 0.21 s / 69 MB); GF(5), degree 10: 0.018 s / 20 MB (was 0.028 s /
+  23 MB)
+- d=3 cubic pair, GF(2), degree 12: 0.10 s / 34 MB (was 0.14 s / 45 MB)
+- d=2 binary cubic, GF(2), degree 20: 0.066 s / 28 MB (was 0.10 s / 41 MB)
 - the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), degree
-  10: GF(5) 0.14 s (was 0.46 s), GF(2) 0.10 s (was 0.37 s)
+  10: GF(5) 0.052 s (was 0.056 s), GF(2) 0.041 s (was 0.044 s)
 
 Generators whose fully reduced rows fill in cost more than in the deleted
 packed-int GF(2) engine, a dict entry costing far more than a bit: of three
@@ -130,14 +134,16 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
 # -- per-degree level data ------------------------------------------------------
 
 class _Level:
-    __slots__ = ("words", "image")
+    __slots__ = ("cols", "image")
 
-    def __init__(self, words, image):
-        self.words = words   # standard words, monomial order
-        # image[c] for candidate column c = i*d + t-1 is (word i one degree
-        # below)*x_t in standard coordinates: its standard index j, or for a
-        # pivot column a dict {j: coef} (empty when the word lies in the
+    def __init__(self, cols, image):
+        # standard word j is (word i one degree below)*x_t for the candidate
+        # column cols[j] = c = i*d + t-1, ascending ([0] for the empty word);
+        # words are built on demand (GradedIdealTable._words_at).  image[c] is
+        # that product in standard coordinates: its standard index j, or for
+        # a pivot column a dict {j: coef} (empty when the word lies in the
         # ideal); None at degree 0, which has no candidate columns
+        self.cols = cols
         self.image = image
 
 
@@ -180,11 +186,18 @@ def _walk(levels, d, p, trie, state, level: int, top: int, accs) -> None:
     s for {s: 1}.  Each node's step, taken once for all polynomials below it,
     maps the state through the next level's image table; the last step of a
     degree still being built (top == len(levels)) writes candidate columns.
-    A unit state's step is its image entry, already reduced.
+    A unit state's step is its image entry, already reduced, or at the
+    degree being built the candidate column s*d + t-1 itself.
     """
     image = levels[level + 1].image if level + 1 < len(levels) else None
     unit = state.__class__ is int
     if level + 1 == top:
+        if unit and image is None:  # x_t writes candidate column s*d + t-1
+            for t, leaf in trie.items():
+                col = state * d + t - 1
+                for i, c in leaf:
+                    accs[i][col] = accs[i].get(col, 0) + c
+            return
         state = {state: 1} if unit else state
         for t, leaf in trie.items():
             for i, c in leaf:
@@ -212,6 +225,7 @@ class GradedIdealTable:
         self.generators = tuple(generators)
         self.maxdeg = maxdeg
         self._levels = levels
+        self._words: List[List[Word]] = [[()]]  # words of degrees 0.., on demand
         self._r = dict(r_counts)
 
     def _level(self, n: int) -> _Level:
@@ -223,23 +237,32 @@ class GradedIdealTable:
             )
         return self._levels[n]
 
+    def _words_at(self, n: int) -> List[Word]:
+        """Standard words of degree n, built from degree n-1 on first use."""
+        self._level(n)
+        words, d = self._words, self.d
+        while len(words) <= n:
+            prev = words[-1]
+            words.append([prev[c // d] + (c % d + 1,) for c in self._levels[len(words)].cols])
+        return words[n]
+
     def b(self, n: int) -> int:
         """Quotient dimension b_n = d**n - dim I_n."""
-        return len(self._level(n).words)
+        return len(self._level(n).cols)
 
     def b_sequence(self) -> List[int]:
-        return [len(lv.words) for lv in self._levels]
+        return [len(lv.cols) for lv in self._levels]
 
     def ideal_dim(self, n: int) -> int:
         return self.d**n - self.b(n)
 
     def basis(self, n: int) -> List[Word]:
         """Standard words spanning the degree-n quotient component."""
-        return list(self._level(n).words)
+        return list(self._words_at(n))
 
     def pivot_words(self, n: int) -> List[Word]:
         """Degree-n words that are pivots, i.e. the complement of basis(n)."""
-        std = set(self._level(n).words)
+        std = set(self._words_at(n))
         return [w for w in words_of_degree(self.d, n) if w not in std]
 
     def r(self, degree: int) -> int:
@@ -288,8 +311,9 @@ class GradedIdealTable:
             v = {m: vec for m, acc in sorted(out.items()) if (vec := mod_p(acc, p))}
         terms = {}
         for m, vec in v.items():
+            words = self._words_at(m)
             for j, a in sorted(({vec: self.field.one} if vec.__class__ is int else vec).items()):
-                terms[levels[m].words[j]] = a
+                terms[words[j]] = a
         return Polynomial._raw(self.d, self.field, terms)
 
     def contains(self, p: Polynomial) -> bool:
@@ -324,6 +348,8 @@ def build_table(
     gens, d, field = _check_generators(generators, d, field)
     if not isinstance(maxdeg, int) or isinstance(maxdeg, bool) or maxdeg < 0:
         raise InvalidParams("maxdeg must be a nonnegative integer, got %r" % (maxdeg,))
+    if not isinstance(column_cap, int) or isinstance(column_cap, bool) or column_cap < 1:
+        raise InvalidParams("column cap must be a positive integer, got %r" % (column_cap,))
     if r_override is not None:
         validate_r(r_override, "r_override")
         r_counts = dict(r_override)
@@ -333,11 +359,10 @@ def build_table(
             r_counts[g.degree()] = r_counts.get(g.degree(), 0) + 1
 
     tries = _term_tries(gens)
-    p = field.p
-    levels = [_Level([()], None)]
+    p, neg = field.p, field.p or 0
+    levels = [_Level([0], None)]
     for n in range(1, maxdeg + 1):
-        prev = levels[n - 1]
-        width = len(prev.words) * d
+        width = len(levels[n - 1].cols) * d
         if width > column_cap:
             raise TooLarge(
                 "degree %d needs d*b_%d = %d columns, over the %d-column cap"
@@ -347,24 +372,24 @@ def build_table(
         for k, (trie, count) in tries.items():
             if k > n:
                 break
-            for s in range(len(levels[n - k].words)):
+            for s in range(len(levels[n - k].cols)):
                 accs = [{} for _ in range(count)]
                 _walk(levels, d, p, trie, s, n - k, n, accs)
                 for acc in accs:
-                    row = mod_p(acc, p)
-                    if row:
-                        ech.insert(row)
+                    ech.insert(acc)
         ech.back_substitute()
-        pivots = ech.rows
-        std = [c for c in range(width) if c not in pivots]
-        image: list = [None] * width
-        for j, c in enumerate(std):
-            image[c] = j
-        for c, row in pivots.items():
-            # the pivot word is minus the rest of its row, on standard columns
-            image[c] = mod_p({image[k]: -v for k, v in row.items() if k != c}, p)
-        words = [prev.words[c // d] + (c % d + 1,) for c in std]
-        levels.append(_Level(words, image))
+        # standard columns run between consecutive pivots
+        cols, image, lo = [], [], 0
+        for c in sorted(ech.rows) + [width]:
+            image.extend(range(len(cols), len(cols) + c - lo))
+            image.append(None)
+            cols.extend(range(lo, c))
+            lo = c + 1
+        image.pop()
+        # a pivot word is minus the rest of its reduced row (nonzero entries)
+        for c, row in ech.rows.items():
+            image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
+        levels.append(_Level(cols, image))
     return GradedIdealTable(d, field, gens, maxdeg, levels, r_counts)
 
 

@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, nextafter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import DEFAULT_ENUM_CAP
@@ -266,12 +266,12 @@ def verify_growth(
 def _certified_sides(q: int, n: int, params: GSParams):
     """Certified sign of eps**2 * u**(n-2) - C(n+q-1, q-1), via logs.
 
-    Returns (sign, log2_count, gap_log2, err_log2) with the gap taken at
-    working precision before any float conversion (the sides reach 10**20
-    while the gap sits near 0.1, far below float resolution at that
-    magnitude).  The comparison is accepted only when the gap exceeds
-    (|lhs|+|rhs|+1) * 10**(12 - dps), escalating the working precision
-    otherwise; an exact tie therefore raises TooLarge instead of guessing.
+    Returns (sign, log2_count, gap_log2) as mpf values at working precision
+    (the sides reach 10**20 while the gap sits near 0.1), gap_log2 being the
+    end of the gap's enclosure nearest 0, (diff -+ thresh)/ln 2.  The sign is
+    accepted only when |diff| exceeds thresh = (|lhs|+|rhs|+1) *
+    10**(12 - dps), escalating the working precision otherwise; an exact tie
+    therefore raises TooLarge instead of guessing.
     """
     import mpmath as mp
     en, ed = params.eps.numerator, params.eps.denominator
@@ -286,12 +286,8 @@ def _certified_sides(q: int, n: int, params: GSParams):
             thresh = (abs(ln_bound) + abs(ln_count) + 1) * mp.mpf(10) ** (12 - dps)
             if abs(diff) > thresh:
                 ln2 = mp.log(2)
-                return (
-                    1 if diff > 0 else -1,
-                    float(ln_count / ln2),
-                    float(diff / ln2),
-                    float(thresh / ln2),
-                )
+                edge = diff - thresh if diff > 0 else diff + thresh
+                return (1 if diff > 0 else -1), ln_count / ln2, edge / ln2
     raise TooLarge(
         "could not certify the count/bound comparison at q=%d, n=%d "
         "within precision limits" % (q, n)
@@ -387,9 +383,13 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
 
 
 def certified_log2_gap(q: int, n: int, params: GSParams) -> Tuple[float, float]:
-    """(lower bound on log2(bound/count), log2 of the count), sign-certified."""
-    sign, log2_count, gap, err = _certified_sides(q, n, params)
-    return (gap - err if sign > 0 else gap + err), log2_count
+    """(lower bound on log2(bound/count) when positive, else an upper bound
+    below 0; log2 of the count), sign-certified."""
+    sign, log2_count, edge = _certified_sides(q, n, params)
+    gap = float(edge)  # rounded toward 0, so that the bound still holds
+    if (gap > edge) if sign > 0 else (gap < edge):
+        gap = nextafter(gap, 0.0)
+    return gap, float(log2_count)
 
 
 # -- blueprints -------------------------------------------------------------------

@@ -66,10 +66,10 @@ class SparseEchelon:
         self.rows: Dict[int, dict] = {}
 
     def insert(self, row: dict) -> Optional[int]:
-        """Add a row (nonzero entries, reduced mod p); returns its pivot
-        column, or None if the row lies in the span."""
+        """Add a row, reduced mod p here (the caller's dict is not changed);
+        returns its pivot column, or None if it is zero or in the span."""
         p, rows = self.p, self.rows
-        row = dict(row)
+        row = mod_p(row, p)
         while row:
             c = min(row)
             prow = rows.get(c)

@@ -535,11 +535,16 @@ def test_symfun_flag_pairing(capsys):
 # -- parser-level behavior -------------------------------------------------------------
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, gens_file):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["dims"]) == 2  # missing required flags
     capsys.readouterr()
+    code, out, err = run(
+        capsys, ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "0", "--column-cap", "0"]
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: column cap must be a positive integer, got 0"]
 
 
 _BLOCK = {"k": 1, "c": 1, "c_prime": 3, "q": 2, "n": 3, "min_degree": 3, "max_degree": 3}

@@ -245,14 +245,48 @@ def test_merged_walk_step_count(monkeypatch):
     # one walk per start word serves every generator of a degree: the toy
     # d=2, c=2, n=5 blueprint's table over GF(5) (244 nonzero generators of
     # degree 5-10) takes exactly this many steps through _step; a walk per
-    # generator takes 55,400, and 133,284 without the unit-state shortcut
+    # generator takes 41,642.  A unit state writes the candidate column of
+    # its last step itself, without _step, which took this count down from
+    # 33,694 (and a walk per generator from 55,400)
     bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=GF(5))
     calls = []
     step = graded._step
     monkeypatch.setattr(graded, "_step", lambda *args: calls.append(1) or step(*args))
     table = blueprint_table(bp)
     assert table.b_sequence() == [1, 2, 4, 8, 16, 26, 44, 70, 104, 140, 185]
-    assert len(calls) == 33694
+    assert len(calls) == 19936
+
+
+def test_words_built_on_demand():
+    # a level keeps its standard columns, not its words: a dims run builds
+    # no word tuple, and basis, pivot_words and normal_form build the words
+    # of a degree (and those below it) on first use, equal to the naive ones
+    g = parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)
+    table = build_table([g], 10)
+    assert [row.b for row in dimension_rows(table)] == [fibonacci(2 * n + 2) for n in range(11)]
+    assert len(table._words) == 1
+    for level in table._levels[1:]:
+        for name in level.__slots__:
+            assert not any(x.__class__ is tuple for x in getattr(level, name))
+    assert len(table.basis(4)) == 55 and len(table._words) == 5
+    # the naive oracle takes about 5 s at degree 10 on a 2-core Xeon VM, so it
+    # stops at 9; degree 10 is checked against degree 9 by prefix closure
+    oracle = naive_dimension_table([g], 9, column_cap=3**9)
+    for n in range(10):
+        assert table.basis(n) == oracle.standard_words[n]
+        std = set(oracle.standard_words[n])
+        assert table.pivot_words(n) == [w for w in words_of_degree(3, n) if w not in std]
+    prev = set(table.basis(9))
+    assert all(w[:-1] in prev for w in table.basis(10))
+    assert len(table.pivot_words(10)) == 3**10 - 17711
+    rng = random.Random(10)
+    for _ in range(5):
+        terms = {}
+        for m in rng.sample(range(10), 4):
+            for _ in range(3):
+                terms[tuple(rng.randint(1, 3) for _ in range(m))] = 1
+        probe = Polynomial(3, GF2, terms)
+        assert table.normal_form(probe) == oracle.normal_form(probe)
 
 
 def test_normal_form_mixed_degrees():
@@ -297,6 +331,10 @@ def test_column_cap():
     with pytest.raises(TooLarge, match="2048 columns"):
         build_table([x1_13], 12, column_cap=2**10)
     assert build_table([x1_13], 10, column_cap=2**10).b(10) == 2**10
+    # a cap that is not a positive int is refused up front, at any maxdeg
+    for cap in (True, 0, -5, 1.5, "1024", None):
+        with pytest.raises(InvalidParams, match="column cap must be a positive integer"):
+            build_table([x1_13], 0, column_cap=cap)
 
 
 def test_column_cap_counts_working_width():

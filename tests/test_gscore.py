@@ -323,6 +323,20 @@ def test_certified_gap_signs_at_the_boundary():
     assert gap2 == pytest.approx(0.08856026704715919, abs=1e-9)
 
 
+@pytest.mark.parametrize("d, eps", [(3, "1/2"), (2, "9/20"), (4, "1")])
+def test_margin_log2_lo_is_a_lower_bound(d, eps):
+    # the stored margin never exceeds the true log2 gap, taken at 400 digits
+    import mpmath as mp
+
+    params = GSParams(d, Fraction(eps))
+    for b in build_blueprint(params, num_blocks=2).blocks:
+        with mp.workdps(400):
+            ln_count = mp.loggamma(b.n + b.q) - mp.loggamma(b.n + 1) - mp.loggamma(b.q)
+            e, u = (mp.mpf(x.numerator) / x.denominator for x in (params.eps, params.u))
+            ln_bound = 2 * mp.log(e) + (b.n - 2) * mp.log(u)
+            assert mp.mpf(b.margin_log2_lo) <= (ln_bound - ln_count) / mp.log(2)
+
+
 # -- blueprints --------------------------------------------------------------------------
 
 

@@ -175,7 +175,9 @@ def test_gfp_echelon_against_naive(p):
 @settings(max_examples=25)
 def test_gfp_echelon_differential(p, seed, cuts):
     # rank, pivots and fully reduced rows equal the naive RREF, whether the
-    # rows go in at once or in batches with a back-substitution after each
+    # rows go in at once or in batches with a back-substitution after each;
+    # insert reduces what it is fed (about half the rows come unreduced, and
+    # one row is zero mod p) and never changes the caller's dict
     rng = random.Random(seed)
     width = rng.randrange(8, 40)
 
@@ -194,13 +196,30 @@ def test_gfp_echelon_differential(p, seed, cuts):
         ca, cb = draw(), draw()
         mat.append([ca * x + cb * y if p is None else (ca * x + cb * y) % p for x, y in zip(a, b)])
     rng.shuffle(mat)
+
+    def unreduced(row):
+        # entries shifted by multiples of p, some negative, and explicit zeros
+        return {
+            c: x if p is None else x + p * rng.randrange(-3, 4)
+            for c, x in enumerate(row)
+            if x or rng.random() < 0.2
+        }
+
+    fed = [unreduced(r) if rng.random() < 0.5 else _sparse(r, p) for r in mat]
+    zero = {c: 0 if p is None else p * rng.randrange(-3, 4) for c in range(0, width, 3)}
+    fed.insert(rng.randrange(len(fed) + 1), zero)
+    kept = [dict(r) for r in fed]
+    assert SparseEchelon(p).insert(zero) is None
     whole = SparseEchelon(p)
-    _insert_all(whole, mat, p)
+    for r in fed:
+        whole.insert(r)
     whole.back_substitute()
     split = SparseEchelon(p)
-    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(mat)]):
-        _insert_all(split, mat[lo:hi], p)
+    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(fed)]):
+        for r in fed[lo:hi]:
+            split.insert(r)
         split.back_substitute()
+    assert fed == kept
     want_rows, want_piv = _naive_rref_q(mat) if p is None else _naive_rref_mod_p(mat, p)
     for ech in (whole, split):
         assert len(ech.rows) == len(want_piv)
