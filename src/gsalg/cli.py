@@ -8,7 +8,9 @@ ledger), jcount and symfun (combinatorial helpers).
 Exit codes: 0 all checks passed, 1 a mathematical check failed (negative
 slack, violated condition, failed ledger line, unverified membership, a
 blueprint file that differs from the rebuild of its parameters), 2 usage
-or input errors.  Outputs are deterministic: fixed orderings, no
+or input errors (a blueprint file that differs from its rebuild only in
+the derived floats j_count_log2 and margin_log2_lo is a stale input, not a
+failed check).  Outputs are deterministic: fixed orderings, no
 timestamps, exact rationals printed as num/den.
 """
 
@@ -18,7 +20,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 from math import lgamma, log
 from typing import Dict, List, Optional
 

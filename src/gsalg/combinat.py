@@ -12,18 +12,11 @@ import itertools
 import math
 from typing import Iterator, Tuple
 
-from .errors import InvalidParams, TooLarge
+from .errors import InvalidParams, TooLarge, require_int
 
 WeakTuple = Tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10**7
-
-
-def _check_qn(q: int, n: int) -> None:
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParams("need q >= 1, got %r" % (q,))
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams("need n >= 0, got %r" % (n,))
 
 
 def validate_weak_tuple(j: WeakTuple, q: int) -> None:
@@ -32,13 +25,13 @@ def validate_weak_tuple(j: WeakTuple, q: int) -> None:
         if a > b:
             raise InvalidParams("tuple %r is not weakly increasing" % (j,))
     for a in j:
-        if not isinstance(a, int) or not 1 <= a <= q:
-            raise InvalidParams("entry %r outside [1..%d]" % (a, q))
+        require_int(a, "tuple entry", 1, q)
 
 
 def weak_tuple_count(q: int, n: int) -> int:
     """Number of weak tuples: C(n+q-1, q-1)."""
-    _check_qn(q, n)
+    require_int(q, "q", 1)
+    require_int(n, "n", 0)
     return math.comb(n + q - 1, q - 1)
 
 

@@ -75,3 +75,15 @@ class DegreeNotCovered(GsalgError):
 
 class DegreeTooHigh(GsalgError):
     """A polynomial exceeds the degree window it must fit in."""
+
+
+def require_int(value, what: str, low: int, high=None) -> None:
+    """Raise InvalidParams unless value is an int, not a bool, in [low..high]."""
+    if isinstance(value, int) and not isinstance(value, bool) and (
+        low <= value and (high is None or value <= high)
+    ):
+        return
+    rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, "an integer >= %d" % low)
+    if high is not None:
+        rule = "an integer in [%d..%d]" % (low, high)
+    raise InvalidParams("%s must be %s, got %r" % (what, rule, value))

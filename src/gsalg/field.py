@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZero, InvalidParams
+from .errors import DivisionByZero, InvalidParams, require_int
 
 Coeff = Union[int, Fraction]
 
@@ -59,8 +59,7 @@ class FieldDescriptor:
             if self.p != 2:
                 raise InvalidParams("binary field must have p = 2")
         elif self.kind == PRIME:
-            if not isinstance(self.p, int) or not 2 < self.p < MAX_PRIME:
-                raise InvalidParams("prime field needs an integer 2 < p < 2**31")
+            require_int(self.p, "prime field modulus p", 3, MAX_PRIME - 1)
             if not _is_prime(self.p):
                 raise InvalidParams("%d is not prime" % self.p)
         elif self.kind == RATIONAL:

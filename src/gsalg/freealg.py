@@ -31,6 +31,7 @@ from .errors import (
     MixedFields,
     ParseError,
     VariableOutOfRange,
+    require_int,
 )
 from .field import Coeff, FieldDescriptor
 
@@ -55,26 +56,20 @@ def word_index(word: Word, d: int) -> int:
     return idx
 
 
-def word_str(word: Word) -> str:
-    return "*".join("x%d" % t for t in word) if word else "1"
-
-
 class Polynomial:
     """An element of F{x1..xd} with exact coefficients."""
 
     __slots__ = ("d", "field", "_terms")
 
     def __init__(self, d: int, field: FieldDescriptor, terms: Mapping[Word, object] | None = None):
-        if not isinstance(d, int) or d < 1:
-            raise InvalidParams("need at least one variable, got d=%r" % (d,))
+        require_int(d, "the variable count d", 1)
         self.d = d
         self.field = field
         clean: dict[Word, Coeff] = {}
         for word, raw in (terms or {}).items():
             word = tuple(word)
             for t in word:
-                if not isinstance(t, int) or not 1 <= t <= d:
-                    raise InvalidParams("variable index %r outside x1..x%d" % (t, d))
+                require_int(t, "a variable index", 1, d)
             c = field.coerce(raw)
             if word in clean:
                 c = field.add(clean[word], c)
@@ -200,8 +195,7 @@ class Polynomial:
         return Polynomial._raw(self.d, f, {w: f.mul(c, c0) for w, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise InvalidParams("polynomial power wants an integer n >= 0")
+        require_int(n, "the exponent", 0)
         out = Polynomial.one(self.d, self.field)
         for _ in range(n):
             out = out * self

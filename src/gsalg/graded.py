@@ -76,6 +76,7 @@ from .errors import (
     MixedFields,
     NonHomogeneousGenerator,
     TooLarge,
+    require_int,
 )
 from .field import FieldDescriptor
 from .freealg import Polynomial, Word, words_of_degree
@@ -96,8 +97,7 @@ def _check_generators(generators, d, field):
             field = gens[0].field
     if d is None or field is None:
         raise InvalidParams("d and field are required when no generators are given")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise InvalidParams("d must be an integer >= 2, got %r" % (d,))
+    require_int(d, "d", 2)
     for i, g in enumerate(gens):
         if not isinstance(g, Polynomial):
             raise InvalidParams("generator %d is not a Polynomial" % i)
@@ -123,10 +123,8 @@ def _check_generators(generators, d, field):
 def validate_r(r: Dict[int, int], what: str = "r") -> None:
     """Check a degree -> generator-count table: r_0 = r_1 = 0, counts >= 0."""
     for deg, count in r.items():
-        if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-            raise InvalidParams("%s has invalid degree key %r" % (what, deg))
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise InvalidParams("%s[%d] = %r is not a count" % (what, deg, count))
+        require_int(deg, "a degree key of %s" % what, 0)
+        require_int(count, "%s[%d]" % (what, deg), 0)
         if deg < 2 and count != 0:
             raise InvalidParams("%s[%d] must be 0 (no generators below degree 2)" % (what, deg))
 
@@ -229,8 +227,7 @@ class GradedIdealTable:
         self._r = dict(r_counts)
 
     def _level(self, n: int) -> _Level:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InvalidParams("degree must be a nonnegative integer, got %r" % (n,))
+        require_int(n, "degree", 0)
         if n > self.maxdeg:
             raise DegreeExceedsTable(
                 "degree %d exceeds table maximum %d" % (n, self.maxdeg)
@@ -290,8 +287,7 @@ class GradedIdealTable:
             raise MixedFields(
                 "polynomial is over %s, table over %s" % (g.field, self.field)
             )
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InvalidParams("exponent must be a nonnegative integer, got %r" % (n,))
+        require_int(n, "exponent", 0)
         if n * g.degree() > self.maxdeg:
             raise DegreeExceedsTable(
                 "component of degree %d exceeds table maximum %d" % (n * g.degree(), self.maxdeg)
@@ -346,10 +342,8 @@ def build_table(
     counted.  column_cap bounds each degree's working width d*b_{n-1}.
     """
     gens, d, field = _check_generators(generators, d, field)
-    if not isinstance(maxdeg, int) or isinstance(maxdeg, bool) or maxdeg < 0:
-        raise InvalidParams("maxdeg must be a nonnegative integer, got %r" % (maxdeg,))
-    if not isinstance(column_cap, int) or isinstance(column_cap, bool) or column_cap < 1:
-        raise InvalidParams("column cap must be a positive integer, got %r" % (column_cap,))
+    require_int(maxdeg, "maxdeg", 0)
+    require_int(column_cap, "column cap", 1)
     if r_override is not None:
         validate_r(r_override, "r_override")
         r_counts = dict(r_override)
@@ -407,15 +401,9 @@ class DimensionRow:
     slack: Optional[int]
 
 
-def dimension_rows(
-    table: GradedIdealTable, r: Optional[Dict[int, int]] = None
-) -> List[DimensionRow]:
+def dimension_rows(table: GradedIdealTable) -> List[DimensionRow]:
     """Per-degree dimensions with the d*b_{n-1} - sum r_{n-j}*b_j lower bound."""
-    if r is None:
-        counts = dict(table._r)
-    else:
-        validate_r(r)
-        counts = dict(r)
+    counts = table._r
     b = table.b_sequence()
     d = table.d
     rows = []

@@ -15,10 +15,12 @@ generator count by the block's tuple count while covering every low-degree
 polynomial with a nil exponent.
 
 All verdicts are exact.  Each count/bound comparison is a certified
-multiprecision log comparison with an explicit error threshold and
-precision escalation (block-2 boundary sizes reach 10**20-bit binomials);
-an exact tie falls back to integer/Fraction arithmetic, and the boundary
-found is re-confirmed exactly whenever the numbers are representable.
+multiprecision log comparison whose slack scales with the summed magnitudes
+of the log terms that cancel in it, with precision escalation (block-2
+boundary sizes reach 10**20-bit binomials); an exact tie falls back to
+integer/Fraction arithmetic, and the boundary found is re-confirmed exactly
+whenever integer sizes show the numbers fit.  A block whose window is too
+large for any reachable block degree is refused before it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, nextafter
+from math import ceil, comb, nextafter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import DEFAULT_ENUM_CAP
@@ -40,6 +42,7 @@ from .errors import (
     DimensionBoundViolated,
     InvalidParams,
     TooLarge,
+    require_int,
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
@@ -51,6 +54,9 @@ from .symfun import generator_degree, monomial_window, window_generators, window
 EXACT_VALUE_BIT_CAP = 50_000
 EXACT_CONFIRM_BIT_CAP = 400_000
 _DPS_LADDER = (40, 80, 160, 320, 640, 1280)
+# the certified comparison's slack, in units of mp.eps times the summed
+# magnitudes of the terms it adds (see _certified_sides)
+_SLACK_ULPS = 1024
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -64,12 +70,8 @@ def parse_ratio(text: str) -> Fraction:
 
 
 def _as_fraction(x, what: str) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise InvalidParams("%s must be exact (int or Fraction), got %r" % (what, x))
-    if isinstance(x, int):
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
     raise InvalidParams("%s must be exact (int or Fraction), got %r" % (what, x))
 
 
@@ -83,8 +85,7 @@ class GSParams:
     eps: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 2:
-            raise InvalidParams("d must be an integer >= 2, got %r" % (self.d,))
+        require_int(self.d, "d", 2)
         object.__setattr__(self, "eps", _as_fraction(self.eps, "eps"))
         if self.eps <= 0:
             raise InvalidParams("eps must be positive, got %s" % (self.eps,))
@@ -112,8 +113,7 @@ class BoundCertificate:
     u: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 2:
-            raise InvalidParams("d must be an integer >= 2, got %r" % (self.d,))
+        require_int(self.d, "d", 2)
         for name in ("v", "c", "u"):
             val = _as_fraction(getattr(self, name), name)
             object.__setattr__(self, name, val)
@@ -161,8 +161,7 @@ def check_bound_conditions(
     (b): (v*d - c)/(v + u) >= v.
     """
     validate_r(r)
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-        raise InvalidParams("max_degree must be a nonnegative integer")
+    require_int(max_degree, "max_degree", 0)
     if max_degree > 100_000:
         raise TooLarge(
             "exact power checks capped at degree 100000; got %d" % max_degree
@@ -226,8 +225,7 @@ def verify_growth(
     if len(b) > 1 and b[1] != cert.d:
         raise InvalidParams("b_1 must equal d = %d, got %r" % (cert.d, b[1]))
     for n, val in enumerate(b):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise InvalidParams("b_%d = %r is not a nonnegative integer" % (n, val))
+        require_int(val, "b_%d" % n, 0)
     validate_r(r)
     N = len(b) - 1
     d = cert.d
@@ -266,27 +264,36 @@ def verify_growth(
 def _certified_sides(q: int, n: int, params: GSParams):
     """Certified sign of eps**2 * u**(n-2) - C(n+q-1, q-1), via logs.
 
-    Returns (sign, log2_count, gap_log2) as mpf values at working precision
-    (the sides reach 10**20 while the gap sits near 0.1), gap_log2 being the
-    end of the gap's enclosure nearest 0, (diff -+ thresh)/ln 2.  The sign is
-    accepted only when |diff| exceeds thresh = (|lhs|+|rhs|+1) *
-    10**(12 - dps), escalating the working precision otherwise; an exact tie
-    therefore raises TooLarge instead of guessing.
+    With eps = en/ed and u = un/ud the log-gap diff is the sum of the terms
+    2 ln en, -2 ln ed, (n-2) ln un, -(n-2) ln ud, -lnGamma(n+q), lnGamma(n+1)
+    and lnGamma(q).  Each is computed to a few units of mp.eps of its own
+    magnitude, and each addition rounds by at most mp.eps of a partial sum,
+    so diff is off by at most a small multiple of mp.eps times the sum S of
+    the terms' magnitudes (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 4.2): S, not |diff|, since the terms cancel.
+    The sign is accepted only when |diff| exceeds slack = _SLACK_ULPS *
+    mp.eps * (S + 1), far above that multiple; otherwise the working
+    precision climbs _DPS_LADDER, and an exact tie raises TooLarge.
+
+    Returns (sign, log2_count, gap_log2) as mpf values at working precision,
+    gap_log2 being the end of the gap's enclosure nearest 0, (diff -+
+    slack)/ln 2.
     """
     import mpmath as mp
     en, ed = params.eps.numerator, params.eps.denominator
     un, ud = params.u.numerator, params.u.denominator
     for dps in _DPS_LADDER:
         with mp.workdps(dps):
-            ln_count = mp.loggamma(n + q) - mp.loggamma(n + 1) - mp.loggamma(q)
-            ln_bound = 2 * (mp.log(en) - mp.log(ed)) + (n - 2) * (
-                mp.log(un) - mp.log(ud)
-            )
-            diff = ln_bound - ln_count
-            thresh = (abs(ln_bound) + abs(ln_count) + 1) * mp.mpf(10) ** (12 - dps)
-            if abs(diff) > thresh:
+            top, low, win = mp.loggamma(n + q), mp.loggamma(n + 1), mp.loggamma(q)
+            le, ld, lu, lv = mp.log(en), mp.log(ed), mp.log(un), mp.log(ud)
+            ln_count = top - low - win
+            diff = 2 * (le - ld) + (n - 2) * (lu - lv) - ln_count
+            # every term is the log of an integer >= 1, so none is negative
+            terms = top + low + win + 2 * (le + ld) + (n - 2) * (lu + lv)
+            slack = _SLACK_ULPS * mp.eps * (terms + 1)
+            if abs(diff) > slack:
                 ln2 = mp.log(2)
-                edge = diff - thresh if diff > 0 else diff + thresh
+                edge = diff - slack if diff > 0 else diff + slack
                 return (1 if diff > 0 else -1), ln_count / ln2, edge / ln2
     raise TooLarge(
         "could not certify the count/bound comparison at q=%d, n=%d "
@@ -294,17 +301,25 @@ def _certified_sides(q: int, n: int, params: GSParams):
     )
 
 
-def _exact_predicate(q: int, n: int, params: GSParams, log2_count: float):
-    """Exact C(n+q-1, q-1) < eps**2 * u**(n-2), or None beyond the bit caps."""
-    if log2_count > EXACT_CONFIRM_BIT_CAP:
+def _envelope_bits(n: int, params: GSParams) -> int:
+    """Bound on the bit length of u**(n-2)'s numerator and denominator."""
+    u = params.u
+    return (n - 2) * max(u.numerator.bit_length(), u.denominator.bit_length())
+
+
+def _exact_predicate(q: int, n: int, params: GSParams):
+    """Exact C(n+q-1, q-1) < eps**2 * u**(n-2), or None beyond the bit caps.
+
+    The caps are read off integer sizes, before any big number is built:
+    C(N, k) <= (e*N/k)**k with N = n+q-1 and k = min(n, q-1), so the count
+    has at most k * bit_length(ceil(3*(n+q)/k)) bits.
+    """
+    k = min(n, q - 1)
+    if k * (-(-3 * (n + q) // k)).bit_length() > EXACT_CONFIRM_BIT_CAP:
         return None
-    scale = max(
-        params.u.numerator.bit_length(), params.u.denominator.bit_length()
-    )
-    if (n - 2) * scale > 4 * EXACT_CONFIRM_BIT_CAP:
+    if _envelope_bits(n, params) > 4 * EXACT_CONFIRM_BIT_CAP:
         return None
-    count = comb(n + q - 1, n)
-    return count < params.eps_sq * params.u ** (n - 2)
+    return comb(n + q - 1, n) < params.eps_sq * params.u ** (n - 2)
 
 
 def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
@@ -318,35 +333,22 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     ln C(n+q-1, q-1) is convex in n: its increment ln u - ln((n+q)/(n+1))
     grows with n.  A convex gap that is not positive at n_lo and at some
     m > n_lo is not positive anywhere in between, so above a false n_lo the
-    false region is a prefix and the true region the rest.  The boundary is
-    re-confirmed exactly whenever the binomial still fits the confirm cap.
+    false region is a prefix and the true region the rest.  No n is probed
+    twice (the gallop's probes increase, each midpoint lies strictly inside
+    its bracket).  The boundary is re-confirmed exactly when it fits the caps.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise InvalidParams("q must be an integer >= 2, got %r" % (q,))
-    if not isinstance(c_prev, int) or isinstance(c_prev, bool) or c_prev < 0:
-        raise InvalidParams("c_prev must be a nonnegative integer, got %r" % (c_prev,))
-    import mpmath as mp
+    require_int(q, "q", 2)
+    require_int(c_prev, "c_prev", 0)
     n_lo = max(c_prev + 1, 2)
 
-    def rough_log2_count(m: int) -> float:
-        # cost gate only; accuracy needs are mild even when the sign isn't
-        # certifiable (ties are near-equalities, not wild values)
-        with mp.workdps(40):
-            v = mp.loggamma(m + q) - mp.loggamma(m + 1) - mp.loggamma(q)
-            return float(v / mp.log(2))
-
-    cache: Dict[int, bool] = {}
-
     def pred(m: int) -> bool:
-        if m not in cache:
-            try:
-                cache[m] = _certified_sides(q, m, params)[0] > 0
-            except TooLarge:
-                exact = _exact_predicate(q, m, params, rough_log2_count(m))
-                if exact is None:
-                    raise
-                cache[m] = exact
-        return cache[m]
+        try:
+            return _certified_sides(q, m, params)[0] > 0
+        except TooLarge:
+            exact = _exact_predicate(q, m, params)
+            if exact is None:
+                raise
+            return exact
 
     # gallop through n_lo, n_lo + 1, n_lo + 2, n_lo + 4, ...; lo trails as
     # the last false probe
@@ -367,18 +369,15 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
             lo = mid
 
     # exact boundary confirmation when representable
-    ok_hi = _exact_predicate(q, hi, params, rough_log2_count(hi))
-    if ok_hi is False:
+    if _exact_predicate(q, hi, params) is False:
         raise AssertionError(
             "certified search and exact arithmetic disagree at n=%d; this is a bug" % hi
         )
-    if hi - 1 >= n_lo:
-        ok_prev = _exact_predicate(q, hi - 1, params, rough_log2_count(hi - 1))
-        if ok_prev is True:
-            raise AssertionError(
-                "certified search missed an earlier block degree at n=%d; this is a bug"
-                % (hi - 1)
-            )
+    if hi - 1 >= n_lo and _exact_predicate(q, hi - 1, params) is True:
+        raise AssertionError(
+            "certified search missed an earlier block degree at n=%d; this is a bug"
+            % (hi - 1)
+        )
     return hi
 
 
@@ -504,9 +503,8 @@ def build_blueprint(
             raise InvalidParams("toy mode is a dense-mode override")
         if num_blocks != 1:
             raise InvalidParams("toy mode builds exactly one block")
-        for name, val in (("toy_c", toy_c), ("toy_n", toy_n)):
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise InvalidParams("%s must be a positive integer" % name)
+        require_int(toy_c, "toy_c", 1)
+        require_int(toy_n, "toy_n", 1)
     else:
         if params is None:
             raise InvalidParams("params are required outside toy mode")
@@ -514,10 +512,8 @@ def build_blueprint(
         if d is not None and d != params.d:
             raise InvalidParams("conflicting d: %r vs params.d = %d" % (d, params.d))
         d = params.d
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise InvalidParams("d must be an integer >= 2, got %r" % (d,))
-    if not isinstance(num_blocks, int) or isinstance(num_blocks, bool) or num_blocks < 1:
-        raise InvalidParams("num_blocks must be a positive integer")
+    require_int(d, "d", 2)
+    require_int(num_blocks, "num_blocks", 1)
     if mode == "dense":
         field = field if field is not None else GF2
     elif field is not None:
@@ -531,6 +527,15 @@ def build_blueprint(
             q = window_size(d, c)
         else:
             c = c_prime_prev + 1
+            # size wall: for n <= N, C(n+q-1, n) >= (q/n)**n >= (q/N)**n while
+            # eps**2 * u**(n-2) <= (u * max(1, (eps/u)**2))**n, so no n <= N
+            # passes once q >= N * u * max(1, (eps/u)**2).  q >= d**c, and
+            # minimal_power never probes past N = c + 2**200, so this refuses
+            # only what its gallop would refuse, before q is built.
+            reach = (c + 2**200) * ceil(params.u * max(1, (params.eps / params.u) ** 2))
+            if c * (d.bit_length() - 1) >= reach.bit_length():
+                raise TooLarge("block %d: window cap c=%d makes q >= %d**%d, beyond "
+                               "any block degree the search reaches" % (k, c, d, c))
             q = window_size(d, c)
             n = minimal_power(q, c_prime_prev, params)
         c_prime = n * c
@@ -542,11 +547,7 @@ def build_blueprint(
             margin_lo = gap_lo
             if log2_count <= EXACT_VALUE_BIT_CAP:
                 j_count = comb(n + q - 1, n)
-                scale = max(
-                    params.u.numerator.bit_length(),
-                    params.u.denominator.bit_length(),
-                )
-                if (n - 2) * scale <= EXACT_VALUE_BIT_CAP:
+                if _envelope_bits(n, params) <= EXACT_VALUE_BIT_CAP:
                     margin = params.eps_sq * params.u ** (n - 2) - j_count
 
         generators = None
@@ -738,14 +739,26 @@ def _first_difference(built: dict, data: dict) -> str:
     return "key %r" % first_key(built, data)
 
 
+def _without_log2_floats(data: dict) -> dict:
+    """data with each block's j_count_log2 and margin_log2_lo left out."""
+    return dict(data, blocks=[
+        {key: val for key, val in rec.items()
+         if key not in ("j_count_log2", "margin_log2_lo")}
+        if isinstance(rec, dict) else rec
+        for rec in data["blocks"]
+    ])
+
+
 def blueprint_from_dict(data: dict) -> GSBlueprint:
     """Blueprint from its JSON form, rebuilt from the construction's inputs.
 
     Only d, eps, mode, field, toy and the number of blocks are read, plus c
     and n of a toy's one block; build_blueprint derives everything else, and
     the data must equal the rebuild's dict.  Malformed or refused inputs
-    raise InvalidParams; data that differs from its rebuild raises
-    BlueprintMismatch naming the first block and key that differ.
+    raise InvalidParams, and so does data that differs from its rebuild only
+    in the derived floats j_count_log2 and margin_log2_lo (a file saved by a
+    build that rounded them differently); any other difference raises
+    BlueprintMismatch.  Both name the first block and key that differ.
     """
     try:
         blocks, toy, eps, field = data["blocks"], data["toy"], data["eps"], data["field"]
@@ -766,10 +779,11 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
         raise InvalidParams("malformed blueprint data: %s" % exc) from None
     built = blueprint_to_dict(bp)
     if built != data:
-        raise BlueprintMismatch(
-            "blueprint invariants FAILED: %s differs from its rebuild"
-            % _first_difference(built, data)
-        )
+        where = _first_difference(built, data)
+        if _without_log2_floats(built) == _without_log2_floats(data):
+            raise InvalidParams("malformed blueprint data: %s holds a stale log2 "
+                                "float; rebuild the file with construct" % where)
+        raise BlueprintMismatch("blueprint invariants FAILED: %s differs from its rebuild" % where)
     return bp
 
 

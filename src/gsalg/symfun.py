@@ -28,7 +28,7 @@ from .combinat import (
     weak_tuple_count,
     weak_tuples,
 )
-from .errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge
+from .errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge, require_int
 from .field import FieldDescriptor
 from .freealg import Polynomial, Word
 
@@ -54,8 +54,8 @@ class MonomialWindow:
 
 def window_size(d: int, c: int) -> int:
     """q = d + d**2 + ... + d**c."""
-    if not isinstance(d, int) or d < 1 or not isinstance(c, int) or c < 1:
-        raise InvalidParams("window needs integers d >= 1 and c >= 1")
+    require_int(d, "window rank d", 1)
+    require_int(c, "window cap c", 1)
     return (d ** (c + 1) - d) // (d - 1) if d > 1 else c
 
 
@@ -133,8 +133,7 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
     """
     if g.d != window.d:
         raise InvalidParams("g lives over %d variables, window over %d" % (g.d, window.d))
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParams("power must be an integer n >= 1")
+    require_int(n, "power n", 1)
     if not g.field.is_zero(g.constant_coefficient()):
         raise ConstantTerm("g must lie in T_{>=1}")
     if g.degree() > window.c:

@@ -12,6 +12,7 @@ point.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import insort
 from decimal import Decimal, localcontext
@@ -38,6 +39,14 @@ PI_100 = Decimal(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _ln(x: Decimal, prec: int) -> Decimal:
+    """ln x at the given precision, kept for the constants used over and over."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return x.ln()
+
+
 def stirling_ln_gamma_bounds(z: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
     """Two-sided bounds on ln Gamma(z) for integer z >= 1.
 
@@ -51,7 +60,7 @@ def stirling_ln_gamma_bounds(z: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
     with localcontext() as ctx:
         ctx.prec = prec
         zd = Decimal(z)
-        main = (zd - Decimal(1) / 2) * zd.ln() - zd + (2 * PI_100).ln() / 2
+        main = (zd - Decimal(1) / 2) * zd.ln() - zd + _ln(2 * PI_100, prec) / 2
         hi = main + Decimal(1) / (12 * zd)
         lo = hi - Decimal(1) / (360 * zd**3)
         slack = (abs(main) + 1) * Decimal(10) ** (6 - prec)
@@ -62,7 +71,7 @@ def log2_comb_bounds(N: int, K: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
     """Two-sided bounds on log2 C(N, K), 1 <= K <= N - 1."""
     with localcontext() as ctx:
         ctx.prec = prec
-        ln2 = Decimal(2).ln()
+        ln2 = _ln(Decimal(2), prec)
         top_lo, top_hi = stirling_ln_gamma_bounds(N + 1, prec)
         a_lo, a_hi = stirling_ln_gamma_bounds(K + 1, prec)
         b_lo, b_hi = stirling_ln_gamma_bounds(N - K + 1, prec)
@@ -75,10 +84,10 @@ def log2_envelope_bounds(
     """Two-sided bounds on log2(eps**2 * u**(n-2))."""
     with localcontext() as ctx:
         ctx.prec = prec
-        ln2 = Decimal(2).ln()
-        val = 2 * (Decimal(eps.numerator).ln() - Decimal(eps.denominator).ln()) + (
+        ln2 = _ln(Decimal(2), prec)
+        val = 2 * (_ln(Decimal(eps.numerator), prec) - _ln(Decimal(eps.denominator), prec)) + (
             n - 2
-        ) * (Decimal(u.numerator).ln() - Decimal(u.denominator).ln())
+        ) * (_ln(Decimal(u.numerator), prec) - _ln(Decimal(u.denominator), prec))
         slack = (abs(val) + 1) * Decimal(10) ** (6 - prec)
         return (val - slack) / ln2, (val + slack) / ln2
 

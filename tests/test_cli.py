@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,55 @@ def test_tampered_toy_over_the_enumeration_cap_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1"])
     assert code == 2 and out == ""
     assert err == "error: window d=2, c=1000000 has more words than the cap 10000000\n"
+
+
+@pytest.mark.parametrize("d, eps", [("3", "1/2"), ("2", "9/20"), ("4", "1")])
+def test_third_block_refused_at_the_size_wall(capsys, d, eps):
+    # block 3's window makes q so large that no block degree within the
+    # search's reach can pass; it is refused before q is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["construct", "--d", d, "--eps", eps, "--blocks", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: block 3: window cap c=") and err.count("\n") == 1
+
+
+def test_forged_third_block_refused_at_the_size_wall(capsys, tmp_path):
+    path = tmp_path / "bp.json"
+    save_blueprint(build_blueprint(GSParams(3, Fraction(1, 2)), 2), str(path))
+    data = json.loads(path.read_text())
+    data["blocks"].append(dict(data["blocks"][1], k=3))
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: block 3: window cap c=32557417") and err.count("\n") == 1
+
+
+def test_stale_log2_float_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bp.json"
+    save_blueprint(build_blueprint(GSParams(2, Fraction(9, 20)), 2), str(path))
+    saved = json.loads(path.read_text())
+    argv = ["nilcheck", "--blueprint", str(path), "--g", "x1"]
+    # the value an older, looser comparison stored for this block
+    for key, value in (("margin_log2_lo", 0.08856026704715918), ("j_count_log2", 1.0)):
+        data = copy.deepcopy(saved)
+        data["blocks"][1][key] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: malformed blueprint data: block 2 key %r holds a stale" % key
+        )
+    # any other difference is still a failed invariant
+    data = copy.deepcopy(saved)
+    data["blocks"][1]["margin_log2_lo"] = 0.08856026704715918
+    data["blocks"][1]["n"] += 1
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: blueprint invariants FAILED: block 2 key 'n'")
 
 
 # -- bound -----------------------------------------------------------------------

@@ -418,12 +418,13 @@ def test_dimension_rows_square_generator():
 
 
 def test_dimension_rows_explicit_r():
-    table = build_table([], 4, d=2, field=QQ)
-    rows = dimension_rows(table, r={2: 1})
+    # explicit counts enter through the table's r_override
+    table = build_table([], 4, d=2, field=QQ, r_override={2: 1})
+    rows = dimension_rows(table)
     assert rows[2].bound == 3
     assert rows[2].slack == 1
     with pytest.raises(InvalidParams):
-        dimension_rows(table, r={0: 2})
+        build_table([], 4, d=2, field=QQ, r_override={0: 2})
 
 
 def test_check_dimension_bounds_flags_negatives():

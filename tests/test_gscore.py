@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -30,6 +31,7 @@ from gsalg.gscore import (
     blueprint_to_dict,
     build_blueprint,
     certificate_from_epsilon,
+    _certified_sides,
     certified_log2_gap,
     check_blueprint,
     check_bound_conditions,
@@ -41,7 +43,12 @@ from gsalg.gscore import (
     verify_growth,
 )
 
-from oracles import brute_minimal_n, naive_dimension_table
+from oracles import (
+    brute_minimal_n,
+    log2_comb_bounds,
+    log2_envelope_bounds,
+    naive_dimension_table,
+)
 
 P2 = GSParams(2, Fraction(9, 20))  # u = 11/10
 P3 = GSParams(3, Fraction(1, 2))  # u = 2
@@ -306,6 +313,51 @@ def test_minimal_power_astronomical_blocks():
     assert minimal_power(36893488147419103230, 63, P2) == 1920719647090318049267
 
 
+# the least n for q = 10**45 under P3, also found by bisecting
+# oracles.certified_predicate
+_N45 = 3403497879062293280675283112642723529902415318
+
+
+@pytest.mark.parametrize("k", [20, 30, 45, 60, 300, 1000])
+def test_certified_sides_match_the_oracle_at_large_q(k):
+    # lnGamma(n+q) and lnGamma(q) cancel down to about n*ln q - ln n! (at
+    # n = 5, to a few hundred); the sign must hold, and the gap edge must be
+    # a bound on the true gap from the side of 0, and close to it
+    import mpmath as mp
+
+    q = 10**k
+    ns = [5] + [34 * q // 10 + i for i in (-2, 1)]
+    if k == 45:
+        ns += [_N45 - 1, _N45]
+    prec = 2 * k + 100
+    for n in ns:
+        count_lo, count_hi = log2_comb_bounds(n + q - 1, min(n, q - 1), prec)
+        env_lo, env_hi = log2_envelope_bounds(P3.eps, P3.u, n, prec)
+        with localcontext() as ctx:
+            ctx.prec = prec
+            gap_lo, gap_hi = env_lo - count_hi, env_hi - count_lo
+        assert gap_lo > 0 or gap_hi < 0
+        sign, _, edge = _certified_sides(q, n, P3)
+        edge = Decimal(mp.nstr(edge, prec))
+        # the edge may fall short of the oracle's enclosure only on the side
+        # of 0, and only by the slack, relatively far below 1e-25
+        tol = Decimal("1e-25") * abs(gap_lo)
+        if gap_lo > 0:
+            assert sign == 1 and 0 < edge <= gap_hi and edge >= gap_lo - tol
+        else:
+            assert sign == -1 and gap_lo <= edge < 0 and edge <= gap_hi + tol
+
+
+def test_minimal_power_at_q_10_to_45():
+    assert minimal_power(10**45, 0, P3) == _N45
+
+
+def test_minimal_power_beyond_the_gallop_reach():
+    # the boundary, about 3.4 * 10**60, lies past n_lo + 2**199
+    with pytest.raises(TooLarge):
+        minimal_power(10**60, 0, P3)
+
+
 def test_minimal_power_validation():
     with pytest.raises(InvalidParams):
         minimal_power(1, 0, P3)
@@ -320,7 +372,7 @@ def test_certified_gap_signs_at_the_boundary():
     gap_before, _ = certified_log2_gap(797160, 2713117, P3)
     assert gap_before < 0
     gap2, _ = certified_log2_gap(36893488147419103230, 1920719647090318049267, P2)
-    assert gap2 == pytest.approx(0.08856026704715919, abs=1e-9)
+    assert gap2 == pytest.approx(0.08856031986829642, abs=1e-9)
 
 
 @pytest.mark.parametrize("d, eps", [(3, "1/2"), (2, "9/20"), (4, "1")])
