@@ -20,7 +20,6 @@ import argparse
 import io
 import json
 import sys
-from math import lgamma, log
 from typing import Dict, List, Optional
 
 from .combinat import (
@@ -299,16 +298,33 @@ def cmd_bound(args) -> int:
     return 0 if ok else 1
 
 
+_JCOUNT_BIT_CAP = 2_000_000
+
+
 def cmd_jcount(args) -> int:
     q, n = args.q, args.n
     if q >= 2 and n >= 1:
-        # cost gate: result size in bits, from Stirling (gate only, not a verdict)
-        bits = (lgamma(n + q) - lgamma(n + 1) - lgamma(q)) / log(2)
-        if bits > 2_000_000:
+        # cost gate on integer sizes: C(N, k) >= 2**(N*H(k/N)) / (N+1)**2,
+        # the size of a binary type class (Cover and Thomas, Elements of
+        # Information Theory, 2nd ed., sec. 11.1), N = n+q-1, k = min(n, q-1),
+        # N*H(k/N) = k*log2(N/k) + (N-k)*log2(N/(N-k)); each log2(N/b) is
+        # taken to 1/64 bit from below as bit_length(N**64 // b**64) - 1
+        N, k = n + q - 1, min(n, q - 1)
+        lg = [(N**64 // b**64).bit_length() - 1 for b in (k, N - k)]
+        bits = ((k * lg[0] + (N - k) * lg[1]) >> 6) - 2 * (N + 1).bit_length()
+        if bits > _JCOUNT_BIT_CAP:
             raise TooLarge(
-                "|J(%d, %d)| needs about %d bits; refusing to materialize" % (q, n, int(bits))
+                "|J(%d, %d)| needs over %d bits; refusing to materialize"
+                % (q, n, _JCOUNT_BIT_CAP)
             )
-    print("%d" % weak_tuple_count(q, n))
+    count = weak_tuple_count(q, n)
+    try:
+        text = "%d" % count
+    except ValueError:  # past the interpreter's int-to-text digit limit
+        raise TooLarge(
+            "|J(%d, %d)| has %d bits, too many digits to print" % (q, n, count.bit_length())
+        ) from None
+    print(text)
     if args.list:
         for tup in weak_tuples(q, n, cap=args.enum_cap):
             print(",".join(map(str, tup)))

@@ -21,38 +21,49 @@ n stores, for every candidate column c = i*d + t-1, the image of the word
 b_i*x_t in the standard coordinates of degree n: the standard index itself
 when c is not a pivot, and minus the fully reduced pivot row on the standard
 columns when it is.  The standard words are prefix-closed (the tree of
-normal words), so a degree keeps just their candidate columns, read off the
-sorted pivots in runs; the word tuples are built from them on first use, and
-a dims run builds none.  The image tables are the right multiplications by
-x_t in the quotient, so the rows b*f are built by walking f's terms letter
-by letter through them, as in F4 (rows built as products, then eliminated as
-one sparse system); only the last step at the degree being built writes
+normal words), so a degree keeps just their candidate columns, in an
+array('q'); the word tuples are built from them on first use, and a dims run
+builds none.  The image tables are the right multiplications by x_t in the
+quotient, so the rows b*f are built by walking f's terms letter by letter
+through them, as in F4 (rows built as products, then eliminated as one
+sparse system); only the last step at the degree being built writes
 candidate columns.  The generators of one degree share one prefix tree of
-their words, walked once per standard start word b: each tree node takes
-one step for all the generators below it, and each generator's row gets its
-own accumulator at the leaves.  A walk state that is a single standard word
-stays an index, since its step is the image entry itself, already reduced;
-at the degree being built it writes its candidate column directly.  The raw
-accumulators go into linalg.SparseEchelon (least-column pivots, the column
-rank profile, so the standard words are canonical, whatever the order the
-rows come in), one back-substitution sweep reduces them fully, and the
-degree's table is read off.  A normal form is the same walk from the empty
-word; it ends in standard coordinates, with no reduction left to do.  The
-normal form of g**n is n such multiplications by g, nf(a*g) = nf(nf(a)*g)
-since the ideal is two-sided, so g**n is never expanded.
+their words, walked for a block of up to WALK_BLOCK standard start words at
+once.  The first step is one slice of the next level's image table, the
+images b*x_t of the whole block, where the words that lie in the ideal drop
+out; each deeper tree node then steps the block's list of (slot, state)
+pairs in one loop, once for all the generators below it, and the top step
+writes into each row's own accumulator.  A walk state that is a single
+standard word stays an index, since its step is the image entry itself,
+already reduced; at the degree being built it writes its candidate column
+directly.  The block's raw accumulators go into linalg.SparseEchelon
+(least-column pivots, the column rank profile, so the standard words are
+canonical, whatever the order the rows come in), one back-substitution
+sweep reduces them fully, and the degree's table is read off in C-level
+passes: a bytearray mask over the width clears the pivots, the standard
+columns are the columns it keeps (itertools.compress), and the standard
+indices its running sum (itertools.accumulate); the pivot entries are then
+overwritten by their reduced rows.  A normal form walks one state from the
+empty word the same way; it ends in standard coordinates, with no
+reduction left to do.  The normal form of g**n is n such multiplications by
+g, nf(a*g) = nf(nf(a)*g) since the ideal is two-sided, so g**n is never
+expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
 a 2-core Xeon VM (median of 3 alternating runs, each in its own process),
-against the levels that held word tuples, split by a scan of every column:
+against the walk of one start word at a time with the level read off the
+sorted pivots in runs (the VM ran slower than for earlier tables here):
 
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.13 s / 44 MB
-  (was 0.21 s / 69 MB); GF(5), degree 10: 0.018 s / 20 MB (was 0.028 s /
-  23 MB)
-- d=3 cubic pair, GF(2), degree 12: 0.10 s / 34 MB (was 0.14 s / 45 MB)
-- d=2 binary cubic, GF(2), degree 20: 0.066 s / 28 MB (was 0.10 s / 41 MB)
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.21 s / 40 MB
+  (was 0.32 s / 45 MB); GF(5), degree 10: 0.028 s / 20 MB (was 0.040 s /
+  21 MB)
+- d=3 cubic pair, GF(2), degree 12: 0.18 s / 32 MB (was 0.27 s / 34 MB)
+- d=2 binary cubic, GF(2), degree 20: 0.11 s / 27 MB (was 0.17 s / 29 MB)
 - the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), degree
-  10: GF(5) 0.052 s (was 0.056 s), GF(2) 0.041 s (was 0.044 s)
+  10, whose time is in _step on multi-term states: new/old CPU ratio 0.96
+  to 0.98 over GF(5) and GF(2) (median of 11 alternating builds in one
+  process; runs in separate processes were too noisy to resolve it)
 
 Generators whose fully reduced rows fill in cost more than in the deleted
 packed-int GF(2) engine, a dict entry costing far more than a bit: of three
@@ -65,7 +76,9 @@ Over GF(5) the same draws to degree 10 took 0.12-0.23 s against 0.85-1.00 s.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Dict, List, Optional, Sequence
 
 from .errors import (
@@ -83,6 +96,10 @@ from .freealg import Polynomial, Word, words_of_degree
 from .linalg import SparseEchelon, mod_p
 
 DEFAULT_COLUMN_CAP = 2**20
+# start words walked together per trie node.  Peak RSS of the d=3 quadric
+# over GF(2) to degree 12: 39.8 MB in blocks of 1,024 (or of 1), 43.6 MB
+# for a whole degree at once, whose rows all wait for elimination together
+WALK_BLOCK = 1024
 
 
 # -- generator validation ------------------------------------------------------
@@ -166,9 +183,14 @@ def _term_tries(polys):
 def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
     """out += coef * state * x_t, through image (candidate columns if None)."""
     get = out.get
+    off = t - 1
+    if image is None:
+        for i, a in state.items():
+            c = i * d + off
+            out[c] = get(c, 0) + coef * a
+        return
     for i, a in state.items():
-        c = i * d + t - 1
-        img = c if image is None else image[c]
+        img = image[i * d + off]
         if img.__class__ is int:
             out[img] = get(img, 0) + coef * a
         else:
@@ -177,39 +199,88 @@ def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
                 out[j] = get(j, 0) + a * v
 
 
-def _walk(levels, d, p, trie, state, level: int, top: int, accs) -> None:
-    """accs[i] += state * f_i at degree top, for the polynomials f_i in trie.
+def _walk(levels, d, p, trie, state, level: int, top: int, out: dict) -> None:
+    """out += state * f at degree top, f the polynomial whose terms are in trie.
 
-    state is a vector at `level` in standard coordinates, or a standard index
-    s for {s: 1}.  Each node's step, taken once for all polynomials below it,
-    maps the state through the next level's image table; the last step of a
-    degree still being built (top == len(levels)) writes candidate columns.
-    A unit state's step is its image entry, already reduced, or at the
-    degree being built the candidate column s*d + t-1 itself.
+    The normal-form walk: one state, a vector at `level` in standard
+    coordinates or a standard index s for {s: 1}, with top at most the
+    table's maxdeg.  Each node's step maps the state through the next
+    level's image table; a unit state's step is its image entry, already
+    reduced.  It is kept apart from _walk_block, which steps a list of
+    states per trie node, so that a normal form, one state, builds no
+    one-element list at every node.
     """
-    image = levels[level + 1].image if level + 1 < len(levels) else None
+    image = levels[level + 1].image
     unit = state.__class__ is int
     if level + 1 == top:
-        if unit and image is None:  # x_t writes candidate column s*d + t-1
-            for t, leaf in trie.items():
-                col = state * d + t - 1
-                for i, c in leaf:
-                    accs[i][col] = accs[i].get(col, 0) + c
-            return
         state = {state: 1} if unit else state
         for t, leaf in trie.items():
-            for i, c in leaf:
-                _step(state, image, d, t, c, accs[i])
+            for _, c in leaf:
+                _step(state, image, d, t, c, out)
         return
     for t, sub in trie.items():
         if unit:
-            out = image[state * d + t - 1]
+            nxt = image[state * d + t - 1]
         else:
-            out = {}
-            _step(state, image, d, t, 1, out)
-            out = mod_p(out, p)
-        if out.__class__ is int or out:
-            _walk(levels, d, p, sub, out, level + 1, top, accs)
+            nxt = {}
+            _step(state, image, d, t, 1, nxt)
+            nxt = mod_p(nxt, p)
+        if nxt.__class__ is int or nxt:
+            _walk(levels, d, p, sub, nxt, level + 1, top, out)
+
+
+def _walk_block(levels, d, p, trie, block: range, level: int, top: int, accs) -> None:
+    """accs[slot*count + i] += (word block[slot]) * f_i at degree top, for the
+    count = len(accs) // len(block) polynomials f_i in trie.
+
+    block is a range of standard start words at `level`, and top is the
+    degree being built, at least two above (generators have degree >= 2).
+    The first step is one slice of the next level's image table, the image
+    of every start word times x_t at once; words that fall in the ideal
+    (empty dicts) drop out there.
+    """
+    image = levels[level + 1].image
+    count = len(accs) // len(block)
+    first = block.start * d - 1
+    for t, sub in trie.items():
+        states = image[first + t : block.stop * d : d]
+        pairs = [(slot, s) for slot, s in enumerate(states) if s.__class__ is int or s]
+        if pairs:
+            _walk_pairs(levels, d, p, sub, pairs, level + 1, top, accs, count)
+
+
+def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: int) -> None:
+    """The walk below a trie node for a list of (slot, state) pairs at
+    `level`: each node steps the whole list in one loop.  The top step
+    writes candidate columns, a unit state s the column s*d + t-1 itself."""
+    if level + 1 == top:
+        for t, leaf in trie.items():
+            off = t - 1
+            for i, c in leaf:
+                for slot, state in pairs:
+                    acc = accs[slot * count + i]
+                    if state.__class__ is int:
+                        col = state * d + off
+                        acc[col] = acc.get(col, 0) + c
+                    else:
+                        _step(state, None, d, t, c, acc)
+        return
+    image = levels[level + 1].image
+    for t, sub in trie.items():
+        off = t - 1
+        nxt = []
+        keep = nxt.append
+        for slot, state in pairs:
+            if state.__class__ is int:
+                out = image[state * d + off]
+            else:
+                out = {}
+                _step(state, image, d, t, 1, out)
+                out = mod_p(out, p)
+            if out.__class__ is int or out:
+                keep((slot, out))
+        if nxt:
+            _walk_pairs(levels, d, p, sub, nxt, level + 1, top, accs, count)
 
 
 # -- the table -----------------------------------------------------------------
@@ -303,7 +374,7 @@ class GradedIdealTable:
                     for j, a in ({state: 1} if state.__class__ is int else state).items():
                         acc[j] = acc.get(j, 0) + c0 * a
                 for k, (trie, _) in tries.items():
-                    _walk(levels, d, p, trie, state, m, m + k, [out.setdefault(m + k, {})])
+                    _walk(levels, d, p, trie, state, m, m + k, out.setdefault(m + k, {}))
             v = {m: vec for m, acc in sorted(out.items()) if (vec := mod_p(acc, p))}
         terms = {}
         for m, vec in v.items():
@@ -366,20 +437,21 @@ def build_table(
         for k, (trie, count) in tries.items():
             if k > n:
                 break
-            for s in range(len(levels[n - k].cols)):
-                accs = [{} for _ in range(count)]
-                _walk(levels, d, p, trie, s, n - k, n, accs)
+            starts = len(levels[n - k].cols)
+            for lo in range(0, starts, WALK_BLOCK):
+                block = range(lo, min(lo + WALK_BLOCK, starts))
+                accs = [{} for _ in range(len(block) * count)]
+                _walk_block(levels, d, p, trie, block, n - k, n, accs)
                 for acc in accs:
                     ech.insert(acc)
         ech.back_substitute()
-        # standard columns run between consecutive pivots
-        cols, image, lo = [], [], 0
-        for c in sorted(ech.rows) + [width]:
-            image.extend(range(len(cols), len(cols) + c - lo))
-            image.append(None)
-            cols.extend(range(lo, c))
-            lo = c + 1
-        image.pop()
+        # standard columns are the unmasked ones, numbered by a running sum
+        mask = bytearray(b"\x01") * width
+        for c in ech.rows:
+            mask[c] = 0
+        cols = array("q", compress(range(width), mask))
+        image = list(accumulate(mask, initial=-1))
+        del image[0]
         # a pivot word is minus the rest of its reduced row (nonzero entries)
         for c, row in ech.rows.items():
             image[c] = {image[k]: neg - v for k, v in row.items() if k != c}

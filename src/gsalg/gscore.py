@@ -524,7 +524,10 @@ def build_blueprint(
     for k in range(1, num_blocks + 1):
         if toy:
             c, n = toy_c, toy_n
-            q = window_size(d, c)
+            # the window's cap check reads sizes first, so a huge c is
+            # refused before q is built
+            window = monomial_window(d, c, cap=enum_cap)
+            q = window.q
         else:
             c = c_prime_prev + 1
             # size wall: for n <= N, C(n+q-1, n) >= (q/n)**n >= (q/N)**n while
@@ -553,7 +556,8 @@ def build_blueprint(
         generators = None
         degree_counts: Optional[Dict[int, int]] = None
         if mode == "dense":
-            window = monomial_window(d, c, cap=enum_cap)
+            if not toy:
+                window = monomial_window(d, c, cap=enum_cap)
             pairs = window_generators(window, n, field, cap=enum_cap)
             generators = tuple(p for _, p in pairs)
             counts = Counter(generator_degree(j, window) for j, _ in pairs)

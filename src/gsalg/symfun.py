@@ -60,8 +60,11 @@ def window_size(d: int, c: int) -> int:
 
 
 def monomial_window(d: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> MonomialWindow:
-    q = window_size(d, c)
-    if q > cap:
+    require_int(d, "window rank d", 1)
+    require_int(c, "window cap c", 1)
+    # q >= d**c >= 2**(c*(bit_length(d)-1)): a huge c is refused before
+    # window_size builds d**(c+1)
+    if c * (d.bit_length() - 1) >= cap.bit_length() or window_size(d, c) > cap:
         raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, cap))
     words = []
     for n in range(1, c + 1):

@@ -68,7 +68,7 @@ def stirling_ln_gamma_bounds(z: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
 
 
 def log2_comb_bounds(N: int, K: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
-    """Two-sided bounds on log2 C(N, K), 1 <= K <= N - 1."""
+    """Two-sided bounds on log2 C(N, K), 1 <= K <= N - 1, from Stirling."""
     with localcontext() as ctx:
         ctx.prec = prec
         ln2 = _ln(Decimal(2), prec)
@@ -92,16 +92,42 @@ def log2_envelope_bounds(
         return (val - slack) / ln2, (val + slack) / ln2
 
 
+# up to this min(K, N - K) the binomial is taken exactly: the Stirling
+# remainder bound is 1/(360 z**3) wide at z = K + 1 (1.3e-5 at K = 5), too
+# wide to settle a near-tie, while C(N, K) costs about K*log2(N) bits
+EXACT_COMB_K = 64
+
+
+def exact_log2_comb_bounds(N: int, K: int, prec: int = 60) -> Tuple[Decimal, Decimal]:
+    """Two-sided bounds on log2 C(N, K) from the exact integer C: with its
+    top 4*prec bits t = C >> s, t * 2**s <= C < (t + 1) * 2**s (C itself
+    when s = 0)."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ln2 = _ln(Decimal(2), prec)
+        c = comb(N, K)
+        s = max(c.bit_length() - 4 * prec, 0)
+        t = c >> s
+        lo = Decimal(t).ln() / ln2 + s
+        hi = Decimal(t + (s > 0)).ln() / ln2 + s
+        slack = (hi + 1) * Decimal(10) ** (6 - prec)
+        return lo - slack, hi + slack
+
+
 def certified_predicate(
     q: int, n: int, eps: Fraction, u: Fraction, prec: int = 60
 ) -> bool:
     """Certified C(n+q-1, q-1) < eps**2 * u**(n-2) via the Decimal bounds.
 
-    Escalates precision; raises if the bounds still overlap at prec 400
-    (which would mean a near-tie this oracle cannot settle).
+    The count's bounds are exact ones when min(K, N - K) <= EXACT_COMB_K,
+    Stirling ones otherwise.  Escalates precision; raises if the bounds
+    still overlap at prec 400 (which would mean a near-tie this oracle
+    cannot settle).
     """
+    N, K = n + q - 1, min(n, q - 1)
+    count_bounds = exact_log2_comb_bounds if min(K, N - K) <= EXACT_COMB_K else log2_comb_bounds
     while prec <= 400:
-        count_lo, count_hi = log2_comb_bounds(n + q - 1, min(n, q - 1), prec)
+        count_lo, count_hi = count_bounds(N, K, prec)
         env_lo, env_hi = log2_envelope_bounds(eps, u, n, prec)
         if count_hi < env_lo:
             return True
@@ -118,10 +144,20 @@ def exact_predicate(q: int, n: int, eps: Fraction, u: Fraction) -> bool:
 def brute_minimal_n(
     q: int, c_prev: int, eps: Fraction, u: Fraction, limit: int = 10_000
 ) -> int:
-    """Literal scan with math.comb and Fraction powers, desk scale only."""
-    for n in range(max(c_prev + 1, 2), limit + 1):
-        if exact_predicate(q, n, eps, u):
+    """Literal scan in exact integers, desk scale only: C(n+q-1, n) < eps**2 *
+    u**(n-2) cleared of denominators, each side updated by one factor per n."""
+    n = max(c_prev + 1, 2)
+    count = comb(n + q - 1, n)
+    lhs = eps.denominator**2 * u.denominator ** (n - 2)
+    rhs = eps.numerator**2 * u.numerator ** (n - 2)
+    while n <= limit:
+        if count * lhs < rhs:
+            assert exact_predicate(q, n, eps, u)
             return n
+        n += 1
+        count = count * (n + q - 1) // n
+        lhs *= u.denominator
+        rhs *= u.numerator
     raise ArithmeticError("no admissible n below %d" % limit)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -552,6 +553,42 @@ def test_jcount_refuses_astronomical(capsys):
     code, out, err = run(capsys, ["jcount", "--q", "797160", "--n", "2713118"])
     assert code == 2
     assert "refusing to materialize" in err
+
+
+def test_jcount_huge_arguments_without_traceback(capsys):
+    # the cost gate reads integer sizes, so a 401-digit argument neither
+    # overflows a float nor gets refused when the count itself is small
+    big = 10**400
+    for q, n in [(big, 3), (3, big)]:
+        code, out, err = run(capsys, ["jcount", "--q", str(q), "--n", str(n)])
+        assert code == 0 and err == ""
+        assert out == "%d\n" % math.comb(n + q - 1, n)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["jcount", "--q", str(big), "--n", str(10**6)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "refusing to materialize" in err and err.count("\n") == 1
+    # under the bit cap but past the interpreter's int-to-text digit limit
+    code, out, err = run(capsys, ["jcount", "--q", "20000", "--n", "20000"])
+    assert code == 2 and out == ""
+    assert err == "error: |J(20000, 20000)| has 39992 bits, too many digits to print\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symfun", "--j", "1,1", "--d", "2", "--c", str(10**11)],
+        ["construct", "--d", "2", "--mode", "dense", "--toy-c", str(10**22),
+         "--toy-n", "2", "--field", "gf5", "--blocks", "1"],
+    ],
+    ids=["symfun", "toy-construct"],
+)
+def test_huge_window_refused_before_it_is_sized(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: window d=2, c=") and err.count("\n") == 1
 
 
 def test_symfun_window_mode(capsys):

@@ -257,6 +257,64 @@ def test_merged_walk_step_count(monkeypatch):
     assert len(calls) == 19936
 
 
+def _level_tables(table):
+    return [(list(level.cols), level.image) for level in table._levels]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_size_does_not_change_the_levels(monkeypatch, block):
+    # the walk steps blocks of start words per trie node; any block size,
+    # down to one start word, gives the same level tables
+    rng = random.Random(77)
+    gf7 = [
+        Polynomial(3, GF(7), {tuple(rng.randint(1, 3) for _ in range(k)): rng.randint(1, 6) for _ in range(3)})
+        for k in (2, 3)
+    ]
+    cases = [
+        ([parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)], 9),
+        (gf7, 8),
+        ([parse_poly("x1*x2 - 2*x2*x1", 2, QQ), parse_poly("3*x1*x1*x2 + x2*x2*x1", 2, QQ)], 8),
+    ]
+    want = [_level_tables(build_table(gens, maxdeg)) for gens, maxdeg in cases]
+    monkeypatch.setattr(graded, "WALK_BLOCK", block)
+    assert [_level_tables(build_table(gens, maxdeg)) for gens, maxdeg in cases] == want
+
+
+@st.composite
+def _mixed_generators(draw):
+    """A field, d and up to three random generators of degree 2 to 4."""
+    field = draw(st.sampled_from([GF2, GF(5), QQ]))
+    d = draw(st.sampled_from([2, 3]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 4 if d == 2 else 3))
+        words = st.lists(st.integers(1, d), min_size=k, max_size=k).map(tuple)
+        terms = draw(st.dictionaries(words, st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+        g = Polynomial(d, field, terms)
+        if not g.is_zero():
+            gens.append(g)
+    return field, d, (6 if d == 2 else 4), gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_mixed_generators())
+def test_blocks_of_two_match_naive_table(case):
+    # blocks of two start words split every level over several blocks
+    field, d, maxdeg, gens = case
+    if not gens:
+        return
+    old = graded.WALK_BLOCK
+    graded.WALK_BLOCK = 2
+    try:
+        table = build_table(gens, maxdeg)
+    finally:
+        graded.WALK_BLOCK = old
+    oracle = naive_dimension_table(gens, maxdeg)
+    assert table.b_sequence() == oracle.b
+    for n in range(maxdeg + 1):
+        assert table.basis(n) == oracle.standard_words[n]
+
+
 def test_words_built_on_demand():
     # a level keeps its standard columns, not its words: a dims run builds
     # no word tuple, and basis, pivot_words and normal_form build the words

@@ -45,6 +45,7 @@ from gsalg.gscore import (
 
 from oracles import (
     brute_minimal_n,
+    certified_predicate,
     log2_comb_bounds,
     log2_envelope_bounds,
     naive_dimension_table,
@@ -282,6 +283,14 @@ def test_minimal_power_matches_brute_oracle():
     for q, c_prev, params in cases:
         want = brute_minimal_n(q, c_prev, params.eps, params.u, limit=2000)
         assert minimal_power(q, c_prev, params) == want
+    # u = 1001/1000 puts the boundary at n = 10672, where the log gap is
+    # inside the Stirling bounds' width at q = 2; the oracle takes this
+    # count exactly and settles both sides
+    params = GSParams(2, Fraction(999, 2000))
+    want = brute_minimal_n(2, 0, params.eps, params.u, limit=20_000)
+    assert minimal_power(2, 0, params) == want == 10672
+    assert certified_predicate(2, want, params.eps, params.u)
+    assert not certified_predicate(2, want - 1, params.eps, params.u)
 
 
 @st.composite
