@@ -10,8 +10,9 @@ slack, violated condition, failed ledger line, unverified membership, a
 blueprint file that differs from the rebuild of its parameters), 2 usage
 or input errors (a blueprint file that differs from its rebuild only in
 the derived floats j_count_log2 and margin_log2_lo is a stale input, not a
-failed check).  Outputs are deterministic: fixed orderings, no
-timestamps, exact rationals printed as num/den.
+failed check), and a standard output closed before all was written.
+Outputs are deterministic: fixed orderings, no timestamps, exact rationals
+printed as num/den.
 """
 
 from __future__ import annotations
@@ -19,16 +20,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
-from .combinat import (
-    DEFAULT_ENUM_CAP,
-    orbit_size,
-    validate_weak_tuple,
-    weak_tuple_count,
-    weak_tuples,
-)
+from .combinat import orbit_size, validate_weak_tuple, weak_tuple_count_within, weak_tuples
 from .errors import (
     BlueprintMismatch,
     DegreeBelowTwo,
@@ -132,8 +128,11 @@ def _load_b_json(path: str) -> List[int]:
     if isinstance(data, list):
         seq = data
     elif isinstance(data, dict) and "rows" in data:
-        rows = sorted(data["rows"], key=lambda rec: rec["n"])
-        seq = [rec["b_n"] for rec in rows]
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(
+                isinstance(r, dict) and isinstance(r.get("n"), int) and "b_n" in r for r in rows):
+            raise InvalidParams("%s: dims report rows need an integer n and a b_n" % (path,))
+        seq = [r["b_n"] for r in sorted(rows, key=lambda r: r["n"])]
     else:
         raise InvalidParams("%s holds neither a list nor a dims report" % (path,))
     if not all(isinstance(x, int) for x in seq):
@@ -188,8 +187,9 @@ def cmd_construct(args) -> int:
         field=field,
         toy_c=args.toy_c,
         toy_n=args.toy_n,
-        enum_cap=args.enum_cap,
     )
+    if args.out:
+        save_blueprint(bp, args.out)
     for block in bp.blocks:
         if block.j_count is not None:
             jtxt = str(block.j_count)
@@ -210,7 +210,6 @@ def cmd_construct(args) -> int:
             for poly in block.generators:
                 print("  %s" % poly_str(poly))
     if args.out:
-        save_blueprint(bp, args.out)
         print("saved: %s" % args.out)
     report = check_blueprint(bp)
     if not report.ok:
@@ -298,35 +297,17 @@ def cmd_bound(args) -> int:
     return 0 if ok else 1
 
 
-_JCOUNT_BIT_CAP = 2_000_000
-
-
 def cmd_jcount(args) -> int:
     q, n = args.q, args.n
-    if q >= 2 and n >= 1:
-        # cost gate on integer sizes: C(N, k) >= 2**(N*H(k/N)) / (N+1)**2,
-        # the size of a binary type class (Cover and Thomas, Elements of
-        # Information Theory, 2nd ed., sec. 11.1), N = n+q-1, k = min(n, q-1),
-        # N*H(k/N) = k*log2(N/k) + (N-k)*log2(N/(N-k)); each log2(N/b) is
-        # taken to 1/64 bit from below as bit_length(N**64 // b**64) - 1
-        N, k = n + q - 1, min(n, q - 1)
-        lg = [(N**64 // b**64).bit_length() - 1 for b in (k, N - k)]
-        bits = ((k * lg[0] + (N - k) * lg[1]) >> 6) - 2 * (N + 1).bit_length()
-        if bits > _JCOUNT_BIT_CAP:
-            raise TooLarge(
-                "|J(%d, %d)| needs over %d bits; refusing to materialize"
-                % (q, n, _JCOUNT_BIT_CAP)
-            )
-    count = weak_tuple_count(q, n)
-    try:
-        text = "%d" % count
-    except ValueError:  # past the interpreter's int-to-text digit limit
-        raise TooLarge(
-            "|J(%d, %d)| has %d bits, too many digits to print" % (q, n, count.bit_length())
-        ) from None
-    print(text)
+    # the interpreter's int-to-text digit limit (0 means none), at most its default
+    digits = sys.int_info.default_max_str_digits
+    digits = min(sys.get_int_max_str_digits() or digits, digits)
+    count = weak_tuple_count_within(q, n, 10**digits - 1)
+    if count is None:
+        raise TooLarge("|J(%d, %d)| has over %d digits; refusing to materialize" % (q, n, digits))
+    print(count)
     if args.list:
-        for tup in weak_tuples(q, n, cap=args.enum_cap):
+        for tup in weak_tuples(q, n):
             print(",".join(map(str, tup)))
     return 0
 
@@ -337,11 +318,11 @@ def cmd_symfun(args) -> int:
         if args.d is None or args.c is None:
             raise InvalidParams("--d and --c go together")
         field = parse_field(args.field)
-        window = monomial_window(args.d, args.c, cap=args.enum_cap)
+        window = monomial_window(args.d, args.c)
         validate_weak_tuple(j, window.q)
         print("q = %d" % window.q)
         print("orbit size = %d" % orbit_size(j))
-        h = window_generator(j, window, field, cap=args.enum_cap)
+        h = window_generator(j, window, field)
         print("h = %s" % poly_str(h))
     else:
         if args.q is None:
@@ -382,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toy-n", type=int, dest="toy_n", help="toy block degree")
     p.add_argument("--field", help="coefficient field for dense mode (default gf2)")
     p.add_argument("--out", help="write the blueprint JSON here")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("nilcheck", help="nil-exponent certificate for a polynomial")
@@ -412,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true", help="also enumerate the tuples")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_jcount)
 
     p = sub.add_parser("symfun", help="orbit size and window generator of an index tuple")
@@ -421,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="number of variables (window mode)")
     p.add_argument("--c", type=int, help="window degree cap (window mode)")
     p.add_argument("--field", default="gf2")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_symfun)
 
     return parser
@@ -434,7 +412,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`gsalg ... | head`): as the signal module docs
+        # advise, point it at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (DimensionBoundViolated, BlueprintMismatch) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

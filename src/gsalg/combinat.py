@@ -4,19 +4,21 @@ A weak tuple is a weakly increasing n-tuple with entries in [1..q]; it is the
 canonical representative of an orbit of the symmetric group permuting tuple
 positions.  Orbit sizes are the multinomials n! / prod(multiplicities!), and
 summing them over all weak tuples partitions the q**n arbitrary tuples.
+ENUM_CAP bounds the tuple lists here and the windows, orbits and expansions
+of symfun; weak_tuple_count_within sizes a count without forming one past it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import InvalidParams, TooLarge, require_int
 
 WeakTuple = Tuple[int, ...]
 
-DEFAULT_ENUM_CAP = 10**7
+ENUM_CAP = 10**7
 
 
 def validate_weak_tuple(j: WeakTuple, q: int) -> None:
@@ -35,11 +37,30 @@ def weak_tuple_count(q: int, n: int) -> int:
     return math.comb(n + q - 1, q - 1)
 
 
-def weak_tuples(q: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[WeakTuple]:
+def weak_tuple_count_within(q: int, n: int, limit: int) -> Optional[int]:
+    """C(n+q-1, q-1) if it is at most limit, else None.
+
+    With k = min(n, q-1) and m = n+q-1-k, it forms C(m+i, i) for i = 1..k.
+    Each step multiplies by (m+i)/i >= 2, since i <= k <= m, so a count past
+    limit is known within bit_length(limit)+1 steps and never formed.
+    """
+    require_int(q, "q", 1)
+    require_int(n, "n", 0)
+    k = min(n, q - 1)
+    m = n + q - 1 - k
+    count, i = 1, 0
+    while count <= limit:
+        if i == k:
+            return count
+        i += 1
+        count = count * (m + i) // i
+    return None
+
+
+def weak_tuples(q: int, n: int) -> list[WeakTuple]:
     """All weak tuples in lexicographic order."""
-    count = weak_tuple_count(q, n)
-    if count > cap:
-        raise TooLarge("J(%d, %d) has more weak tuples than the cap %d" % (q, n, cap))
+    if weak_tuple_count_within(q, n, ENUM_CAP) is None:
+        raise TooLarge("J(%d, %d) has more weak tuples than the cap %d" % (q, n, ENUM_CAP))
     return list(itertools.combinations_with_replacement(range(1, q + 1), n))
 
 

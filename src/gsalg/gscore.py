@@ -34,7 +34,6 @@ from fractions import Fraction
 from math import ceil, comb, nextafter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .combinat import DEFAULT_ENUM_CAP
 from .errors import (
     BlueprintMismatch,
     ConstantTerm,
@@ -481,7 +480,6 @@ def build_blueprint(
     field: Optional[FieldDescriptor] = None,
     toy_c: Optional[int] = None,
     toy_n: Optional[int] = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> GSBlueprint:
     """Run the inductive block construction.
 
@@ -526,7 +524,7 @@ def build_blueprint(
             c, n = toy_c, toy_n
             # the window's cap check reads sizes first, so a huge c is
             # refused before q is built
-            window = monomial_window(d, c, cap=enum_cap)
+            window = monomial_window(d, c)
             q = window.q
         else:
             c = c_prime_prev + 1
@@ -557,8 +555,8 @@ def build_blueprint(
         degree_counts: Optional[Dict[int, int]] = None
         if mode == "dense":
             if not toy:
-                window = monomial_window(d, c, cap=enum_cap)
-            pairs = window_generators(window, n, field, cap=enum_cap)
+                window = monomial_window(d, c)
+            pairs = window_generators(window, n, field)
             generators = tuple(p for _, p in pairs)
             counts = Counter(generator_degree(j, window) for j, _ in pairs)
             degree_counts = dict(sorted(counts.items()))

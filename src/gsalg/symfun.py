@@ -11,6 +11,8 @@ words.  Any g of degree <= c without constant term satisfies
     g**n = sum over j of (prod of g-coefficients along j) * generator(j),
 
 which power_expansion computes and, at toy scale, re-verifies by expanding.
+Windows, orbits and expansions are sized against combinat.ENUM_CAP before
+they are built.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .combinat import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     WeakTuple,
     orbit_iter,
     orbit_size,
     validate_weak_tuple,
-    weak_tuple_count,
+    weak_tuple_count_within,
     weak_tuples,
 )
 from .errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge, require_int
@@ -59,44 +61,43 @@ def window_size(d: int, c: int) -> int:
     return (d ** (c + 1) - d) // (d - 1) if d > 1 else c
 
 
-def monomial_window(d: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> MonomialWindow:
+def monomial_window(d: int, c: int) -> MonomialWindow:
     require_int(d, "window rank d", 1)
     require_int(c, "window cap c", 1)
     # q >= d**c >= 2**(c*(bit_length(d)-1)): a huge c is refused before
     # window_size builds d**(c+1)
-    if c * (d.bit_length() - 1) >= cap.bit_length() or window_size(d, c) > cap:
-        raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, cap))
+    if c * (d.bit_length() - 1) >= ENUM_CAP.bit_length() or window_size(d, c) > ENUM_CAP:
+        raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, ENUM_CAP))
     words = []
     for n in range(1, c + 1):
         words.extend(itertools.product(range(1, d + 1), repeat=n))
     return MonomialWindow(d, c, tuple(words))
 
 
-def order_symmetric(j: WeakTuple, q: int, field: FieldDescriptor,
-                    cap: int = DEFAULT_ENUM_CAP) -> Polynomial:
-    """s_j: the orbit sum of j as a polynomial in q variables."""
+def _orbit(j: WeakTuple, q: int):
+    """The orbit of j, lazily, once j is checked and its size is under the cap."""
     validate_weak_tuple(j, q)
-    if orbit_size(j) > cap:
-        raise TooLarge("orbit of %r has %d terms, over the cap %d"
-                       % (j, orbit_size(j), cap))
+    size = orbit_size(j)
+    if size > ENUM_CAP:
+        raise TooLarge("orbit of %r has %d terms, over the cap %d" % (j, size, ENUM_CAP))
+    return orbit_iter(j)
+
+
+def order_symmetric(j: WeakTuple, q: int, field: FieldDescriptor) -> Polynomial:
+    """s_j: the orbit sum of j as a polynomial in q variables."""
     one = field.one
-    return Polynomial._raw(q, field, {tuple(t): one for t in orbit_iter(j)})
+    return Polynomial._raw(q, field, {tuple(t): one for t in _orbit(j, q)})
 
 
-def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescriptor,
-                     cap: int = DEFAULT_ENUM_CAP) -> Polynomial:
+def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescriptor) -> Polynomial:
     """s_j evaluated at the window words (a polynomial over d variables).
 
     Distinct permutations can produce the same word after substitution, so
     coefficients accumulate; over small fields a generator can vanish.
     """
-    validate_weak_tuple(j, window.q)
-    if orbit_size(j) > cap:
-        raise TooLarge("orbit of %r has %d terms, over the cap %d"
-                       % (j, orbit_size(j), cap))
     f = field
     terms: dict[Word, object] = {}
-    for t in orbit_iter(j):
+    for t in _orbit(j, window.q):
         w: Word = ()
         for i in t:
             w = w + window.words[i - 1]
@@ -114,17 +115,13 @@ def generator_degree(j: WeakTuple, window: MonomialWindow) -> int:
     return sum(len(window.words[i - 1]) for i in j)
 
 
-def window_generators(window: MonomialWindow, n: int, field: FieldDescriptor,
-                      cap: int = DEFAULT_ENUM_CAP) -> list[tuple[WeakTuple, Polynomial]]:
+def window_generators(window: MonomialWindow, n: int,
+                      field: FieldDescriptor) -> list[tuple[WeakTuple, Polynomial]]:
     """(j, generator) for every weak tuple j in [1..q]**n, in lexicographic order."""
-    out = []
-    for j in weak_tuples(window.q, n, cap):
-        out.append((j, window_generator(j, window, field, cap)))
-    return out
+    return [(j, window_generator(j, window, field)) for j in weak_tuples(window.q, n)]
 
 
 def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
-                    cap: int = DEFAULT_ENUM_CAP,
                     verify: bool | None = None) -> dict[WeakTuple, object]:
     """Coefficients lambda_j with g**n = sum lambda_j * generator(j).
 
@@ -146,9 +143,8 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
     support = [i for i, a in alpha.items() if not f.is_zero(a)]
     lam: dict[WeakTuple, object] = {}
     if support:
-        count = weak_tuple_count(len(support), n)
-        if count > cap:
-            raise TooLarge("expansion has %d terms, over the cap %d" % (count, cap))
+        if weak_tuple_count_within(len(support), n, ENUM_CAP) is None:
+            raise TooLarge("expansion has more terms than the cap %d" % ENUM_CAP)
         for pick in itertools.combinations_with_replacement(support, n):
             c = f.one
             for i in pick:
@@ -156,16 +152,13 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
             if not f.is_zero(c):
                 lam[pick] = c
 
-    feasible = (
-        len(g.terms) ** n <= cap
-        and sum(orbit_size(j) for j in lam) <= cap
-    )
+    feasible = len(g.terms) ** n <= ENUM_CAP and sum(map(orbit_size, lam)) <= ENUM_CAP
     if verify is True and not feasible:
-        raise TooLarge("verification by direct expansion exceeds the cap %d" % cap)
+        raise TooLarge("verification by direct expansion exceeds the cap %d" % ENUM_CAP)
     if verify or (verify is None and feasible):
         total = Polynomial.zero(window.d, f)
         for j, c in sorted(lam.items()):
-            total = total + window_generator(j, window, f, cap).scale(c)
+            total = total + window_generator(j, window, f).scale(c)
         if total != g ** n:
             raise AssertionError("power expansion identity failed; this is a bug")
     return lam

@@ -1,15 +1,19 @@
 """Subcommand flows, exit codes, and artifact determinism."""
 
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gsalg
 from gsalg.cli import main
@@ -532,6 +536,22 @@ def test_bound_b_json_from_dims_report(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"rows": [{"n": 0}]}, {"rows": [{"b_n": 1}]}, {"rows": 5},
+     {"rows": [{"n": "1", "b_n": 2}, {"n": 0, "b_n": 1}]}],
+    ids=["no-b_n", "no-n", "rows-not-a-list", "mixed-n"],
+)
+def test_bound_b_json_malformed_report_exits_two(capsys, tmp_path, data):
+    report = tmp_path / "dims.json"
+    report.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, ["bound", "--d", "2", "--eps", "2/5", "--b-json", str(report)]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- jcount and symfun --------------------------------------------------------------
 
 
@@ -568,10 +588,10 @@ def test_jcount_huge_arguments_without_traceback(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "refusing to materialize" in err and err.count("\n") == 1
-    # under the bit cap but past the interpreter's int-to-text digit limit
+    # past the interpreter's int-to-text digit limit
     code, out, err = run(capsys, ["jcount", "--q", "20000", "--n", "20000"])
     assert code == 2 and out == ""
-    assert err == "error: |J(20000, 20000)| has 39992 bits, too many digits to print\n"
+    assert err == "error: |J(20000, 20000)| has over 4300 digits; refusing to materialize\n"
 
 
 @pytest.mark.parametrize(
@@ -589,6 +609,38 @@ def test_huge_window_refused_before_it_is_sized(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: window d=2, c=") and err.count("\n") == 1
+
+
+# small, negative and huge integers; the huge ones start at 10**7, where even
+# J(2, n) has more tuples than the enumeration cap, so no call materializes
+# millions of generators
+_INT = st.one_of(
+    st.integers(-3, 3), st.integers(-10**400, -1), st.integers(10**7, 10**400)
+)
+_INT_ARGV = st.one_of(
+    st.tuples(_INT, _INT).map(lambda qn: ["jcount", "--q=%d" % qn[0], "--n=%d" % qn[1]]),
+    _INT.map(lambda q: ["symfun", "--j", "1,1,2", "--q=%d" % q]),
+    _INT.map(lambda c: ["symfun", "--j", "1,1,2", "--d", "2", "--c=%d" % c]),
+    # toy windows of at most 14 words, or ones refused before they are sized
+    st.tuples(st.one_of(st.integers(-3, 3), st.integers(10**6, 10**400)), _INT).map(
+        lambda cn: ["construct", "--d", "2", "--mode", "dense",
+                    "--toy-c=%d" % cn[0], "--toy-n=%d" % cn[1]]
+    ),
+)
+
+
+@given(_INT_ARGV)
+@example(["construct", "--d", "2", "--mode", "dense", "--toy-c=17", "--toy-n=100000000"])
+@example(["jcount", "--q=900000", "--n=900000"])
+def test_integer_arguments_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
 
 
 def test_symfun_window_mode(capsys):
@@ -737,6 +789,27 @@ def test_failed_write_keeps_the_earlier_file(flag, tmp_path, gens_file, monkeypa
     assert run(capsys, argv)[0] == 0
     assert target.read_bytes() != b"earlier contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_closed_stdout_exits_two_and_keeps_the_saved_file(tmp_path):
+    # the generators run to about 119 kB, past what the pipe and one read
+    # hold, so the child is still writing when the reader goes away
+    cmd = [sys.executable, "-c", "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+           "construct", "--d", "2", "--mode", "dense", "--toy-c", "2", "--toy-n", "5",
+           "--field", "gf2", "--out"]
+    piped, plain = tmp_path / "piped.json", tmp_path / "plain.json"
+    proc = subprocess.Popen(cmd + [str(piped)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_src_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert first.startswith(b"block 1: c=2 q=6 n=5")
+    assert b"Traceback" not in err
+    full = subprocess.run(cmd + [str(plain)], capture_output=True, env=_src_env())
+    assert full.returncode == 0
+    assert piped.read_bytes() == plain.read_bytes()
 
 
 def test_console_script_runs():

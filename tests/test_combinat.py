@@ -13,6 +13,7 @@ from gsalg.combinat import (
     orbit_size,
     validate_weak_tuple,
     weak_tuple_count,
+    weak_tuple_count_within,
     weak_tuples,
 )
 from gsalg.errors import InvalidParams, TooLarge
@@ -26,6 +27,25 @@ def test_count_examples():
         for n in range(0, 7):
             assert weak_tuple_count(q, n) == comb(n + q - 1, q - 1)
             assert weak_tuple_count(q, n) == len(weak_tuples(q, n))
+
+
+def test_count_within_a_limit_matches_comb():
+    for q in [1, 2, 3, 5, 8, 40, 1000]:
+        for n in [0, 1, 2, 3, 7, 39, 40, 41, 500]:
+            count = comb(n + q - 1, q - 1)
+            assert weak_tuple_count_within(q, n, count) == count
+            assert weak_tuple_count_within(q, n, count - 1) is None
+            assert weak_tuple_count_within(q, n, 10**7) == (count if count <= 10**7 else None)
+
+
+def test_count_within_a_limit_stops_early():
+    # C(2 * 10**400, 10**400) has about 6.6 * 10**399 bits; the partial
+    # products pass the limit within bit_length(limit) + 1 steps
+    assert weak_tuple_count_within(10**400 + 1, 10**400, 10**4300) is None
+    with pytest.raises(InvalidParams):
+        weak_tuple_count_within(0, 3, 10)
+    with pytest.raises(InvalidParams):
+        weak_tuple_count_within(3, -1, 10)
 
 
 def test_tuples_are_sorted_and_weakly_increasing():
@@ -81,7 +101,7 @@ def test_partition_identity():
 
 def test_enumeration_caps():
     with pytest.raises(TooLarge):
-        weak_tuples(100, 50, cap=1000)
+        weak_tuples(100, 50)
 
 
 @given(

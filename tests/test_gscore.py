@@ -44,8 +44,10 @@ from gsalg.gscore import (
 )
 
 from oracles import (
+    EXACT_COMB_K,
     brute_minimal_n,
     certified_predicate,
+    exact_log2_comb_bounds,
     log2_comb_bounds,
     log2_envelope_bounds,
     naive_dimension_table,
@@ -339,8 +341,12 @@ def test_certified_sides_match_the_oracle_at_large_q(k):
     if k == 45:
         ns += [_N45 - 1, _N45]
     prec = 2 * k + 100
+    en, ed = P3.eps.numerator, P3.eps.denominator
+    un, ud = P3.u.numerator, P3.u.denominator
     for n in ns:
-        count_lo, count_hi = log2_comb_bounds(n + q - 1, min(n, q - 1), prec)
+        K = min(n, q - 1)
+        count_bounds = exact_log2_comb_bounds if K <= EXACT_COMB_K else log2_comb_bounds
+        count_lo, count_hi = count_bounds(n + q - 1, K, prec)
         env_lo, env_hi = log2_envelope_bounds(P3.eps, P3.u, n, prec)
         with localcontext() as ctx:
             ctx.prec = prec
@@ -349,12 +355,19 @@ def test_certified_sides_match_the_oracle_at_large_q(k):
         sign, _, edge = _certified_sides(q, n, P3)
         edge = Decimal(mp.nstr(edge, prec))
         # the edge may fall short of the oracle's enclosure only on the side
-        # of 0, and only by the slack, relatively far below 1e-25
-        tol = Decimal("1e-25") * abs(gap_lo)
-        if gap_lo > 0:
-            assert sign == 1 and 0 < edge <= gap_hi and edge >= gap_lo - tol
-        else:
-            assert sign == -1 and gap_lo <= edge < 0 and edge <= gap_hi + tol
+        # of 0, and by at most twice the slack of the ladder's first rung:
+        # 1024 * mp.eps at 40 digits times one more than the summed
+        # magnitudes of the log terms, in bits
+        with mp.workdps(40):
+            terms = (mp.loggamma(n + q) + mp.loggamma(n + 1) + mp.loggamma(q)
+                     + 2 * mp.log(en * ed) + (n - 2) * mp.log(un * ud))
+            tol = Decimal(mp.nstr(2 * 1024 * mp.eps * (terms + 1) / mp.log(2), 20))
+        with localcontext() as ctx:
+            ctx.prec = prec
+            if gap_lo > 0:
+                assert sign == 1 and 0 < edge <= gap_hi and edge >= gap_lo - tol
+            else:
+                assert sign == -1 and gap_lo <= edge < 0 and edge <= gap_hi + tol
 
 
 def test_minimal_power_at_q_10_to_45():

@@ -44,7 +44,7 @@ def test_window_enumeration_order():
 
 def test_window_cap():
     with pytest.raises(TooLarge):
-        monomial_window(2, 40, cap=1000)
+        monomial_window(2, 40)
 
 
 def test_order_symmetric_orbit_sum():
