@@ -37,7 +37,6 @@ from .errors import (
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import ParseError, Polynomial, parse_poly, poly_str
 from .graded import (
-    DEFAULT_COLUMN_CAP,
     build_table,
     check_dimension_bounds,
     dimension_report,
@@ -55,6 +54,8 @@ from .gscore import (
     nil_certificate,
     parse_ratio,
     blueprint_table,
+    read_json,
+    read_text,
     save_blueprint,
     verify_growth,
     write_text_atomic,
@@ -67,12 +68,7 @@ from .symfun import monomial_window, window_generator
 def _read_generators(path: str, d: int, field: FieldDescriptor) -> List[Polynomial]:
     """One polynomial per line; '#' starts a comment line; blanks skipped."""
     gens: List[Polynomial] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InvalidParams("cannot read generator file %s: %s" % (path, exc)) from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "generator file").split("\n"), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -111,20 +107,17 @@ def _parse_r(text: str) -> Dict[int, int]:
     return table
 
 
-def _parse_b(text: str) -> List[int]:
+def _parse_ints(text: str, what: str) -> tuple:
+    """'1,1,3' -> (1, 1, 3); what names the argument in the error."""
     try:
-        return [int(part.strip()) for part in text.split(",") if part.strip()]
+        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
     except ValueError:
-        raise InvalidParams("bad b sequence %r (expected comma-separated integers)" % (text,)) from None
+        raise InvalidParams("bad %s %r (expected comma-separated integers)" % (what, text)) from None
 
 
 def _load_b_json(path: str) -> List[int]:
     """Accepts a bare JSON list or a dims JSON report (rows with b_n)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InvalidParams("cannot read b sequence from %s: %s" % (path, exc)) from None
+    data = read_json(path, "b sequence from")
     if isinstance(data, list):
         seq = data
     elif isinstance(data, dict) and "rows" in data:
@@ -140,21 +133,12 @@ def _load_b_json(path: str) -> List[int]:
     return seq
 
 
-def _parse_tuple(text: str) -> tuple:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise InvalidParams("bad index tuple %r (expected comma-separated integers)" % (text,)) from None
-
-
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_dims(args) -> int:
     field = parse_field(args.field)
     gens = _read_generators(args.gens, args.d, field)
-    table = build_table(
-        gens, args.maxdeg, d=args.d, field=field, column_cap=args.column_cap
-    )
+    table = build_table(gens, args.maxdeg, d=args.d, field=field)
     rows = dimension_rows(table)
     buf = io.StringIO()
     write_dimension_csv(rows, buf)
@@ -235,7 +219,7 @@ def cmd_nilcheck(args) -> int:
     if args.verify:
         if bp.mode != "dense":
             raise InvalidParams("--verify needs a dense blueprint (materialized generators)")
-        table = blueprint_table(bp, column_cap=args.column_cap)
+        table = blueprint_table(bp)
     cert = nil_certificate(g, bp, table)
     print("n=%d%s" % (cert.exponent, " verified" if cert.verified else ""))
     if args.verify and not cert.verified:
@@ -262,7 +246,7 @@ def cmd_bound(args) -> int:
     if args.b is not None and args.b_json is not None:
         raise InvalidParams("--b and --b-json are mutually exclusive")
     if args.b is not None:
-        b = _parse_b(args.b)
+        b = list(_parse_ints(args.b, "b sequence"))
     elif args.b_json is not None:
         b = _load_b_json(args.b_json)
     range_max = args.range
@@ -305,15 +289,15 @@ def cmd_jcount(args) -> int:
     count = weak_tuple_count_within(q, n, 10**digits - 1)
     if count is None:
         raise TooLarge("|J(%d, %d)| has over %d digits; refusing to materialize" % (q, n, digits))
+    tuples = weak_tuples(q, n) if args.list else ()  # refused before any output
     print(count)
-    if args.list:
-        for tup in weak_tuples(q, n):
-            print(",".join(map(str, tup)))
+    for tup in tuples:
+        print(",".join(map(str, tup)))
     return 0
 
 
 def cmd_symfun(args) -> int:
-    j = _parse_tuple(args.j)
+    j = _parse_ints(args.j, "index tuple")
     if args.d is not None or args.c is not None:
         if args.d is None or args.c is None:
             raise InvalidParams("--d and --c go together")
@@ -350,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="gf2", help="gf2 | gf<p> | q (default gf2)")
     p.add_argument("--csv", help="also write the CSV table to this path")
     p.add_argument("--json", help="also write the JSON report to this path")
-    p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
-                   help="refuse tables wider than this many columns")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("construct", help="build a block blueprint")
@@ -371,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="coefficient field (defaults to the blueprint's)")
     p.add_argument("--verify", action="store_true",
                    help="verify the membership g**n in the ideal (dense blueprints)")
-    p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP)
     p.set_defaults(func=cmd_nilcheck)
 
     p = sub.add_parser("bound", help="certificate conditions and the growth ledger")

@@ -4,8 +4,9 @@ A weak tuple is a weakly increasing n-tuple with entries in [1..q]; it is the
 canonical representative of an orbit of the symmetric group permuting tuple
 positions.  Orbit sizes are the multinomials n! / prod(multiplicities!), and
 summing them over all weak tuples partitions the q**n arbitrary tuples.
-ENUM_CAP bounds the tuple lists here and the windows, orbits and expansions
-of symfun; weak_tuple_count_within sizes a count without forming one past it.
+ENUM_CAP bounds the entries of the tuple lists here (count times n) and the
+windows, orbits and expansions of symfun; weak_tuple_count_within sizes a
+count without forming one past it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ def weak_tuple_count_within(q: int, n: int, limit: int) -> Optional[int]:
 
 
 def weak_tuples(q: int, n: int) -> list[WeakTuple]:
-    """All weak tuples in lexicographic order."""
-    if weak_tuple_count_within(q, n, ENUM_CAP) is None:
-        raise TooLarge("J(%d, %d) has more weak tuples than the cap %d" % (q, n, ENUM_CAP))
+    """All weak tuples in lexicographic order, at most ENUM_CAP entries in all."""
+    if weak_tuple_count_within(q, n, ENUM_CAP // max(n, 1)) is None:
+        raise TooLarge("J(%d, %d) has more tuple entries than the cap %d" % (q, n, ENUM_CAP))
+    if n == 0:
+        return [()]  # combinations_with_replacement would copy all q entries first
     return list(itertools.combinations_with_replacement(range(1, q + 1), n))
 
 

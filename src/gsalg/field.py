@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over GF(2), GF(p), and the rationals.
 
-A FieldDescriptor carries the coefficient-field choice and implements the
-arithmetic on raw values: python ints in [0, p) for the finite fields,
-fractions.Fraction for the rationals.  Polynomials and the linear-algebra
-engines work on raw values tagged by a shared descriptor.
+A FieldDescriptor is its modulus: a prime p < 2**31 for GF(p), GF(2) being
+simply p = 2, or None for the rationals.  It implements the arithmetic on
+raw values: python ints in [0, p) for the finite fields, fractions.Fraction
+for the rationals.  Polynomials and the linear-algebra engines work on raw
+values tagged by a shared descriptor.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from typing import Union
 from .errors import DivisionByZero, InvalidParams, require_int
 
 Coeff = Union[int, Fraction]
-
-BINARY = "binary"
-PRIME = "prime"
-RATIONAL = "rational"
 
 MAX_PRIME = 2**31
 
@@ -49,24 +46,15 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Coefficient field: kind is one of 'binary', 'prime', 'rational'."""
+    """Coefficient field GF(p) for a prime p < 2**31, or QQ when p is None."""
 
-    kind: str
-    p: int | None = None
+    p: int | None
 
     def __post_init__(self):
-        if self.kind == BINARY:
-            if self.p != 2:
-                raise InvalidParams("binary field must have p = 2")
-        elif self.kind == PRIME:
-            require_int(self.p, "prime field modulus p", 3, MAX_PRIME - 1)
+        if self.p is not None:
+            require_int(self.p, "prime field modulus p", 2, MAX_PRIME - 1)
             if not _is_prime(self.p):
                 raise InvalidParams("%d is not prime" % self.p)
-        elif self.kind == RATIONAL:
-            if self.p is not None:
-                raise InvalidParams("rational field takes no modulus")
-        else:
-            raise InvalidParams("unknown field kind %r" % (self.kind,))
 
     # -- raw-value arithmetic ------------------------------------------------
 
@@ -120,22 +108,11 @@ class FieldDescriptor:
         return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:
-        if self.kind == BINARY:
-            return "gf2"
-        if self.kind == PRIME:
-            return "gf%d" % self.p
-        return "q"
+        return "q" if self.p is None else "gf%d" % self.p
 
 
-GF2 = FieldDescriptor(BINARY, 2)
-QQ = FieldDescriptor(RATIONAL)
-
-
-def GF(p: int) -> FieldDescriptor:
-    """The field with p elements (p prime, p < 2**31)."""
-    if p == 2:
-        return GF2
-    return FieldDescriptor(PRIME, p)
+GF2 = FieldDescriptor(2)
+QQ = FieldDescriptor(None)
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -148,6 +125,6 @@ def parse_field(text: str) -> FieldDescriptor:
             p = int(t[2:])
         except ValueError:
             raise InvalidParams("bad field spec %r" % text) from None
-        return GF(p)
+        return FieldDescriptor(p)
     raise InvalidParams("bad field spec %r (expected gf2, gf<p>, or q)" % text)
 

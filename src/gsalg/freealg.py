@@ -246,7 +246,7 @@ class Polynomial:
         return "Polynomial(%d, %s, %s)" % (self.d, self.field, poly_str(self))
 
 
-def _coeff_pieces(field: FieldDescriptor, c: Coeff) -> tuple[bool, str, bool]:
+def _coeff_pieces(c: Coeff) -> tuple[bool, str, bool]:
     """(negative, magnitude text, is unit magnitude) for one coefficient."""
     if isinstance(c, Fraction):
         neg = c < 0
@@ -262,7 +262,7 @@ def poly_str(p: Polynomial) -> str:
         return "0"
     pieces = []
     for w, c in p.sorted_terms():
-        neg, mag, unit = _coeff_pieces(p.field, c)
+        neg, mag, unit = _coeff_pieces(c)
         if not w:
             txt = mag
         elif unit:

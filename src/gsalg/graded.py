@@ -9,11 +9,12 @@ The build is incremental: I_n = I_{n-1}*T_1 + sum_k B_{n-k}*R_k, so at degree
 n it suffices to row-reduce the products b*f (b a standard word, f a
 generator) inside the quotient space T_n / (I_{n-1}*T_1).  That space has the
 candidate words {b*x_t : b standard at n-1} as a basis, which keeps the
-working width at d*b_{n-1} columns instead of d**n.  Pivot sets of a row
-space are canonical (least-column convention), so the resulting standard
-words are exactly the non-pivot monomials of the textbook full-width
-reduction; the naive oracle in tests/oracles.py recomputes everything at
-full width to cross-check them.
+working width at d*b_{n-1} columns instead of d**n; a degree wider than
+COLUMN_CAP = 2**20 columns is refused (a constant, not a setting).  Pivot
+sets of a row space are canonical (least-column convention), so the
+resulting standard words are exactly the non-pivot monomials of the
+textbook full-width reduction; the naive oracle in tests/oracles.py
+recomputes everything at full width to cross-check them.
 
 One sparse engine serves every field: vectors are dicts {index: coefficient}
 mod p (GF(2) is p = 2), or Fractions over QQ (p None).  Each finished degree
@@ -95,7 +96,7 @@ from .field import FieldDescriptor
 from .freealg import Polynomial, Word, words_of_degree
 from .linalg import SparseEchelon, mod_p
 
-DEFAULT_COLUMN_CAP = 2**20
+COLUMN_CAP = 2**20
 # start words walked together per trie node.  Peak RSS of the d=3 quadric
 # over GF(2) to degree 12: 39.8 MB in blocks of 1,024 (or of 1), 43.6 MB
 # for a whole degree at once, whose rows all wait for elimination together
@@ -401,7 +402,6 @@ def build_table(
     *,
     d: Optional[int] = None,
     field: Optional[FieldDescriptor] = None,
-    column_cap: int = DEFAULT_COLUMN_CAP,
     r_override: Optional[Dict[int, int]] = None,
 ) -> GradedIdealTable:
     """Build the graded table of the ideal generated by the given polynomials.
@@ -410,11 +410,11 @@ def build_table(
     empty list (zero ideal) needs explicit d and field.  r_override replaces
     the derived degree -> count table used for bound reporting, which matters
     when a nominal generator vanishes over the field yet must still be
-    counted.  column_cap bounds each degree's working width d*b_{n-1}.
+    counted.  A degree whose working width d*b_{n-1} exceeds COLUMN_CAP is
+    refused with TooLarge.
     """
     gens, d, field = _check_generators(generators, d, field)
     require_int(maxdeg, "maxdeg", 0)
-    require_int(column_cap, "column cap", 1)
     if r_override is not None:
         validate_r(r_override, "r_override")
         r_counts = dict(r_override)
@@ -428,10 +428,10 @@ def build_table(
     levels = [_Level([0], None)]
     for n in range(1, maxdeg + 1):
         width = len(levels[n - 1].cols) * d
-        if width > column_cap:
+        if width > COLUMN_CAP:
             raise TooLarge(
                 "degree %d needs d*b_%d = %d columns, over the %d-column cap"
-                % (n, n - 1, width, column_cap)
+                % (n, n - 1, width, COLUMN_CAP)
             )
         ech = SparseEchelon(p)
         for k, (trie, count) in tries.items():

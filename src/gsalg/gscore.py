@@ -45,7 +45,7 @@ from .errors import (
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
-from .graded import DEFAULT_COLUMN_CAP, GradedIdealTable, build_table, validate_r
+from .graded import GradedIdealTable, build_table, validate_r
 from .symfun import generator_degree, monomial_window, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
@@ -815,19 +815,38 @@ def write_text_atomic(path: str, text: str) -> None:
         raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
 
 
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file.
+
+    A file that cannot be opened or decoded raises InvalidParams
+    "cannot read <what> <path>: ..."; ValueError covers undecodable bytes.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None
+
+
+def read_json(path: str, what: str):
+    """The JSON value in an input file; failures raise as in read_text.
+
+    ValueError covers JSON syntax, RecursionError nesting deeper than the
+    decoder recurses.
+    """
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None
+
+
 def save_blueprint(bp: GSBlueprint, path: str) -> None:
     write_text_atomic(path, json.dumps(blueprint_to_dict(bp), indent=2) + "\n")
 
 
 def load_blueprint(path: str) -> GSBlueprint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers json.JSONDecodeError and undecodable bytes;
-        # RecursionError a file nested deeper than the decoder recurses
-        raise InvalidParams("cannot read blueprint %s: %s" % (path, exc)) from None
-    return blueprint_from_dict(data)
+    return blueprint_from_dict(read_json(path, "blueprint"))
 
 
 # -- nil certificates ----------------------------------------------------------------
@@ -867,12 +886,7 @@ def nil_certificate(
     return NilCertificate(exponent=block.n, block_index=block.k, verified=verified)
 
 
-def blueprint_table(
-    bp: GSBlueprint,
-    maxdeg: Optional[int] = None,
-    *,
-    column_cap: int = DEFAULT_COLUMN_CAP,
-) -> GradedIdealTable:
+def blueprint_table(bp: GSBlueprint, maxdeg: Optional[int] = None) -> GradedIdealTable:
     """Graded table of a dense blueprint's ideal.
 
     Generators that vanish over the field (orbit-sum collisions) are
@@ -885,11 +899,4 @@ def blueprint_table(
     r_nominal = _summed_counts(bp.blocks)
     if maxdeg is None:
         maxdeg = max(block.c_prime for block in bp.blocks)
-    return build_table(
-        gens,
-        maxdeg,
-        d=bp.d,
-        field=bp.field,
-        column_cap=column_cap,
-        r_override=r_nominal,
-    )
+    return build_table(gens, maxdeg, d=bp.d, field=bp.field, r_override=r_nominal)

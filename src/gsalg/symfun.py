@@ -143,8 +143,8 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
     support = [i for i, a in alpha.items() if not f.is_zero(a)]
     lam: dict[WeakTuple, object] = {}
     if support:
-        if weak_tuple_count_within(len(support), n, ENUM_CAP) is None:
-            raise TooLarge("expansion has more terms than the cap %d" % ENUM_CAP)
+        if weak_tuple_count_within(len(support), n, ENUM_CAP // n) is None:
+            raise TooLarge("expansion has more entries than the cap %d" % ENUM_CAP)
         for pick in itertools.combinations_with_replacement(support, n):
             c = f.one
             for i in pick:

@@ -29,7 +29,7 @@ from gsalg.errors import (
     MixedFields,
     TooLarge,
 )
-from gsalg.field import BINARY, FieldDescriptor
+from gsalg.field import FieldDescriptor
 from gsalg.freealg import Polynomial, Word, word_index, words_of_degree
 from gsalg.graded import _check_generators
 
@@ -237,7 +237,7 @@ class NaiveTable:
         for m, comp in p.homogeneous_components().items():
             if m >= len(self._bases):
                 raise DegreeExceedsTable("degree %d beyond naive table" % m)
-            if self.field.kind == BINARY:
+            if self.field.p == 2:
                 if _naive_reduce_gf2(_pack_gf2(comp, self.d), self._bases[m]):
                     return False
             else:
@@ -254,7 +254,7 @@ class NaiveTable:
             if m >= len(self._bases):
                 raise DegreeExceedsTable("degree %d beyond naive table" % m)
             words = list(words_of_degree(self.d, m))
-            if self.field.kind == BINARY:
+            if self.field.p == 2:
                 row = _naive_reduce_gf2(_pack_gf2(comp, self.d), self._bases[m])
                 coeffs = [(row >> i) & 1 for i in range(len(words))]
             else:
@@ -344,7 +344,7 @@ def naive_dimension_table(
     dims: List[int] = []
     std_words: List[List[Word]] = []
     bases = []
-    binary = field.kind == BINARY
+    binary = field.p == 2
     for n in range(maxdeg + 1):
         basis = _GF2Basis() if binary else []
         for f in gens:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from gsalg.combinat import orbit_size, weak_tuple_count, weak_tuples
-from gsalg.field import GF, GF2
+from gsalg.field import GF2, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly, poly_str, words_of_degree
 from gsalg.graded import (
     build_table,
@@ -48,7 +48,7 @@ from oracles import (
     scan_all_false,
 )
 
-GF5 = GF(5)
+GF5 = FieldDescriptor(5)
 SEED = 20260815
 
 
@@ -209,7 +209,9 @@ def _produce_c7(out: Path) -> dict:
     terms = {w: 1 for w in words_of_degree(2, 13) if rng.random() < 0.5}
     assert terms
     g = Polynomial(2, GF2, terms)
-    table = build_table([g], 16, column_cap=2**16)
+    table = build_table([g], 16)
+    # the build stays within the 2**16-column width it was written for
+    assert all(2 * bn <= 2**16 for bn in table.b_sequence()[:16])
     rows = dimension_rows(table)
     (out / "c7_generator.txt").write_text(poly_str(g) + "\n")
     with open(out / "c7_dims.csv", "w") as fh:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,9 +17,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gsalg
+from gsalg import graded
 from gsalg.cli import main
-from gsalg.field import GF
-from gsalg.gscore import GSParams, build_blueprint, load_blueprint, save_blueprint
+from gsalg.field import FieldDescriptor
+from gsalg.gscore import (
+    GSParams,
+    blueprint_to_dict,
+    build_blueprint,
+    load_blueprint,
+    save_blueprint,
+)
 
 
 def _src_env():
@@ -42,7 +50,7 @@ def gens_file(tmp_path):
 
 @pytest.fixture()
 def toy13_file(tmp_path):
-    bp = build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=GF(5))
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=FieldDescriptor(5))
     path = tmp_path / "toy13.json"
     save_blueprint(bp, str(path))
     return str(path)
@@ -116,17 +124,12 @@ def test_dims_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_dims_column_cap(capsys, tmp_path):
+def test_dims_column_cap(capsys, tmp_path, monkeypatch):
     # a generator above maxdeg leaves b_n = 2**n: degree 11 needs 2048 columns
+    monkeypatch.setattr(graded, "COLUMN_CAP", 2**10)
     path = tmp_path / "x1_13.txt"
     path.write_text("*".join(["x1"] * 13) + "\n")
-    code, out, err = run(
-        capsys,
-        [
-            "dims", "--gens", str(path), "--d", "2", "--maxdeg", "12",
-            "--column-cap", "1024",
-        ],
-    )
+    code, out, err = run(capsys, ["dims", "--gens", str(path), "--d", "2", "--maxdeg", "12"])
     assert code == 2
     assert "2048 columns, over the 1024-column cap" in err
 
@@ -289,7 +292,7 @@ _TAMPER_SOURCES = {
     "d3-eps1/2-1block": lambda: build_blueprint(GSParams(3, Fraction(1, 2))),
     "d3-eps1/2-2blocks": lambda: build_blueprint(GSParams(3, Fraction(1, 2)), 2),
     "toy22-gf2": lambda: build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=2),
-    "toy13-gf5": lambda: build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=GF(5)),
+    "toy13-gf5": lambda: build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=FieldDescriptor(5)),
 }
 
 
@@ -617,8 +620,14 @@ def test_huge_window_refused_before_it_is_sized(capsys, argv):
 _INT = st.one_of(
     st.integers(-3, 3), st.integers(-10**400, -1), st.integers(10**7, 10**400)
 )
+# --list prints every tuple, so its draws stay printable: small values, or
+# huge ones past 10**7 whose J(q, n) holds more entries than the cap
+_LIST_INT = st.one_of(st.integers(-3, 3), st.integers(-10**400, -1), st.integers(10**7 + 1, 10**400))
 _INT_ARGV = st.one_of(
     st.tuples(_INT, _INT).map(lambda qn: ["jcount", "--q=%d" % qn[0], "--n=%d" % qn[1]]),
+    st.tuples(_LIST_INT, _LIST_INT).map(
+        lambda qn: ["jcount", "--q=%d" % qn[0], "--n=%d" % qn[1], "--list"]
+    ),
     _INT.map(lambda q: ["symfun", "--j", "1,1,2", "--q=%d" % q]),
     _INT.map(lambda c: ["symfun", "--j", "1,1,2", "--d", "2", "--c=%d" % c]),
     # toy windows of at most 14 words, or ones refused before they are sized
@@ -629,10 +638,8 @@ _INT_ARGV = st.one_of(
 )
 
 
-@given(_INT_ARGV)
-@example(["construct", "--d", "2", "--mode", "dense", "--toy-c=17", "--toy-n=100000000"])
-@example(["jcount", "--q=900000", "--n=900000"])
-def test_integer_arguments_keep_the_exit_contract(argv):
+def _assert_exit_contract(argv):
+    """main(argv) in process: exit 0, 1 or 2, at most one stderr line, no traceback, in time."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
@@ -641,6 +648,97 @@ def test_integer_arguments_keep_the_exit_contract(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
+
+
+@given(_INT_ARGV)
+@example(["construct", "--d", "2", "--mode", "dense", "--toy-c=17", "--toy-n=100000000"])
+@example(["jcount", "--q=900000", "--n=900000"])
+# one tuple of 2**62 entries: the count alone passes any count cap
+@example(["jcount", "--q=1", "--n=4611686018427387904", "--list"])
+# one empty tuple, over a pool of 2**63 entries
+@example(["jcount", "--q=9223372036854775808", "--n=0", "--list"])
+def test_integer_arguments_keep_the_exit_contract(argv):
+    _assert_exit_contract(argv)
+
+
+def test_tuple_list_over_the_entry_cap_prints_nothing(capsys):
+    code, out, err = run(capsys, ["jcount", "--q", "1", "--n", str(2**62), "--list"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: J(1, %d) has more tuple entries than the cap" % 2**62)
+
+
+# -- malformed input files ---------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# "[" * k, and k nested lists closed again: past the decoder's recursion
+# limit both fail in it, below it the nesting reaches the caller
+_DEEP = st.integers(1, 300_000).flatmap(
+    lambda k: st.sampled_from(["[" * k, "[" * k + "]" * k])
+)
+_BLUEPRINTS = [
+    blueprint_to_dict(build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3,
+                                      field=FieldDescriptor(5))),
+    blueprint_to_dict(build_blueprint(GSParams(3, Fraction(1, 2)), 1, "symbolic", d=3)),
+]
+
+
+@st.composite
+def _blueprint_data(draw):
+    """A saved blueprint with one key, top-level or in its first block, redrawn or dropped."""
+    data = copy.deepcopy(draw(st.sampled_from(_BLUEPRINTS)))
+    rec = draw(st.sampled_from([data, data["blocks"][0]]))
+    key = draw(st.sampled_from(sorted(rec)))
+    if draw(st.booleans()):
+        rec[key] = draw(_JSON)
+    else:
+        del rec[key]
+    return data
+
+
+def _json_bytes(values):
+    return values.map(lambda v: json.dumps(v).encode())
+
+
+_INPUT_FILES = st.one_of(
+    # generator files: any bytes (invalid UTF-8 among them), or near-grammar text
+    st.tuples(st.just("gens"), st.binary(max_size=48)),
+    st.tuples(st.just("gens"), st.text("x12*+- #\n", max_size=24).map(str.encode)),
+    st.tuples(
+        st.sampled_from(["b-json", "blueprint"]),
+        st.one_of(
+            st.binary(max_size=48),
+            _DEEP.map(str.encode),
+            _json_bytes(_JSON),
+            # dims reports with drawn rows
+            _json_bytes(st.fixed_dictionaries({"rows": st.lists(
+                st.fixed_dictionaries({"n": _JSON, "b_n": _JSON}), max_size=3)})),
+            _json_bytes(_blueprint_data()),
+        ),
+    ),
+)
+_INPUT_ARGV = {
+    "gens": ["dims", "--d", "2", "--maxdeg", "3", "--gens"],
+    "b-json": ["bound", "--d", "3", "--eps", "1/2", "--b-json"],
+    "blueprint": ["nilcheck", "--g", "x1", "--blueprint"],
+}
+
+
+@given(_INPUT_FILES)
+@example(("gens", b"x1*x2\n\xff\n"))
+@example(("b-json", b"[" * 200_000))
+@example(("blueprint", b"[" * 200_000))
+def test_malformed_input_files_keep_the_exit_contract(case):
+    kind, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        _assert_exit_contract(_INPUT_ARGV[kind] + [path])
 
 
 def test_symfun_window_mode(capsys):
@@ -674,16 +772,10 @@ def test_symfun_flag_pairing(capsys):
 # -- parser-level behavior -------------------------------------------------------------
 
 
-def test_usage_errors_exit_two(capsys, gens_file):
+def test_usage_errors_exit_two():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["dims"]) == 2  # missing required flags
-    capsys.readouterr()
-    code, out, err = run(
-        capsys, ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "0", "--column-cap", "0"]
-    )
-    assert code == 2 and out == ""
-    assert err.splitlines() == ["error: column cap must be a positive integer, got 0"]
 
 
 _BLOCK = {"k": 1, "c": 1, "c_prime": 3, "q": 2, "n": 3, "min_degree": 3, "max_degree": 3}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsalg import combinat
 from gsalg.combinat import (
     multiplicities,
     orbit_iter,
@@ -102,6 +103,18 @@ def test_partition_identity():
 def test_enumeration_caps():
     with pytest.raises(TooLarge):
         weak_tuples(100, 50)
+
+
+def test_tuple_lists_cap_their_entries(monkeypatch):
+    # the cap counts entries, count times n: with q = 1 one tuple holds all n
+    monkeypatch.setattr(combinat, "ENUM_CAP", 100)
+    assert weak_tuples(1, 100) == [(1,) * 100]
+    assert len(weak_tuples(3, 4)) == 15  # 60 entries
+    for q, n in ((1, 101), (3, 5), (2, 10**30)):
+        with pytest.raises(TooLarge, match="more tuple entries than the cap 100"):
+            weak_tuples(q, n)
+    # the empty tuple needs no pool of q entries
+    assert weak_tuples(10**30, 0) == [()]
 
 
 @given(

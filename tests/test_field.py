@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gsalg.errors import DivisionByZero, InvalidParams, MixedFields
 from gsalg.field import (
-    GF,
     GF2,
     QQ,
     FieldDescriptor,
@@ -23,7 +22,7 @@ def test_characteristic_two():
 
 
 def test_gf5_product():
-    f = GF(5)
+    f = FieldDescriptor(5)
     assert f.mul(f.from_int(2), f.from_int(3)) == 1
 
 
@@ -32,13 +31,13 @@ def test_rational_sum_exact():
 
 
 def test_from_integer_examples():
-    assert GF(5).from_int(7) == 2
+    assert FieldDescriptor(5).from_int(7) == 2
     assert QQ.from_int(0) == Fraction(0)
     assert GF2.from_int(-1) == 1
 
 
 def test_from_integer_is_homomorphism():
-    for f in (GF2, GF(5), GF(101), QQ):
+    for f in (GF2, FieldDescriptor(5), FieldDescriptor(101), QQ):
         for a in range(-6, 7):
             for b in range(-6, 7):
                 assert f.from_int(a + b) == f.add(f.from_int(a), f.from_int(b))
@@ -50,7 +49,7 @@ def test_mixed_fields_rejected():
     # descriptors meet, as in substitution
     with pytest.raises(MixedFields):
         parse_poly("x1*x2", 2, GF2).substitute(
-            [parse_poly("x1", 2, GF(5)), parse_poly("x2", 2, GF(5))]
+            [parse_poly("x1", 2, FieldDescriptor(5)), parse_poly("x2", 2, FieldDescriptor(5))]
         )
     with pytest.raises(MixedFields):
         parse_poly("x1", 2, QQ).substitute(
@@ -59,7 +58,7 @@ def test_mixed_fields_rejected():
 
 
 def test_division_by_zero():
-    f = GF(5)
+    f = FieldDescriptor(5)
     with pytest.raises(DivisionByZero):
         f.div(f.from_int(1), f.from_int(0))
     with pytest.raises(DivisionByZero):
@@ -67,22 +66,18 @@ def test_division_by_zero():
 
 
 def test_descriptor_validation():
-    with pytest.raises(InvalidParams):
-        FieldDescriptor("prime", 4)
-    with pytest.raises(InvalidParams):
-        FieldDescriptor("prime", 2**31 + 11)  # beyond the modulus cap
-    with pytest.raises(InvalidParams):
-        FieldDescriptor("binary", 3)
-    with pytest.raises(InvalidParams):
-        FieldDescriptor("rational", 5)
-    with pytest.raises(InvalidParams):
-        FieldDescriptor("septenary", 7)
+    # a descriptor is its modulus: a prime below 2**31, or None for QQ
+    for bad in (1, 4, 2**31 + 11, True):
+        with pytest.raises(InvalidParams):
+            FieldDescriptor(bad)
+    assert FieldDescriptor(2) == GF2
+    assert FieldDescriptor(None) == QQ
 
 
 def test_parse_field():
     assert parse_field("gf2") == GF2
-    assert parse_field("GF5") == GF(5)
-    assert parse_field("gf7919") == GF(7919)
+    assert parse_field("GF5") == FieldDescriptor(5)
+    assert parse_field("gf7919") == FieldDescriptor(7919)
     assert parse_field("q") == QQ
     assert parse_field("QQ") == QQ
     assert parse_field("rational") == QQ
@@ -92,7 +87,7 @@ def test_parse_field():
 
 
 def test_str_round_trips():
-    for f in (GF2, GF(5), GF(7919), QQ):
+    for f in (GF2, FieldDescriptor(5), FieldDescriptor(7919), QQ):
         assert parse_field(str(f)) == f
 
 
@@ -106,14 +101,14 @@ def test_prime_detection_matches_sieve():
                 sieve[k] = False
     for p in range(3, limit + 1):
         if sieve[p]:
-            assert GF(p).p == p
+            assert FieldDescriptor(p).p == p
         else:
             with pytest.raises(InvalidParams):
-                GF(p)
+                FieldDescriptor(p)
 
 
 def test_coerce_fraction_over_prime_field():
-    f = GF(5)
+    f = FieldDescriptor(5)
     assert f.coerce(Fraction(2, 3)) == 4  # 2 * 3^-1 = 2 * 2
     assert f.coerce(7) == 2
     with pytest.raises(InvalidParams):
@@ -122,7 +117,7 @@ def test_coerce_fraction_over_prime_field():
         f.coerce(True)
 
 
-_fields = st.sampled_from([GF2, GF(5), GF(97), QQ])
+_fields = st.sampled_from([GF2, FieldDescriptor(5), FieldDescriptor(97), QQ])
 
 
 @st.composite

@@ -20,7 +20,7 @@ from gsalg.errors import (
     InvalidParams,
     TooLarge,
 )
-from gsalg.field import GF, GF2, QQ
+from gsalg.field import GF2, QQ, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly
 from gsalg.graded import build_table
 from gsalg.gscore import (
@@ -69,7 +69,7 @@ def bp3():
 
 @pytest.fixture(scope="module")
 def toy13():
-    return build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=GF(5))
+    return build_blueprint(None, mode="dense", d=2, toy_c=1, toy_n=3, field=FieldDescriptor(5))
 
 
 @pytest.fixture(scope="module")
@@ -559,7 +559,7 @@ def test_blueprint_table_requires_dense(bp3):
 
 def test_nil_certificate_toy13_verified(toy13):
     table = blueprint_table(toy13)
-    g = parse_poly("x1 + x2", 2, GF(5))
+    g = parse_poly("x1 + x2", 2, FieldDescriptor(5))
     cert = nil_certificate(g, toy13, table)
     assert (cert.exponent, cert.block_index, cert.verified) == (3, 1, True)
     bare = nil_certificate(g, toy13)
@@ -577,14 +577,14 @@ def test_nil_certificate_toy22_mixed_degree(toy22):
 
 def test_nil_certificate_errors(toy13):
     with pytest.raises(ConstantTerm):
-        nil_certificate(parse_poly("1 + x1", 2, GF(5)), toy13)
+        nil_certificate(parse_poly("1 + x1", 2, FieldDescriptor(5)), toy13)
     with pytest.raises(DegreeNotCovered):
-        nil_certificate(parse_poly("x1*x2*x1", 2, GF(5)), toy13)
+        nil_certificate(parse_poly("x1*x2*x1", 2, FieldDescriptor(5)), toy13)
 
 
 @pytest.fixture(scope="module")
 def toy25():
-    return build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=GF(5))
+    return build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
 
 
 def _random_poly(rng, d, field, top, constant):
@@ -637,7 +637,7 @@ def test_nil_certificate_degree_beyond_table(toy13, toy22):
     # g**n would reach past the table: refused up front, as when g**n was
     # expanded and reduced
     with pytest.raises(DegreeExceedsTable):
-        nil_certificate(parse_poly("x1 + x2", 2, GF(5)), toy13, blueprint_table(toy13, 2))
+        nil_certificate(parse_poly("x1 + x2", 2, FieldDescriptor(5)), toy13, blueprint_table(toy13, 2))
     with pytest.raises(DegreeExceedsTable):
         nil_certificate(parse_poly("x1 + x2*x1", 2, GF2), toy22, blueprint_table(toy22, 3))
 

@@ -1,8 +1,11 @@
 """The package's public surface."""
 
+import argparse
+
 import pytest
 
 import gsalg
+from gsalg import cli
 from gsalg.combinat import validate_weak_tuple, weak_tuple_count, weak_tuples
 from gsalg.errors import InvalidParams
 from gsalg.field import GF2
@@ -47,3 +50,24 @@ _X1 = parse_poly("x1", 2, GF2)
 def test_a_bool_is_not_an_integer_argument(call):
     with pytest.raises(InvalidParams):
         call()
+
+
+def test_cli_option_set_is_pinned():
+    # every subcommand's options, exactly: a new option has to be added here on purpose
+    expected = {
+        "dims": ["--csv", "--d", "--field", "--gens", "--json", "--maxdeg"],
+        "construct": ["--blocks", "--d", "--eps", "--field", "--mode", "--out", "--toy-c", "--toy-n"],
+        "nilcheck": ["--blueprint", "--field", "--g", "--verify"],
+        "bound": ["--b", "--b-json", "--c", "--d", "--eps", "--r", "--r-from", "--range", "--u", "--v"],
+        "jcount": ["--list", "--n", "--q"],
+        "symfun": ["--c", "--d", "--field", "--j", "--q"],
+    }
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings
+                     if opt not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert got == expected
+    assert sum(map(len, got.values())) == 36

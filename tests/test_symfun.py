@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsalg import symfun
 from gsalg.combinat import weak_tuple_count, weak_tuples
 from gsalg.errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge
-from gsalg.field import GF, GF2, QQ
+from gsalg.field import GF2, QQ, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly, poly_str
 from gsalg.symfun import (
     generator_degree,
@@ -47,6 +48,15 @@ def test_window_cap():
         monomial_window(2, 40)
 
 
+def test_power_expansion_caps_its_entries(monkeypatch):
+    # x1 + x2 has n + 1 weak tuples of n entries each in its expansion
+    monkeypatch.setattr(symfun, "ENUM_CAP", 100)
+    g, w = parse_poly("x1 + x2", 2, GF2), monomial_window(2, 1)
+    assert len(power_expansion(g, 9, w)) == 10  # 90 entries
+    with pytest.raises(TooLarge, match="expansion has more entries than the cap 100"):
+        power_expansion(g, 10, w)
+
+
 def test_order_symmetric_orbit_sum():
     s = order_symmetric((1, 2), 2, GF2)
     assert s == parse_poly("x1*x2 + x2*x1", 2, GF2)
@@ -62,8 +72,8 @@ def test_window_generator_collision():
     w = monomial_window(2, 2)
     over_q = window_generator((1, 3), w, QQ)
     assert over_q == parse_poly("2*x1*x1*x1", 2, QQ)
-    over5 = window_generator((1, 3), w, GF(5))
-    assert over5 == parse_poly("2*x1*x1*x1", 2, GF(5))
+    over5 = window_generator((1, 3), w, FieldDescriptor(5))
+    assert over5 == parse_poly("2*x1*x1*x1", 2, FieldDescriptor(5))
     over2 = window_generator((1, 3), w, GF2)
     assert over2.is_zero()
     # nominal degree is reported even where the sum vanishes
@@ -80,7 +90,7 @@ def test_generator_degree_range():
 
 def test_window_generators_count_and_order():
     w = monomial_window(2, 1)
-    pairs = window_generators(w, 3, GF(5))
+    pairs = window_generators(w, 3, FieldDescriptor(5))
     assert [j for j, _ in pairs] == weak_tuples(2, 3)
     assert len(pairs) == weak_tuple_count(2, 3) == 4
     rendered = [poly_str(p) for _, p in pairs]
@@ -93,7 +103,7 @@ def test_window_generators_count_and_order():
 
 
 def test_power_expansion_frozen_lambdas():
-    f = GF(5)
+    f = FieldDescriptor(5)
     w = monomial_window(2, 1)
     g = parse_poly("2*x1 + 3*x2", 2, f)
     lam = power_expansion(g, 2, w)
@@ -101,7 +111,7 @@ def test_power_expansion_frozen_lambdas():
 
 
 def test_power_expansion_identity_across_fields():
-    for field in (GF2, GF(5), QQ):
+    for field in (GF2, FieldDescriptor(5), QQ):
         w = monomial_window(2, 2)
         g = parse_poly("x1 + x2 + x1*x2", 2, field)
         for n in (1, 2, 3):
@@ -110,7 +120,7 @@ def test_power_expansion_identity_across_fields():
 
 
 def test_power_expansion_reconstructs_power():
-    f = GF(5)
+    f = FieldDescriptor(5)
     w = monomial_window(2, 2)
     g = parse_poly("x1 + 2*x2 + 3*x1*x1 + x2*x1", 2, f)
     lam = power_expansion(g, 3, w, verify=False)
@@ -140,7 +150,7 @@ def test_power_expansion_zero_polynomial():
 
 @st.composite
 def _window_poly(draw):
-    field = draw(st.sampled_from([GF2, GF(5), QQ]))
+    field = draw(st.sampled_from([GF2, FieldDescriptor(5), QQ]))
     w = monomial_window(2, draw(st.integers(min_value=1, max_value=2)))
     g = Polynomial.zero(2, field)
     for word in w.words:
