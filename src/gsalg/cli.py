@@ -123,9 +123,12 @@ def _load_b_json(path: str) -> List[int]:
     elif isinstance(data, dict) and "rows" in data:
         rows = data["rows"]
         if not isinstance(rows, list) or not all(
-                isinstance(r, dict) and isinstance(r.get("n"), int) and "b_n" in r for r in rows):
+                isinstance(r, dict) and type(r.get("n")) is int and "b_n" in r for r in rows):
             raise InvalidParams("%s: dims report rows need an integer n and a b_n" % (path,))
-        seq = [r["b_n"] for r in sorted(rows, key=lambda r: r["n"])]
+        by_n = {r["n"]: r["b_n"] for r in rows}
+        if sorted(by_n) != list(range(len(rows))):
+            raise InvalidParams("%s: dims report rows need n = 0, 1, 2, ..., each once" % (path,))
+        seq = [by_n[n] for n in range(len(rows))]
     else:
         raise InvalidParams("%s holds neither a list nor a dims report" % (path,))
     if not all(isinstance(x, int) for x in seq):

@@ -67,15 +67,6 @@ def weak_tuples(q: int, n: int) -> list[WeakTuple]:
     return list(itertools.combinations_with_replacement(range(1, q + 1), n))
 
 
-def multiplicities(j: WeakTuple, q: int) -> Tuple[int, ...]:
-    """How many times each of 1..q occurs in j."""
-    validate_weak_tuple(j, q)
-    out = [0] * q
-    for a in j:
-        out[a - 1] += 1
-    return tuple(out)
-
-
 def orbit_size(j: WeakTuple) -> int:
     """Number of distinct position-permutations of j: n! / prod(mult!)."""
     counts: dict[int, int] = {}

@@ -17,10 +17,6 @@ class AmbientMismatch(GsalgError):
     """Polynomials live over different ambients (variable count or field)."""
 
 
-class IndexOutOfRange(GsalgError):
-    """A variable index points beyond the substitution target list."""
-
-
 class ParseError(GsalgError):
     """Malformed polynomial text.  `position` is the 1-based column."""
 

@@ -21,14 +21,11 @@ integers whenever the coefficient is integral.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
 
 from .errors import (
     AmbientMismatch,
-    IndexOutOfRange,
     InvalidParams,
-    MixedFields,
     ParseError,
     VariableOutOfRange,
     require_int,
@@ -201,35 +198,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def substitute(self, targets: list["Polynomial"]) -> "Polynomial":
-        """Evaluate self at x_i := targets[i-1].
-
-        self lives over q = len(targets) variables; all targets must share one
-        ambient and the same field as self.  The result lives in the targets'
-        ambient.
-        """
-        if not targets:
-            raise InvalidParams("substitute needs at least one target")
-        first = targets[0]
-        for t in targets[1:]:
-            first._check_ambient(t)
-        if first.field != self.field:
-            raise MixedFields(
-                "substituting %s coefficients into %s targets" % (self.field, first.field)
-            )
-        f = first.field
-        out = Polynomial.zero(first.d, f)
-        for w, c in self.sorted_terms():
-            prod = Polynomial.one(first.d, f)
-            for j in w:
-                if j > len(targets):
-                    raise IndexOutOfRange(
-                        "term uses x%d but only %d targets given" % (j, len(targets))
-                    )
-                prod = prod * targets[j - 1]
-            out = out + prod.scale(c)
-        return out
-
     # -- comparison / rendering ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -246,34 +214,19 @@ class Polynomial:
         return "Polynomial(%d, %s, %s)" % (self.d, self.field, poly_str(self))
 
 
-def _coeff_pieces(c: Coeff) -> tuple[bool, str, bool]:
-    """(negative, magnitude text, is unit magnitude) for one coefficient."""
-    if isinstance(c, Fraction):
-        neg = c < 0
-        a = -c if neg else c
-        txt = str(a.numerator) if a.denominator == 1 else "%d/%d" % (a.numerator, a.denominator)
-        return neg, txt, a == 1
-    return False, str(c), c == 1
-
-
 def poly_str(p: Polynomial) -> str:
     """Deterministic text form; terms ascend in the monomial order."""
     if p.is_zero():
         return "0"
-    pieces = []
+    parts = []
     for w, c in p.sorted_terms():
-        neg, mag, unit = _coeff_pieces(c)
-        if not w:
-            txt = mag
-        elif unit:
-            txt = "*".join("x%d" % t for t in w)
-        else:
-            txt = mag + "*" + "*".join("x%d" % t for t in w)
-        pieces.append((neg, txt))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, txt in pieces[1:]:
-        out += (" - " if neg else " + ") + txt
-    return out
+        txt = str(abs(c))  # a Fraction prints an integral value as an integer
+        if w:
+            word = "*".join(["x%d" % t for t in w])
+            txt = word if txt == "1" else txt + "*" + word
+        parts.append((" - " if c < 0 else " + ") + txt)
+    out = "".join(parts)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def parse_poly(text: str, d: int, field: FieldDescriptor) -> Polynomial:

@@ -52,19 +52,14 @@ expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
-a 2-core Xeon VM (median of 3 alternating runs, each in its own process),
-against the walk of one start word at a time with the level read off the
-sorted pivots in runs (the VM ran slower than for earlier tables here):
+a 2-core Xeon VM (median of 3 runs, each in its own process):
 
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.21 s / 40 MB
-  (was 0.32 s / 45 MB); GF(5), degree 10: 0.028 s / 20 MB (was 0.040 s /
-  21 MB)
-- d=3 cubic pair, GF(2), degree 12: 0.18 s / 32 MB (was 0.27 s / 34 MB)
-- d=2 binary cubic, GF(2), degree 20: 0.11 s / 27 MB (was 0.17 s / 29 MB)
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.21 s / 40 MB;
+  GF(5), degree 10: 0.028 s / 20 MB
+- d=3 cubic pair, GF(2), degree 12: 0.18 s / 32 MB
+- d=2 binary cubic, GF(2), degree 20: 0.11 s / 27 MB
 - the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), degree
-  10, whose time is in _step on multi-term states: new/old CPU ratio 0.96
-  to 0.98 over GF(5) and GF(2) (median of 11 alternating builds in one
-  process; runs in separate processes were too noisy to resolve it)
+  10, spends its time in _step on multi-term states
 
 Generators whose fully reduced rows fill in cost more than in the deleted
 packed-int GF(2) engine, a dict entry costing far more than a bit: of three
@@ -78,6 +73,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Dict, List, Optional, Sequence
@@ -93,7 +89,7 @@ from .errors import (
     require_int,
 )
 from .field import FieldDescriptor
-from .freealg import Polynomial, Word, words_of_degree
+from .freealg import Polynomial, Word
 from .linalg import SparseEchelon, mod_p
 
 COLUMN_CAP = 2**20
@@ -289,14 +285,13 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
 class GradedIdealTable:
     """Per-degree quotient bases of a homogeneous ideal, up to maxdeg."""
 
-    def __init__(self, d, field, generators, maxdeg, levels, r_counts):
+    def __init__(self, d, field, generators, maxdeg, levels):
         self.d = d
         self.field = field
         self.generators = tuple(generators)
         self.maxdeg = maxdeg
         self._levels = levels
         self._words: List[List[Word]] = [[()]]  # words of degrees 0.., on demand
-        self._r = dict(r_counts)
 
     def _level(self, n: int) -> _Level:
         require_int(n, "degree", 0)
@@ -322,24 +317,13 @@ class GradedIdealTable:
     def b_sequence(self) -> List[int]:
         return [len(lv.cols) for lv in self._levels]
 
-    def ideal_dim(self, n: int) -> int:
-        return self.d**n - self.b(n)
-
     def basis(self, n: int) -> List[Word]:
         """Standard words spanning the degree-n quotient component."""
         return list(self._words_at(n))
 
-    def pivot_words(self, n: int) -> List[Word]:
-        """Degree-n words that are pivots, i.e. the complement of basis(n)."""
-        std = set(self._words_at(n))
-        return [w for w in words_of_degree(self.d, n) if w not in std]
-
-    def r(self, degree: int) -> int:
-        """Number of generators of the given degree, with multiplicity."""
-        return self._r.get(degree, 0)
-
     def r_table(self) -> Dict[int, int]:
-        return {deg: self._r[deg] for deg in sorted(self._r) if self._r[deg]}
+        """Degree -> number of generators of that degree, with multiplicity."""
+        return dict(sorted(Counter(g.degree() for g in self.generators).items()))
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Residue of p modulo the ideal; zero iff p is a member."""
@@ -402,27 +386,15 @@ def build_table(
     *,
     d: Optional[int] = None,
     field: Optional[FieldDescriptor] = None,
-    r_override: Optional[Dict[int, int]] = None,
 ) -> GradedIdealTable:
     """Build the graded table of the ideal generated by the given polynomials.
 
     Generators must be homogeneous of degree >= 2 over one common field; the
-    empty list (zero ideal) needs explicit d and field.  r_override replaces
-    the derived degree -> count table used for bound reporting, which matters
-    when a nominal generator vanishes over the field yet must still be
-    counted.  A degree whose working width d*b_{n-1} exceeds COLUMN_CAP is
-    refused with TooLarge.
+    empty list (zero ideal) needs explicit d and field.  A degree whose
+    working width d*b_{n-1} exceeds COLUMN_CAP is refused with TooLarge.
     """
     gens, d, field = _check_generators(generators, d, field)
     require_int(maxdeg, "maxdeg", 0)
-    if r_override is not None:
-        validate_r(r_override, "r_override")
-        r_counts = dict(r_override)
-    else:
-        r_counts = {}
-        for g in gens:
-            r_counts[g.degree()] = r_counts.get(g.degree(), 0) + 1
-
     tries = _term_tries(gens)
     p, neg = field.p, field.p or 0
     levels = [_Level([0], None)]
@@ -456,7 +428,7 @@ def build_table(
         for c, row in ech.rows.items():
             image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
         levels.append(_Level(cols, image))
-    return GradedIdealTable(d, field, gens, maxdeg, levels, r_counts)
+    return GradedIdealTable(d, field, gens, maxdeg, levels)
 
 
 # -- dimension rows and the degree-wise lower bound ----------------------------
@@ -473,9 +445,14 @@ class DimensionRow:
     slack: Optional[int]
 
 
+def degree_bound(d: int, b: Sequence[int], r: Dict[int, int], n: int) -> int:
+    """The degree-wise lower bound d*b_{n-1} - sum_j r_{n-j}*b_j on b_n, n >= 2."""
+    return d * b[n - 1] - sum(r.get(n - j, 0) * b[j] for j in range(n - 1))
+
+
 def dimension_rows(table: GradedIdealTable) -> List[DimensionRow]:
-    """Per-degree dimensions with the d*b_{n-1} - sum r_{n-j}*b_j lower bound."""
-    counts = table._r
+    """Per-degree dimensions with the degree_bound lower bound."""
+    r = table.r_table()
     b = table.b_sequence()
     d = table.d
     rows = []
@@ -483,9 +460,7 @@ def dimension_rows(table: GradedIdealTable) -> List[DimensionRow]:
         if n < 2:
             bound = slack = None
         else:
-            bound = d * b[n - 1] - sum(
-                counts.get(n - j, 0) * b[j] for j in range(n - 1)
-            )
+            bound = degree_bound(d, b, r, n)
             slack = b[n] - bound
         rows.append(DimensionRow(n, d**n, d**n - b[n], b[n], bound, slack))
     return rows

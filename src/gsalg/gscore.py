@@ -45,7 +45,7 @@ from .errors import (
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
-from .graded import GradedIdealTable, build_table, validate_r
+from .graded import GradedIdealTable, build_table, degree_bound, validate_r
 from .symfun import generator_degree, monomial_window, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
@@ -227,9 +227,8 @@ def verify_growth(
         require_int(val, "b_%d" % n, 0)
     validate_r(r)
     N = len(b) - 1
-    d = cert.d
     for n in range(2, N + 1):
-        bound = d * b[n - 1] - sum(r.get(n - j, 0) * b[j] for j in range(n - 1))
+        bound = degree_bound(cert.d, b, r, n)
         if b[n] < bound:
             raise DimensionBoundViolated(
                 "b_%d = %d is below the degree-wise bound %d implied by r"
@@ -886,17 +885,15 @@ def nil_certificate(
     return NilCertificate(exponent=block.n, block_index=block.k, verified=verified)
 
 
-def blueprint_table(bp: GSBlueprint, maxdeg: Optional[int] = None) -> GradedIdealTable:
-    """Graded table of a dense blueprint's ideal.
+def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
+    """Graded table of a dense blueprint's ideal, up to the last block's c'.
 
-    Generators that vanish over the field (orbit-sum collisions) are
-    excluded from the row space but still counted in the nominal r table, so
-    bound reports reflect the construction's accounting.
+    Generators that vanish over the field (orbit-sum collisions) add nothing
+    to the ideal and are left out; the construction's nominal counts stay in
+    GSBlueprint.r_table().
     """
     if bp.mode != "dense" or any(block.generators is None for block in bp.blocks):
         raise InvalidParams("a dense blueprint with materialized generators is required")
     gens = [p for p in bp.all_generators() if not p.is_zero()]
-    r_nominal = _summed_counts(bp.blocks)
-    if maxdeg is None:
-        maxdeg = max(block.c_prime for block in bp.blocks)
-    return build_table(gens, maxdeg, d=bp.d, field=bp.field, r_override=r_nominal)
+    maxdeg = max(block.c_prime for block in bp.blocks)
+    return build_table(gens, maxdeg, d=bp.d, field=bp.field)

@@ -1,4 +1,4 @@
-"""Order-symmetric polynomials and their substitution into a monomial window.
+"""Window generators: order-symmetric polynomials evaluated at a monomial window.
 
 The monomial window of parameters (d, c) lists every word of degree 1..c in
 the monomial order; there are q = d + d**2 + ... + d**c of them.  For a weak
@@ -47,12 +47,6 @@ class MonomialWindow:
     def q(self) -> int:
         return len(self.words)
 
-    def word_degree(self, i: int) -> int:
-        """Degree of the i-th window word (1-based index)."""
-        if not 1 <= i <= len(self.words):
-            raise InvalidParams("window index %d outside [1..%d]" % (i, len(self.words)))
-        return len(self.words[i - 1])
-
 
 def window_size(d: int, c: int) -> int:
     """q = d + d**2 + ... + d**c."""
@@ -81,12 +75,6 @@ def _orbit(j: WeakTuple, q: int):
     if size > ENUM_CAP:
         raise TooLarge("orbit of %r has %d terms, over the cap %d" % (j, size, ENUM_CAP))
     return orbit_iter(j)
-
-
-def order_symmetric(j: WeakTuple, q: int, field: FieldDescriptor) -> Polynomial:
-    """s_j: the orbit sum of j as a polynomial in q variables."""
-    one = field.one
-    return Polynomial._raw(q, field, {tuple(t): one for t in _orbit(j, q)})
 
 
 def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescriptor) -> Polynomial:
@@ -121,15 +109,13 @@ def window_generators(window: MonomialWindow, n: int,
     return [(j, window_generator(j, window, field)) for j in weak_tuples(window.q, n)]
 
 
-def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
-                    verify: bool | None = None) -> dict[WeakTuple, object]:
+def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakTuple, object]:
     """Coefficients lambda_j with g**n = sum lambda_j * generator(j).
 
     g must have no constant term and degree <= window.c.  lambda_j is the
     product of g's coefficients at the window words selected by j; zero
-    products are omitted.  With verify=None the identity is re-checked by
-    direct expansion whenever the sizes sit under the cap; verify=True forces
-    the check (TooLarge if infeasible), verify=False skips it.
+    products are omitted.  The identity is re-checked by direct expansion
+    whenever the sizes sit under the cap.
     """
     if g.d != window.d:
         raise InvalidParams("g lives over %d variables, window over %d" % (g.d, window.d))
@@ -152,10 +138,7 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow,
             if not f.is_zero(c):
                 lam[pick] = c
 
-    feasible = len(g.terms) ** n <= ENUM_CAP and sum(map(orbit_size, lam)) <= ENUM_CAP
-    if verify is True and not feasible:
-        raise TooLarge("verification by direct expansion exceeds the cap %d" % ENUM_CAP)
-    if verify or (verify is None and feasible):
+    if len(g.terms) ** n <= ENUM_CAP and sum(map(orbit_size, lam)) <= ENUM_CAP:
         total = Polynomial.zero(window.d, f)
         for j, c in sorted(lam.items()):
             total = total + window_generator(j, window, f).scale(c)

@@ -13,6 +13,7 @@ point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import insort
 from decimal import Decimal, localcontext
@@ -211,6 +212,25 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+# -- window generators from their definition -------------------------------------
+
+def reference_window_generator(j: Sequence[int], d: int, c: int,
+                               field: FieldDescriptor) -> Polynomial:
+    """h_j = s_j(M_1, ..., M_q) from the definition: the sum, over the
+    distinct permutations t of j, of the products M_{t_1} * ... * M_{t_n},
+    M_i being the i-th word of degree 1..c in the monomial order.  The
+    permutations are deduplicated from itertools.permutations, and each
+    product is multiplied out with Polynomial products."""
+    words = [w for k in range(1, c + 1) for w in words_of_degree(d, k)]
+    total = Polynomial.zero(d, field)
+    for t in set(itertools.permutations(j)):
+        prod = Polynomial.one(d, field)
+        for i in t:
+            prod = prod * Polynomial.monomial(words[i - 1], d, field)
+        total = total + prod
+    return total
 
 
 # -- naive full-width cross-check ----------------------------------------------

@@ -542,8 +542,14 @@ def test_bound_b_json_from_dims_report(capsys, tmp_path):
 @pytest.mark.parametrize(
     "data",
     [{"rows": [{"n": 0}]}, {"rows": [{"b_n": 1}]}, {"rows": 5},
-     {"rows": [{"n": "1", "b_n": 2}, {"n": 0, "b_n": 1}]}],
-    ids=["no-b_n", "no-n", "rows-not-a-list", "mixed-n"],
+     {"rows": [{"n": "1", "b_n": 2}, {"n": 0, "b_n": 1}]},
+     # rows must be n = 0..N, each once: these would read as b_0, b_1, b_2, ...
+     {"rows": [{"n": 0, "b_n": 1}, {"n": 1, "b_n": 2}, {"n": 3, "b_n": 3}]},
+     {"rows": [{"n": 0, "b_n": 1}, {"n": 1, "b_n": 2}, {"n": 1, "b_n": 2}]},
+     {"rows": [{"n": 5, "b_n": 1}, {"n": 6, "b_n": 2}]},
+     {"rows": [{"n": 0, "b_n": 1}, {"n": True, "b_n": 2}]}],
+    ids=["no-b_n", "no-n", "rows-not-a-list", "mixed-n", "gapped-n", "repeated-n", "n-from-5",
+         "boolean-n"],
 )
 def test_bound_b_json_malformed_report_exits_two(capsys, tmp_path, data):
     report = tmp_path / "dims.json"

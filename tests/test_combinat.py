@@ -1,7 +1,7 @@
 """Weak tuples, orbits, and the partition identity."""
 
 import itertools
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gsalg import combinat
 from gsalg.combinat import (
-    multiplicities,
     orbit_iter,
     orbit_size,
     validate_weak_tuple,
@@ -73,16 +72,6 @@ def test_orbit_size_example():
     assert orbit_size((1, 1, 1, 2, 2, 2, 2)) == 35
     assert orbit_size(()) == 1
     assert orbit_size((1, 2, 3)) == 6
-
-
-def test_multiplicities():
-    assert multiplicities((1, 1, 3), 3) == (2, 0, 1)
-    assert multiplicities((), 2) == (0, 0)
-    j = (1, 1, 2, 2, 2)
-    mult = multiplicities(j, 2)
-    assert orbit_size(j) == factorial(len(j)) // (
-        factorial(mult[0]) * factorial(mult[1])
-    )
 
 
 def test_orbit_matches_permutation_set():

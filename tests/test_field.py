@@ -14,6 +14,7 @@ from gsalg.field import (
     parse_field,
 )
 from gsalg.freealg import parse_poly
+from gsalg.graded import build_table
 
 
 def test_characteristic_two():
@@ -46,15 +47,12 @@ def test_from_integer_is_homomorphism():
 
 def test_mixed_fields_rejected():
     # raw values carry no field tag; the check sits where coefficients of two
-    # descriptors meet, as in substitution
+    # descriptors meet: the generators of one table, a table and its query
     with pytest.raises(MixedFields):
-        parse_poly("x1*x2", 2, GF2).substitute(
-            [parse_poly("x1", 2, FieldDescriptor(5)), parse_poly("x2", 2, FieldDescriptor(5))]
-        )
+        build_table([parse_poly("x1*x2", 2, GF2), parse_poly("x2*x1", 2, FieldDescriptor(5))], 3)
+    table = build_table([parse_poly("x1*x1", 2, QQ)], 3)
     with pytest.raises(MixedFields):
-        parse_poly("x1", 2, QQ).substitute(
-            [parse_poly("x1", 3, GF2), parse_poly("x2", 3, GF2)]
-        )
+        table.normal_form(parse_poly("x1*x2", 2, GF2))
 
 
 def test_division_by_zero():

@@ -1,4 +1,4 @@
-"""Free-algebra polynomials: arithmetic, grading, substitution, text format."""
+"""Free-algebra polynomials: arithmetic, grading, text format."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gsalg.errors import (
     AmbientMismatch,
-    IndexOutOfRange,
     ParseError,
     VariableOutOfRange,
 )
@@ -82,27 +81,6 @@ def test_components_sum_to_polynomial():
     for comp in p.homogeneous_components().values():
         total = total + comp
     assert total == p
-
-
-def test_substitute_examples():
-    y12 = parse_poly("x1*x2", 2, GF2)
-    out = y12.substitute([x(1), x(2) * x(1)])
-    assert out == Polynomial.monomial((1, 2, 1), 2, GF2)
-
-    lin = parse_poly("x1 + x2", 2, GF2)
-    assert lin.substitute([x(1), x(1)]).is_zero()  # 2*x1 = 0 over GF(2)
-    linq = parse_poly("x1 + x2", 2, QQ)
-    xq = Polynomial.variable(1, 2, QQ)
-    assert linq.substitute([xq, xq]) == xq.scale(Fraction(2))
-
-    orbit2 = parse_poly("x1*x2 + x2*x1", 2, GF2)
-    assert orbit2.substitute([x(1), x(2)]) == orbit2
-
-
-def test_substitute_index_out_of_range():
-    p = parse_poly("x1*x2", 2, GF2)
-    with pytest.raises(IndexOutOfRange):
-        p.substitute([x(1)])
 
 
 def test_power():
@@ -251,15 +229,3 @@ def test_ring_axioms(p, q, r):
     assert (p - p).is_zero()
 
 
-@given(_random_poly(), _random_poly())
-def test_substitute_multiplicative(p, q):
-    if p.field != q.field or p.d != q.d or p.d != 2:
-        return
-    f = p.field
-    targets = [
-        Polynomial.variable(2, 2, f),
-        Polynomial.monomial((1, 1), 2, f),
-    ]
-    left = (p * q).substitute(targets)
-    right = p.substitute(targets) * q.substitute(targets)
-    assert left == right

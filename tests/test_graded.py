@@ -26,6 +26,7 @@ from gsalg.graded import (
     DimensionRow,
     build_table,
     check_dimension_bounds,
+    degree_bound,
     dimension_report,
     dimension_rows,
     write_dimension_csv,
@@ -40,7 +41,7 @@ from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 def test_zero_ideal_full_dimensions():
     table = build_table([], 8, d=2, field=GF2)
     assert table.b_sequence() == [2**n for n in range(9)]
-    assert table.ideal_dim(5) == 0
+    assert dimension_rows(table)[5].dim_ideal == 0
     assert table.r_table() == {}
 
 
@@ -68,12 +69,9 @@ def test_single_square_counts_fibonacci():
 def test_basis_words_avoid_the_forbidden_factor():
     table = build_table([parse_poly("x1*x2", 2, GF2)], 6)
     for n in range(7):
-        for w in table.basis(n):
-            assert all(w[i : i + 2] != (1, 2) for i in range(len(w) - 1))
-        std = set(table.basis(n))
-        piv = set(table.pivot_words(n))
-        assert std | piv == set(words_of_degree(2, n))
-        assert not std & piv
+        avoiding = [w for w in words_of_degree(2, n)
+                    if all(w[i : i + 2] != (1, 2) for i in range(len(w) - 1))]
+        assert table.basis(n) == avoiding
 
 
 # -- naive cross-check -----------------------------------------------------------
@@ -317,7 +315,7 @@ def test_blocks_of_two_match_naive_table(case):
 
 def test_words_built_on_demand():
     # a level keeps its standard columns, not its words: a dims run builds
-    # no word tuple, and basis, pivot_words and normal_form build the words
+    # no word tuple, and basis and normal_form build the words
     # of a degree (and those below it) on first use, equal to the naive ones
     g = parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)
     table = build_table([g], 10)
@@ -332,11 +330,9 @@ def test_words_built_on_demand():
     oracle = naive_dimension_table([g], 9, column_cap=3**9)
     for n in range(10):
         assert table.basis(n) == oracle.standard_words[n]
-        std = set(oracle.standard_words[n])
-        assert table.pivot_words(n) == [w for w in words_of_degree(3, n) if w not in std]
     prev = set(table.basis(9))
     assert all(w[:-1] in prev for w in table.basis(10))
-    assert len(table.pivot_words(10)) == 3**10 - 17711
+    assert len(table.basis(10)) == 17711
     rng = random.Random(10)
     for _ in range(5):
         terms = {}
@@ -417,7 +413,7 @@ def test_normal_form_ambient_and_field_checks():
         table.normal_form(parse_poly("x1", 2, FieldDescriptor(5)))
 
 
-# -- generator counting and overrides ---------------------------------------------
+# -- generator counting ------------------------------------------------------------
 
 
 def test_r_table_counts_multiplicity():
@@ -427,25 +423,7 @@ def test_r_table_counts_multiplicity():
         parse_poly("x1*x1*x1", 2, QQ),
     ]
     table = build_table(gens, 4)
-    assert table.r(2) == 2
-    assert table.r(3) == 1
-    assert table.r(5) == 0
     assert table.r_table() == {2: 2, 3: 1}
-
-
-def test_r_override_for_vanished_generators():
-    # a nominal degree-3 generator that vanishes over the field contributes
-    # nothing to the ideal but must still be counted in the bound
-    table = build_table([], 5, d=2, field=GF2, r_override={3: 1})
-    assert table.b_sequence() == [1, 2, 4, 8, 16, 32]
-    assert table.r_table() == {3: 1}
-    rows = dimension_rows(table)
-    assert rows[3].bound == 2 * 4 - 1 * 1
-    assert rows[3].slack == 1
-    with pytest.raises(InvalidParams):
-        build_table([], 3, d=2, field=GF2, r_override={1: 1})
-    with pytest.raises(InvalidParams):
-        build_table([], 3, d=2, field=GF2, r_override={2: -1})
 
 
 # -- dimension rows, bound, and reports -------------------------------------------
@@ -474,13 +452,18 @@ def test_dimension_rows_square_generator():
 
 
 def test_dimension_rows_explicit_r():
-    # explicit counts enter through the table's r_override
-    table = build_table([], 4, d=2, field=QQ, r_override={2: 1})
-    rows = dimension_rows(table)
-    assert rows[2].bound == 3
-    assert rows[2].slack == 1
-    with pytest.raises(InvalidParams):
-        build_table([], 4, d=2, field=QQ, r_override={0: 2})
+    # counts given apart from any table, as bound --r passes them: one
+    # degree-2 or degree-3 generator against the zero ideal's b_n = 2**n
+    b = [1, 2, 4, 8, 16]
+    assert degree_bound(2, b, {2: 1}, 2) == 2 * 2 - 1 * 1
+    assert degree_bound(2, b, {2: 1}, 4) == 2 * 8 - 1 * 4
+    assert degree_bound(2, b, {3: 1}, 3) == 2 * 4 - 1 * 1
+    assert degree_bound(2, b, {3: 1}, 4) == 2 * 8 - 1 * 2
+    # dimension_rows takes its bound from the same helper, on the table's counts
+    table = build_table([parse_poly("x1*x1", 2, QQ)], 4)
+    b, r = table.b_sequence(), table.r_table()
+    expected = [degree_bound(2, b, r, n) for n in (2, 3, 4)]
+    assert [row.bound for row in dimension_rows(table)[2:]] == expected
 
 
 def test_check_dimension_bounds_flags_negatives():

@@ -541,12 +541,14 @@ def test_toy_blueprint_check_skips_eps(toy13):
 def test_blueprint_table_counts_vanished_generators(toy22):
     table = blueprint_table(toy22)
     assert table.maxdeg == 4
-    # nominal counts stay at the construction's 21 even though the two
-    # (letter, letter**2) pairs collapse to 2*x**3 = 0 over GF(2)
-    assert table.r_table() == {2: 3, 3: 8, 4: 10}
+    # the two (letter, letter**2) pairs collapse to 2*x**3 = 0 over GF(2):
+    # the table counts the 19 generators it holds, while the blueprint keeps
+    # the construction's nominal 21
     nonzero = [g for g in toy22.all_generators() if not g.is_zero()]
     assert len(nonzero) == 19
-    assert len(table.generators) == 19
+    assert table.generators == tuple(nonzero)
+    assert table.r_table() == {2: 3, 3: 6, 4: 10}
+    assert toy22.r_table() == {2: 3, 3: 8, 4: 10}
 
 
 def test_blueprint_table_requires_dense(bp3):
@@ -636,10 +638,14 @@ def test_iterated_nil_check_matches_expansion(case, request):
 def test_nil_certificate_degree_beyond_table(toy13, toy22):
     # g**n would reach past the table: refused up front, as when g**n was
     # expanded and reduced
+    def short_table(bp, maxdeg):
+        gens = [g for g in bp.all_generators() if not g.is_zero()]
+        return build_table(gens, maxdeg, d=bp.d, field=bp.field)
+
     with pytest.raises(DegreeExceedsTable):
-        nil_certificate(parse_poly("x1 + x2", 2, FieldDescriptor(5)), toy13, blueprint_table(toy13, 2))
+        nil_certificate(parse_poly("x1 + x2", 2, FieldDescriptor(5)), toy13, short_table(toy13, 2))
     with pytest.raises(DegreeExceedsTable):
-        nil_certificate(parse_poly("x1 + x2*x1", 2, GF2), toy22, blueprint_table(toy22, 3))
+        nil_certificate(parse_poly("x1 + x2*x1", 2, GF2), toy22, short_table(toy22, 3))
 
 
 def test_nil_certificate_symbolic_blocks(bp3):

@@ -19,6 +19,28 @@ def test_all_exports_resolve():
     assert len(set(gsalg.__all__)) == len(gsalg.__all__)
 
 
+def test_public_names_are_pinned():
+    # the package's exports, exactly: a new one has to be added here on purpose
+    assert sorted(gsalg.__all__) == [
+        "AmbientMismatch", "BlueprintBlock", "BlueprintMismatch", "BoundCertificate",
+        "ConstantTerm", "DegreeBelowTwo", "DegreeExceedsTable", "DegreeNotCovered",
+        "DegreeTooHigh", "DimensionBoundViolated", "DimensionRow", "DivisionByZero",
+        "FieldDescriptor", "GF2", "GSBlueprint", "GSParams", "GradedIdealTable",
+        "GrowthReport", "GsalgError", "InvalidParams", "MixedFields", "MonomialWindow",
+        "NilCertificate", "NonHomogeneousGenerator", "ParseError", "Polynomial", "QQ",
+        "TooLarge", "VariableOutOfRange",
+        "blueprint_from_dict", "blueprint_table", "blueprint_to_dict", "build_blueprint",
+        "build_table", "certificate_from_epsilon", "certified_log2_gap", "check_blueprint",
+        "check_bound_conditions", "check_dimension_bounds", "dimension_report",
+        "dimension_rows", "generator_degree", "load_blueprint", "main", "minimal_power",
+        "monomial_window", "nil_certificate", "orbit_iter", "orbit_size", "order_key",
+        "parse_field", "parse_poly", "parse_ratio", "poly_str", "power_expansion",
+        "save_blueprint", "validate_weak_tuple", "verify_growth", "weak_tuple_count",
+        "weak_tuples", "window_generator", "window_generators", "window_size",
+        "word_index", "words_of_degree", "write_dimension_csv",
+    ]
+
+
 _X1 = parse_poly("x1", 2, GF2)
 
 
