@@ -110,9 +110,6 @@ class Polynomial:
         """Word -> coefficient view; treat as read-only."""
         return self._terms
 
-    def sorted_terms(self) -> list[tuple[Word, Coeff]]:
-        return sorted(self._terms.items(), key=lambda kv: order_key(kv[0]))
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -216,13 +213,16 @@ class Polynomial:
 
 def poly_str(p: Polynomial) -> str:
     """Deterministic text form; terms ascend in the monomial order."""
-    if p.is_zero():
+    terms = p._terms
+    if not terms:
         return "0"
+    x = ["x%d" % t for t in range(p.d + 1)]
     parts = []
-    for w, c in p.sorted_terms():
+    for w in sorted(terms, key=order_key):
+        c = terms[w]
         txt = str(abs(c))  # a Fraction prints an integral value as an integer
         if w:
-            word = "*".join(["x%d" % t for t in w])
+            word = "*".join(map(x.__getitem__, w))
             txt = word if txt == "1" else txt + "*" + word
         parts.append((" - " if c < 0 else " + ") + txt)
     out = "".join(parts)

@@ -115,7 +115,7 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
     g must have no constant term and degree <= window.c.  lambda_j is the
     product of g's coefficients at the window words selected by j; zero
     products are omitted.  The identity is re-checked by direct expansion
-    whenever the sizes sit under the cap.
+    whenever the tuple entries that check builds sit under the cap.
     """
     if g.d != window.d:
         raise InvalidParams("g lives over %d variables, window over %d" % (g.d, window.d))
@@ -138,7 +138,12 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
             if not f.is_zero(c):
                 lam[pick] = c
 
-    if len(g.terms) ** n <= ENUM_CAP and sum(map(orbit_size, lam)) <= ENUM_CAP:
+    # the re-check builds m**i words of i*deg(g) letters at step i of g**n (m
+    # terms), and n prefixes of at most generator_degree(j) letters for each
+    # orbit word of h_j; the running total stops at the first one past the cap
+    built = itertools.chain((len(g.terms) ** i * i * g.degree() for i in range(1, n + 1)),
+                            (orbit_size(j) * n * generator_degree(j, window) for j in lam))
+    if lam and all(entries <= ENUM_CAP for entries in itertools.accumulate(built)):
         total = Polynomial.zero(window.d, f)
         for j, c in sorted(lam.items()):
             total = total + window_generator(j, window, f).scale(c)

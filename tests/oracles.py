@@ -31,7 +31,7 @@ from gsalg.errors import (
     TooLarge,
 )
 from gsalg.field import FieldDescriptor
-from gsalg.freealg import Polynomial, Word, word_index, words_of_degree
+from gsalg.freealg import Polynomial, Word, order_key, word_index, words_of_degree
 from gsalg.graded import _check_generators
 
 # 100 digits, hardcoded so the oracle does not depend on any library constant
@@ -212,6 +212,25 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+# -- the text form, printed term by term ------------------------------------------
+
+def reference_poly_str(p: Polynomial) -> str:
+    """The text form as the package printed it before its one-pass printer:
+    terms sorted by (word, coefficient) pairs under order_key, each word's
+    letters formatted one by one."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for w, c in sorted(p.terms.items(), key=lambda kv: order_key(kv[0])):
+        txt = str(abs(c))
+        if w:
+            word = "*".join(["x%d" % t for t in w])
+            txt = word if txt == "1" else txt + "*" + word
+        parts.append((" - " if c < 0 else " + ") + txt)
+    out = "".join(parts)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 # -- window generators from their definition -------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsalg.errors import (
@@ -20,6 +20,8 @@ from gsalg.freealg import (
     word_index,
     words_of_degree,
 )
+
+from oracles import reference_poly_str
 
 
 def x(i, d=2, field=GF2):
@@ -204,6 +206,27 @@ def _random_poly(draw):
 @given(_random_poly())
 def test_print_parse_round_trip(p):
     assert parse_poly(poly_str(p), p.d, p.field) == p
+
+
+@st.composite
+def _printable_poly(draw):
+    """Polynomials over GF(2), GF(5), GF(2^31-1) or QQ in up to 12 letters,
+    with the empty word, negative and fractional coefficients, or none."""
+    field = draw(st.sampled_from([GF2, FieldDescriptor(5), FieldDescriptor(2**31 - 1), QQ]))
+    d = draw(st.integers(min_value=1, max_value=12))
+    words = st.lists(st.integers(min_value=1, max_value=d), max_size=5).map(tuple)
+    nums = st.integers(min_value=-(2**40), max_value=2**40)
+    coeffs = st.builds(Fraction, nums, st.integers(min_value=1, max_value=30)) if field is QQ else nums
+    return Polynomial(d, field, draw(st.dictionaries(words, coeffs, max_size=8)))
+
+
+@settings(max_examples=300)
+@given(_printable_poly())
+@example(Polynomial.zero(3, QQ))
+@example(Polynomial(12, QQ, {(): Fraction(-1, 2), (10, 1): 3, (12,): -1}))
+@example(Polynomial(2, FieldDescriptor(2**31 - 1), {(): -1, (2, 1): 1}))
+def test_print_matches_reference_printer(p):
+    assert poly_str(p) == reference_poly_str(p)
 
 
 @given(_random_poly(), _random_poly())

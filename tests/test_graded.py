@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsalg import graded
@@ -31,6 +31,7 @@ from gsalg.graded import (
     dimension_rows,
     write_dimension_csv,
 )
+from gsalg.linalg import SparseEchelon
 
 from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 
@@ -245,14 +246,36 @@ def test_merged_walk_step_count(monkeypatch):
     # degree 5-10) takes exactly this many steps through _step; a walk per
     # generator takes 41,642.  A unit state writes the candidate column of
     # its last step itself, without _step, which took this count down from
-    # 33,694 (and a walk per generator from 55,400)
+    # 33,694 (and a walk per generator from 55,400).  Generators that lie in
+    # the ideal of the others leave the walk, which took it from 19,936
     bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
     calls = []
     step = graded._step
     monkeypatch.setattr(graded, "_step", lambda *args: calls.append(1) or step(*args))
     table = blueprint_table(bp)
     assert table.b_sequence() == [1, 2, 4, 8, 16, 26, 44, 70, 104, 140, 185]
-    assert len(calls) == 19936
+    assert len(calls) == 8562
+
+
+def _count_rows(mp):
+    """Count the rows that go into SparseEchelon.insert, through mp."""
+    rows = []
+    insert = SparseEchelon.insert
+    mp.setattr(SparseEchelon, "insert", lambda self, row: rows.append(1) or insert(self, row))
+    return rows
+
+
+def test_redundant_generators_leave_the_walk(monkeypatch):
+    # the same toy table: of 2,136 rows, 89% reduced to zero for a total rank
+    # of 231 while every generator stayed in the walk.  A generator whose own
+    # row adds no pivot lies in the ideal of the others and is dropped
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
+    rows = _count_rows(monkeypatch)
+    table = blueprint_table(bp)
+    assert len(rows) == 832
+    b = table.b_sequence()
+    assert sum(2 * b[n - 1] - b[n] for n in range(1, len(b))) == 231  # pivots
+    assert len(table.generators) == 244 and sum(table.r_table().values()) == 244
 
 
 def _level_tables(table):
@@ -276,6 +299,53 @@ def test_block_size_does_not_change_the_levels(monkeypatch, block):
     want = [_level_tables(build_table(gens, maxdeg)) for gens, maxdeg in cases]
     monkeypatch.setattr(graded, "WALK_BLOCK", block)
     assert [_level_tables(build_table(gens, maxdeg)) for gens, maxdeg in cases] == want
+
+
+@st.composite
+def _with_redundant(draw):
+    """Generators over GF(2), GF(7) or QQ, two of them of one degree, and the
+    same list with redundant ones mixed in: a scaled copy, the sum of the two,
+    x_t*f and f*x_t, and h*x_u for a generator h of the top degree, so that
+    the degree above it has only redundant generators."""
+    field = draw(st.sampled_from([GF2, FieldDescriptor(7), QQ]))
+    d = draw(st.sampled_from([2, 3]))
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    def poly(k):
+        words = st.lists(st.integers(1, d), min_size=k, max_size=k).map(tuple)
+        return Polynomial(d, field, draw(st.dictionaries(words, coeffs, min_size=1, max_size=4)))
+
+    k = draw(st.integers(2, 3))
+    base = [poly(k), poly(k)] + [poly(draw(st.integers(2, 3))) for _ in range(draw(st.integers(0, 1)))]
+    base = [g for g in base if not g.is_zero()]
+    assume(base)
+    f = draw(st.sampled_from(base))
+    h = max(base, key=Polynomial.degree)
+    x, y = (Polynomial.variable(draw(st.integers(1, d)), d, field) for _ in range(2))
+    extra = [f.scale(draw(st.sampled_from([1, 3, -1]))), x * f, f * x, h * y]
+    if len(base) > 1 and base[0].degree() == base[1].degree():
+        extra.append(base[0] + base[1])
+    extra = [g for g in extra if not g.is_zero()]
+    gens = draw(st.permutations(base + extra))
+    return d, (6 if d == 2 else 4), base, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_with_redundant())
+def test_redundant_generators_keep_the_tables(case):
+    # the level tables are those of the list without the redundant
+    # generators, and each of those adds just its own row: the generators
+    # kept per degree are as many as the ideal needs, in any order
+    d, maxdeg, base, gens = case
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _count_rows(mp)
+        want = build_table(base, maxdeg)
+        base_rows = len(rows)
+        table = build_table(gens, maxdeg)
+    assert _level_tables(table) == _level_tables(want)
+    assert len(rows) == 2 * base_rows + len(gens) - len(base)
+    assert table.generators == tuple(gens)
+    assert table.b_sequence() == naive_dimension_table(gens, maxdeg).b
 
 
 @st.composite

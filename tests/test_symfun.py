@@ -1,5 +1,6 @@
 """Monomial windows, order-symmetric sums, and the power expansion."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,27 @@ def test_power_expansion_reconstructs_power():
     for j, coeff in lam.items():
         total = total + window_generator(j, w, f).scale(coeff)
     assert total == g**3
+
+
+def test_power_expansion_skips_a_recheck_over_the_cap():
+    # x1 has one weak tuple at every n, but re-checking it builds x1**n and
+    # the orbit word by n concatenations each, quadratic in n; the check
+    # counts those tuple entries against the cap and is skipped above it
+    w = monomial_window(2, 1)
+    start = time.perf_counter()
+    lam = power_expansion(parse_poly("x1", 2, GF2), 10**6, w)
+    assert time.perf_counter() - start < 1.0
+    assert lam == {(1,) * 10**6: 1}
+
+
+def test_power_expansion_recheck_catches_a_corrupted_identity(monkeypatch):
+    real = symfun.window_generator
+    monkeypatch.setattr(
+        symfun, "window_generator",
+        lambda j, w, f: Polynomial.zero(w.d, f) if j == (1, 1, 2) else real(j, w, f),
+    )
+    with pytest.raises(AssertionError, match="power expansion identity failed"):
+        power_expansion(parse_poly("x1 + x2", 2, GF2), 3, monomial_window(2, 1))
 
 
 def test_power_expansion_rejects_bad_inputs():
