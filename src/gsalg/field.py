@@ -5,19 +5,31 @@ simply p = 2, or None for the rationals.  It implements the arithmetic on
 raw values: python ints in [0, p) for the finite fields, fractions.Fraction
 for the rationals.  Polynomials and the linear-algebra engines work on raw
 values tagged by a shared descriptor.
+
+Every sparse coefficient map ({word: coefficient} in a polynomial,
+{column: coefficient} in a row) is kept canonical by one rule: add raw
+values (over QQ each summand is a Fraction, so each sum is one), then reduce
+once with mod_p, which takes each value mod p and drops the zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DivisionByZero, InvalidParams, require_int
 
 Coeff = Union[int, Fraction]
 
 MAX_PRIME = 2**31
+
+
+def mod_p(row: dict, p: Optional[int]) -> dict:
+    """row reduced mod p (no modulus over QQ, p None), zeros dropped."""
+    if p is None:
+        return {k: v for k, v in row.items() if v}
+    return {k: r for k, v in row.items() if (r := v % p)}
 
 
 def _is_prime(n: int) -> bool:
@@ -96,6 +108,9 @@ class FieldDescriptor:
 
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
         return (a * b) % self.p if self.p is not None else a * b
+
+    def pow(self, a: Coeff, m: int) -> Coeff:
+        return pow(a, m, self.p) if self.p is not None else a**m
 
     def inv(self, a: Coeff) -> Coeff:
         if a == 0:

@@ -2,9 +2,10 @@
 
 Words (monomials) are tuples of 1-based variable indices; the empty tuple is
 the unit.  Polynomials store a dict mapping words to nonzero raw coefficients
-plus the shared ambient (d, field).  The monomial order everywhere is degree
-first, then left-to-right lexicographic with x1 < x2 < ... < xd, which on
-index tuples is exactly ``(len(w), w)``.
+plus the shared ambient (d, field); construction, sums, products and parsing
+add raw values and reduce once with field.mod_p.  The monomial order
+everywhere is degree first, then left-to-right lexicographic with
+x1 < x2 < ... < xd, which on index tuples is exactly ``(len(w), w)``.
 
 Text form (used by generator files, blueprints, and the CLI):
 
@@ -30,7 +31,7 @@ from .errors import (
     VariableOutOfRange,
     require_int,
 )
-from .field import Coeff, FieldDescriptor
+from .field import Coeff, FieldDescriptor, mod_p
 
 Word = Tuple[int, ...]
 
@@ -62,19 +63,13 @@ class Polynomial:
         require_int(d, "the variable count d", 1)
         self.d = d
         self.field = field
-        clean: dict[Word, Coeff] = {}
+        acc: dict[Word, Coeff] = {}
         for word, raw in (terms or {}).items():
             word = tuple(word)
             for t in word:
                 require_int(t, "a variable index", 1, d)
-            c = field.coerce(raw)
-            if word in clean:
-                c = field.add(clean[word], c)
-            if field.is_zero(c):
-                clean.pop(word, None)
-            else:
-                clean[word] = c
-        self._terms = clean
+            acc[word] = acc.get(word, 0) + field.coerce(raw)
+        self._terms = mod_p(acc, field.p)
 
     @classmethod
     def _raw(cls, d: int, field: FieldDescriptor, terms: dict) -> "Polynomial":
@@ -149,15 +144,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
-        f = self.field
         out = dict(self._terms)
         for w, c in other._terms.items():
-            s = f.add(out.get(w, 0), c)
-            if f.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Polynomial._raw(self.d, f, out)
+            out[w] = out.get(w, 0) + c
+        return Polynomial._raw(self.d, self.field, mod_p(out, self.field.p))
 
     def __neg__(self) -> "Polynomial":
         f = self.field
@@ -168,17 +158,12 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
-        f = self.field
         out: dict[Word, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 w = w1 + w2
-                s = f.add(out.get(w, 0), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return Polynomial._raw(self.d, f, out)
+                out[w] = out.get(w, 0) + c1 * c2
+        return Polynomial._raw(self.d, self.field, mod_p(out, self.field.p))
 
     def scale(self, raw) -> "Polynomial":
         """Multiply by a raw scalar of the ambient field."""
@@ -248,14 +233,6 @@ def parse_poly(text: str, d: int, field: FieldDescriptor) -> Polynomial:
         return int(text[start:i]), start
 
     terms: dict[Word, Coeff] = {}
-
-    def add_term(word: Word, coeff: Coeff):
-        s = field.add(terms.get(word, field.zero), coeff)
-        if field.is_zero(s):
-            terms.pop(word, None)
-        else:
-            terms[word] = s
-
     skip()
     if i == n:
         raise ParseError("empty polynomial", i + 1)
@@ -299,7 +276,7 @@ def parse_poly(text: str, d: int, field: FieldDescriptor) -> Polynomial:
                     i += 1
                 else:
                     break
-        add_term(word, field.neg(coeff) if sign < 0 else coeff)
+        terms[word] = terms.get(word, 0) + sign * coeff
         skip()
         if i == n:
             break
@@ -310,4 +287,4 @@ def parse_poly(text: str, d: int, field: FieldDescriptor) -> Polynomial:
         else:
             raise ParseError("unexpected %r" % text[i], i + 1)
         i += 1
-    return Polynomial._raw(d, field, terms)
+    return Polynomial._raw(d, field, mod_p(terms, field.p))

@@ -89,9 +89,9 @@ from .errors import (
     TooLarge,
     require_int,
 )
-from .field import FieldDescriptor
+from .field import FieldDescriptor, mod_p
 from .freealg import Polynomial, Word
-from .linalg import SparseEchelon, mod_p
+from .linalg import SparseEchelon
 
 COLUMN_CAP = 2**20
 # start words walked together per trie node.  Peak RSS of the d=3 quadric
@@ -161,20 +161,20 @@ class _Level:
 
 
 def _term_tries(polys):
-    """{degree: (prefix tree, count)} over the words of the polynomials with
+    """{degree: (prefix tree, polys)} over the words of the polynomials with
     terms of that degree, degrees ascending, constant terms left out.  A leaf
-    (a word's last letter) lists (position among those count, coefficient)."""
+    (a word's last letter) lists (position in polys, coefficient)."""
     tries: dict = {}
     for f in polys:
         for k, comp in f.homogeneous_components().items():
             if k:
-                root, count = tries.get(k, ({}, 0))
+                root, with_k = tries.setdefault(k, ({}, []))
                 for word, c in sorted(comp.terms.items()):
                     node = root
                     for letter in word[:-1]:
                         node = node.setdefault(letter, {})
-                    node.setdefault(word[-1], []).append((count, c))
-                tries[k] = (root, count + 1)
+                    node.setdefault(word[-1], []).append((len(with_k), c))
+                with_k.append(f)
     return dict(sorted(tries.items()))
 
 
@@ -407,10 +407,10 @@ def build_table(
                 % (n, n - 1, width, COLUMN_CAP)
             )
         ech = SparseEchelon(p)
-        for k, (trie, count) in tries.items():
+        for k, (trie, polys) in tries.items():
             if k > n:
                 break
-            starts = len(levels[n - k].cols)
+            count, starts = len(polys), len(levels[n - k].cols)
             for lo in range(0, starts, WALK_BLOCK):
                 block = range(lo, min(lo + WALK_BLOCK, starts))
                 accs = [{} for _ in range(len(block) * count)]
@@ -419,8 +419,7 @@ def build_table(
         # a degree-n generator whose own row (the last block) adds no pivot
         # lies in the ideal of the others and leaves every later degree's walk
         if n in tries and None in pivots:
-            kept = [g for g, c in zip((g for g in gens if g.degree() == n), pivots)
-                    if c is not None]
+            kept = [g for g, c in zip(tries[n][1], pivots) if c is not None]
             if kept:
                 tries[n] = _term_tries(kept)[n]
             else:

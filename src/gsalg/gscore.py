@@ -238,9 +238,10 @@ def verify_growth(
     v, c, u = cert.v, cert.c, cert.u
     base = cert.growth_base
     lines: List[LedgerLine] = []
+    rhs = Fraction(0)
     for n in range(N):
         lhs = v * b[n + 1]
-        rhs = sum(c * u ** (n - j) * b[j] for j in range(n + 1))
+        rhs = u * rhs + c * b[n]  # sum_{j<=n} c*u**(n-j)*b_j, by Horner's rule
         lines.append(LedgerLine("weighted_tail", n, lhs, rhs, lhs >= rhs))
     for n in range(max(N - 1, 0)):
         lhs = v * b[n + 1]
@@ -250,10 +251,11 @@ def verify_growth(
         lhs = Fraction(b[n + 2])
         rhs = base * b[n + 1]
         lines.append(LedgerLine("stepwise_ratio", n, lhs, rhs, lhs >= rhs))
+    rhs = Fraction(1)
     for n in range(N + 1):
         lhs = Fraction(b[n])
-        rhs = base**n
         lines.append(LedgerLine("power_bound", n, lhs, rhs, lhs >= rhs))
+        rhs *= base
     return GrowthReport(ok=all(line.ok for line in lines), lines=tuple(lines))
 
 

@@ -1,10 +1,11 @@
 """Exact sparse row echelon backing the graded dimension tables.
 
-Rows are dicts {column: coefficient} holding only nonzero entries: python
-ints in [0, p) over GF(p), where GF(2) is simply p = 2, and Fractions over
-the rationals (p None).  The graded rows hold a few nonzeros in tens of
-thousands of columns (about 3.6 per row for the d=3 quadric over GF(2) and
-GF(5)), so a row costs what its nonzeros cost, whatever the width.
+Rows are dicts {column: coefficient} made canonical by field.mod_p: python
+ints in [0, p) over GF(p), where GF(2) is simply p = 2, or Fractions over
+the rationals (p None), zeros dropped.  _axpy alone drops zeros eagerly, as
+elimination reads min(row) after every step.  The graded rows hold a few
+nonzeros in tens of thousands of columns (about 3.6 per row for the d=3
+quadric over GF(2) and GF(5)), so a row costs what its nonzeros cost.
 
 SparseEchelon keeps the least-column pivot of every row with a leading 1.
 The pivot set of a row space does not depend on insertion order, so the
@@ -22,12 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional
 
-
-def mod_p(row: dict, p: Optional[int]) -> dict:
-    """row reduced mod p (no modulus over QQ, p None), zeros dropped."""
-    if p is None:
-        return {k: v for k, v in row.items() if v}
-    return {k: r for k, v in row.items() if (r := v % p)}
+from .field import mod_p
 
 
 def _axpy(row: dict, a, other: dict, p: Optional[int]) -> None:

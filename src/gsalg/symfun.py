@@ -31,7 +31,7 @@ from .combinat import (
     weak_tuples,
 )
 from .errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge, require_int
-from .field import FieldDescriptor
+from .field import FieldDescriptor, mod_p
 from .freealg import Polynomial, Word
 
 
@@ -83,18 +83,13 @@ def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescripto
     Distinct permutations can produce the same word after substitution, so
     coefficients accumulate; over small fields a generator can vanish.
     """
-    f = field
     terms: dict[Word, object] = {}
     for t in _orbit(j, window.q):
         w: Word = ()
         for i in t:
             w = w + window.words[i - 1]
-        s = f.add(terms.get(w, 0), f.one)
-        if f.is_zero(s):
-            terms.pop(w, None)
-        else:
-            terms[w] = s
-    return Polynomial._raw(window.d, f, terms)
+        terms[w] = terms.get(w, 0) + field.one
+    return Polynomial._raw(window.d, field, mod_p(terms, field.p))
 
 
 def generator_degree(j: WeakTuple, window: MonomialWindow) -> int:
@@ -131,12 +126,12 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
     if support:
         if weak_tuple_count_within(len(support), n, ENUM_CAP // n) is None:
             raise TooLarge("expansion has more entries than the cap %d" % ENUM_CAP)
+        # nonzero factors, so lambda_j != 0; one power per run of weakly increasing j
         for pick in itertools.combinations_with_replacement(support, n):
             c = f.one
-            for i in pick:
-                c = f.mul(c, alpha[i])
-            if not f.is_zero(c):
-                lam[pick] = c
+            for i, run in itertools.groupby(pick):
+                c = f.mul(c, f.pow(alpha[i], len(list(run))))
+            lam[pick] = c
 
     # the re-check builds m**i words of i*deg(g) letters at step i of g**n (m
     # terms), and n prefixes of at most generator_degree(j) letters for each
@@ -144,9 +139,10 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
     built = itertools.chain((len(g.terms) ** i * i * g.degree() for i in range(1, n + 1)),
                             (orbit_size(j) * n * generator_degree(j, window) for j in lam))
     if lam and all(entries <= ENUM_CAP for entries in itertools.accumulate(built)):
-        total = Polynomial.zero(window.d, f)
-        for j, c in sorted(lam.items()):
-            total = total + window_generator(j, window, f).scale(c)
-        if total != g ** n:
+        total: dict[Word, object] = {}
+        for j, c in lam.items():
+            for w, a in window_generator(j, window, f).terms.items():
+                total[w] = total.get(w, 0) + c * a
+        if mod_p(total, f.p) != (g ** n).terms:
             raise AssertionError("power expansion identity failed; this is a bug")
     return lam

@@ -233,6 +233,22 @@ def reference_poly_str(p: Polynomial) -> str:
     return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
+# -- coefficient maps folded term by term ------------------------------------------
+
+def reference_fold(pairs, field: FieldDescriptor) -> dict:
+    """{word: coefficient} from (word, raw value) pairs, folded eagerly: each
+    value is coerced and added in with field.add, and a sum that is zero is
+    dropped at once (the package adds raw values and reduces once, mod_p)."""
+    out: dict = {}
+    for word, raw in pairs:
+        s = field.add(out.get(word, field.zero), field.coerce(raw))
+        if field.is_zero(s):
+            out.pop(word, None)
+        else:
+            out[word] = s
+    return out
+
+
 # -- window generators from their definition -------------------------------------
 
 def reference_window_generator(j: Sequence[int], d: int, c: int,

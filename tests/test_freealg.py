@@ -1,5 +1,6 @@
 """Free-algebra polynomials: arithmetic, grading, text format."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from gsalg.freealg import (
     word_index,
     words_of_degree,
 )
+from gsalg.symfun import monomial_window, window_generator
 
-from oracles import reference_poly_str
+from oracles import reference_fold, reference_poly_str
 
 
 def x(i, d=2, field=GF2):
@@ -252,3 +254,92 @@ def test_ring_axioms(p, q, r):
     assert (p - p).is_zero()
 
 
+# -- the canonical form: raw sums reduced once, against the eager fold ----------
+
+CANONICAL_FIELDS = [GF2, FieldDescriptor(5), FieldDescriptor(2**31 - 1), QQ]
+
+
+def _assert_canonical(p):
+    """Every stored coefficient is nonzero: an int in [0, p), or a Fraction over QQ."""
+    for c in p.terms.values():
+        if p.field.p is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < p.field.p
+
+
+@st.composite
+def _term_lists(draw):
+    """(field, d, terms, terms) over a few words, so that words repeat, with
+    a term now and then followed by its negative, so that sums cancel."""
+    field = draw(st.sampled_from(CANONICAL_FIELDS))
+    d = draw(st.integers(min_value=1, max_value=3))
+    words = draw(st.lists(st.lists(st.integers(min_value=1, max_value=d), max_size=3).map(tuple),
+                          min_size=1, max_size=4))
+    nums = st.integers(min_value=-(2**40), max_value=2**40)
+    coeffs = st.builds(Fraction, nums, st.integers(min_value=1, max_value=30)) if field is QQ else nums
+
+    def terms():
+        out = []
+        for w, c, cancel in draw(st.lists(st.tuples(st.sampled_from(words), coeffs, st.booleans()),
+                                          max_size=8)):
+            out += [(w, c), (w, -c)] if cancel else [(w, c)]
+        return out
+
+    return field, d, terms(), terms()
+
+
+def _text(terms):
+    """The text form of a term list, words repeated as they come."""
+    parts = ["%s %s%s" % ("-" if c < 0 else "+", abs(c), "".join("*x%d" % t for t in w))
+             for w, c in terms]
+    return " ".join(parts) or "0"
+
+
+@settings(max_examples=200)
+@given(_term_lists())
+@example((GF2, 2, [((1,), 1), ((1,), 1)], []))
+@example((QQ, 2, [((1,), Fraction(1)), ((1,), Fraction(-1))], []))
+def test_canonical_form_matches_the_eager_fold(case):
+    field, d, s, t = case
+
+    def summed(terms):
+        out = Polynomial.zero(d, field)
+        for w, c in terms:
+            out = out + Polynomial(d, field, {w: c})
+        return out
+
+    p, q = summed(s), summed(t)
+    cases = [
+        (p, reference_fold(s, field)),
+        (Polynomial(d, field, dict(s)), reference_fold(dict(s).items(), field)),
+        (p + q, reference_fold(s + t, field)),
+        (p * q, reference_fold([(u + v, a * b) for u, a in s for v, b in t], field)),
+        (parse_poly(_text(s), d, field), reference_fold(s, field)),
+        (parse_poly(poly_str(p), d, field), p.terms),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        _assert_canonical(got)
+
+
+def test_canonical_form_fixed_cases():
+    assert (x(1) + x(1)).is_zero()  # over GF(2)
+    x1 = Polynomial.variable(1, 2, QQ)
+    assert (x1 - x1).is_zero()
+    assert (x1 + x1).terms == {(1,): Fraction(2)}
+    # two keys that name one word meet in the constructor and cancel there
+    assert Polynomial(2, QQ, {(1, 2): 3, range(1, 3): -3}).is_zero()
+    assert Polynomial(2, GF2, {(1, 2): 1, range(1, 3): 1, (2,): 3}).terms == {(2,): 1}
+
+
+@given(st.sampled_from(CANONICAL_FIELDS), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_window_generator_matches_the_eager_fold(field, d, c, data):
+    window = monomial_window(d, c)
+    j = tuple(sorted(data.draw(st.lists(st.integers(min_value=1, max_value=window.q),
+                                        min_size=1, max_size=4))))
+    words = [sum((window.words[i - 1] for i in t), ()) for t in set(itertools.permutations(j))]
+    h = window_generator(j, window, field)
+    assert h.terms == reference_fold([(w, 1) for w in words], field)
+    _assert_canonical(h)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
@@ -26,6 +27,7 @@ from gsalg.graded import build_table
 from gsalg.gscore import (
     BoundCertificate,
     GSParams,
+    LedgerLine,
     blueprint_from_dict,
     blueprint_table,
     blueprint_to_dict,
@@ -48,6 +50,7 @@ from oracles import (
     brute_minimal_n,
     certified_predicate,
     exact_log2_comb_bounds,
+    fibonacci,
     log2_comb_bounds,
     log2_envelope_bounds,
     naive_dimension_table,
@@ -247,6 +250,32 @@ def test_growth_input_validation():
         verify_growth([1, 3, -1], {}, cert)
     with pytest.raises(InvalidParams):
         verify_growth([1, 3, 9.0], {}, cert)
+
+
+def test_growth_ledger_matches_its_definitions():
+    cert = certificate_from_epsilon(GSParams(2, Fraction(2, 5)))
+    r = {2: 1}
+    b = [fibonacci(n + 2) for n in range(30)]  # b_n >= 2*b_{n-1} - b_{n-2}
+    v, c, u, base, N = cert.v, cert.c, cert.u, cert.growth_base, len(b) - 1
+    sides = (
+        [("weighted_tail", n, v * b[n + 1], sum(c * u ** (n - j) * b[j] for j in range(n + 1)))
+         for n in range(N)]
+        + [("generator_tail", n, v * b[n + 1],
+            Fraction(sum(r.get(n + 2 - j, 0) * b[j] for j in range(n + 1)))) for n in range(N - 1)]
+        + [("stepwise_ratio", n, Fraction(b[n + 2]), base * b[n + 1]) for n in range(N - 1)]
+        + [("power_bound", n, Fraction(b[n]), base**n) for n in range(N + 1)]
+    )
+    want = tuple(LedgerLine(kind, n, lhs, rhs, lhs >= rhs) for kind, n, lhs, rhs in sides)
+    assert repr(verify_growth(b, r, cert).lines) == repr(want)
+
+
+def test_growth_ledger_is_fast_on_a_long_sequence():
+    cert = certificate_from_epsilon(GSParams(3, Fraction(9, 20)))
+    b = [3**n for n in range(800)]
+    start = time.perf_counter()
+    rep = verify_growth(b, {}, cert)
+    assert time.perf_counter() - start < 1.0
+    assert rep.ok and len(rep.lines) == 4 * 799 - 1
 
 
 # -- minimal block degree ---------------------------------------------------------------

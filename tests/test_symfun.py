@@ -150,6 +150,19 @@ def test_power_expansion_skips_a_recheck_over_the_cap():
     assert lam == {(1,) * 10**6: 1}
 
 
+@pytest.mark.parametrize("text, n, size", [("x1", 10**6, 1), ("x1 + 2/3*x2", 2000, 2001)])
+def test_power_expansion_lambdas_are_fast_over_q(text, n, size):
+    # lambda_j is one power per distinct index of j, not n multiplications
+    g = parse_poly(text, 2, QQ)
+    start = time.perf_counter()
+    lam = power_expansion(g, n, monomial_window(2, 1))
+    assert time.perf_counter() - start < 1.0
+    assert len(lam) == size
+    a1, a2 = g.coefficient((1,)), g.coefficient((2,))
+    for j in list(lam)[::97]:
+        assert lam[j] == a1 ** j.count(1) * a2 ** j.count(2)
+
+
 def test_power_expansion_recheck_catches_a_corrupted_identity(monkeypatch):
     real = symfun.window_generator
     monkeypatch.setattr(
