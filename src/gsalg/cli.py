@@ -10,9 +10,12 @@ slack, violated condition, failed ledger line, unverified membership, a
 blueprint file that differs from the rebuild of its parameters), 2 usage
 or input errors (a blueprint file that differs from its rebuild only in
 the derived floats j_count_log2 and margin_log2_lo is a stale input, not a
-failed check), and a standard output closed before all was written.
-Outputs are deterministic: fixed orderings, no timestamps, exact rationals
-printed as num/den.
+failed check), a run out of memory, and a standard output closed before
+all was written.  Outputs are deterministic: fixed orderings, no
+timestamps, exact rationals printed as num/den.
+
+Only the modules a dims run needs are imported here; each other
+subcommand imports its gscore, symfun and combinat names when it runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .combinat import orbit_size, validate_weak_tuple, weak_tuple_count_within, weak_tuples
 from .errors import (
     BlueprintMismatch,
     DegreeBelowTwo,
@@ -33,6 +35,9 @@ from .errors import (
     InvalidParams,
     NonHomogeneousGenerator,
     TooLarge,
+    read_json,
+    read_text,
+    write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import ParseError, Polynomial, parse_poly, poly_str
@@ -43,24 +48,6 @@ from .graded import (
     dimension_rows,
     write_dimension_csv,
 )
-from .gscore import (
-    BoundCertificate,
-    GSParams,
-    build_blueprint,
-    certificate_from_epsilon,
-    check_blueprint,
-    check_bound_conditions,
-    load_blueprint,
-    nil_certificate,
-    parse_ratio,
-    blueprint_table,
-    read_json,
-    read_text,
-    save_blueprint,
-    verify_growth,
-    write_text_atomic,
-)
-from .symfun import monomial_window, window_generator
 
 
 # -- input parsing helpers -------------------------------------------------------
@@ -162,6 +149,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .gscore import GSParams, build_blueprint, check_blueprint, parse_ratio, save_blueprint
+
     params = None
     if args.eps is not None:
         params = GSParams(args.d, parse_ratio(args.eps))
@@ -206,6 +195,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_nilcheck(args) -> int:
+    from .gscore import blueprint_table, load_blueprint, nil_certificate
+
     bp = load_blueprint(args.blueprint)
     field = bp.field
     if args.field is not None:
@@ -231,6 +222,16 @@ def cmd_nilcheck(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .gscore import (
+        BoundCertificate,
+        GSParams,
+        certificate_from_epsilon,
+        check_bound_conditions,
+        load_blueprint,
+        parse_ratio,
+        verify_growth,
+    )
+
     if args.eps is not None:
         cert = certificate_from_epsilon(GSParams(args.d, parse_ratio(args.eps)))
     elif args.v is not None and args.c is not None and args.u is not None:
@@ -285,6 +286,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_jcount(args) -> int:
+    from .combinat import weak_tuple_count_within, weak_tuples
+
     q, n = args.q, args.n
     # the interpreter's int-to-text digit limit (0 means none), at most its default
     digits = sys.int_info.default_max_str_digits
@@ -300,6 +303,9 @@ def cmd_jcount(args) -> int:
 
 
 def cmd_symfun(args) -> int:
+    from .combinat import orbit_size, validate_weak_tuple
+    from .symfun import monomial_window, window_generator
+
     j = _parse_ints(args.j, "index tuple")
     if args.d is not None or args.c is not None:
         if args.d is None or args.c is None:
@@ -409,6 +415,10 @@ def main(argv=None) -> int:
         return 1
     except GsalgError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        # raised before any cap refused the input; exit 1 would claim a failed check
+        print("error: out of memory running %s" % args.subcommand, file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one file reader and writer.
+
+read_text, read_json and write_text_atomic turn every failure to read or
+write a file into InvalidParams, which the CLI maps to exit 2.
+"""
+
+import json
+import os
 
 
 class GsalgError(Exception):
@@ -83,3 +90,55 @@ def require_int(value, what: str, low: int, high=None) -> None:
     if high is not None:
         rule = "an integer in [%d..%d]" % (low, high)
     raise InvalidParams("%s must be %s, got %r" % (what, rule, value))
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path all at once or not at all.
+
+    The text goes to a new file beside path, is flushed to disk and then
+    renamed over path, so a failed write leaves an earlier file unchanged
+    and removes its own temporary file.  Write errors raise InvalidParams.
+    """
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        ".%s.%s.tmp" % (os.path.basename(path), os.urandom(4).hex()),
+    )
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file.
+
+    A file that cannot be opened or decoded raises InvalidParams
+    "cannot read <what> <path>: ..."; ValueError covers undecodable bytes.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None
+
+
+def read_json(path: str, what: str):
+    """The JSON value in an input file; failures raise as in read_text.
+
+    ValueError covers JSON syntax, RecursionError nesting deeper than the
+    decoder recurses.
+    """
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None

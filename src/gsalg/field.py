@@ -14,9 +14,8 @@ once with mod_p, which takes each value mod p and drops the zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DivisionByZero, InvalidParams, require_int
 
@@ -56,17 +55,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """Coefficient field GF(p) for a prime p < 2**31, or QQ when p is None."""
+class _Modulus(NamedTuple):
+    p: Optional[int]
 
-    p: int | None
 
-    def __post_init__(self):
-        if self.p is not None:
-            require_int(self.p, "prime field modulus p", 2, MAX_PRIME - 1)
-            if not _is_prime(self.p):
-                raise InvalidParams("%d is not prime" % self.p)
+class FieldDescriptor(_Modulus):
+    """Coefficient field GF(p) for a prime p < 2**31, or QQ when p is None.
+
+    An immutable value: equal moduli give equal, equally hashed descriptors.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: Optional[int]):
+        if p is not None:
+            require_int(p, "prime field modulus p", 2, MAX_PRIME - 1)
+            if not _is_prime(p):
+                raise InvalidParams("%d is not prime" % p)
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named-tuple copy constructor (also behind _replace), validated too
+        return cls(*iterable)
 
     # -- raw-value arithmetic ------------------------------------------------
 

@@ -75,9 +75,8 @@ from __future__ import annotations
 import csv
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -441,8 +440,7 @@ def build_table(
 
 # -- dimension rows and the degree-wise lower bound ----------------------------
 
-@dataclass(frozen=True)
-class DimensionRow:
+class DimensionRow(NamedTuple):
     """One degree of the dimension report; bound and slack are None below 2."""
 
     n: int

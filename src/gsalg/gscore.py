@@ -26,7 +26,6 @@ large for any reachable block degree is refused before it is built.
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +40,9 @@ from .errors import (
     DimensionBoundViolated,
     InvalidParams,
     TooLarge,
+    read_json,
     require_int,
+    write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
@@ -788,58 +789,6 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
                                 "float; rebuild the file with construct" % where)
         raise BlueprintMismatch("blueprint invariants FAILED: %s differs from its rebuild" % where)
     return bp
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path all at once or not at all.
-
-    The text goes to a new file beside path, is flushed to disk and then
-    renamed over path, so a failed write leaves an earlier file unchanged
-    and removes its own temporary file.  Write errors raise InvalidParams.
-    """
-    tmp = os.path.join(
-        os.path.dirname(os.path.abspath(path)),
-        ".%s.%s.tmp" % (os.path.basename(path), os.urandom(4).hex()),
-    )
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise InvalidParams("cannot write %s: %s" % (path, exc)) from None
-
-
-def read_text(path: str, what: str) -> str:
-    """The UTF-8 text of an input file.
-
-    A file that cannot be opened or decoded raises InvalidParams
-    "cannot read <what> <path>: ..."; ValueError covers undecodable bytes.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:
-        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None
-
-
-def read_json(path: str, what: str):
-    """The JSON value in an input file; failures raise as in read_text.
-
-    ValueError covers JSON syntax, RecursionError nesting deeper than the
-    decoder recurses.
-    """
-    text = read_text(path, what)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidParams("cannot read %s %s: %s" % (what, path, exc)) from None
 
 
 def save_blueprint(bp: GSBlueprint, path: str) -> None:

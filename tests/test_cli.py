@@ -937,3 +937,40 @@ def test_table_commands_never_import_mpmath(gens_file):
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 False"
+
+
+def test_dims_loads_only_the_table_modules(gens_file):
+    # a bare import loads no submodule; a dims run never loads the
+    # construction layers or dataclasses; every public name still resolves
+    script = (
+        "import sys, gsalg\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gsalg.')))\n"
+        "import gsalg.cli\n"
+        "code = gsalg.cli.main(['dims', '--gens', %r, '--d', '2', '--maxdeg', '6'])\n"
+        "late = ('gsalg.gscore', 'gsalg.symfun', 'gsalg.combinat', 'dataclasses')\n"
+        "print(code, [m for m in late if m in sys.modules])\n"
+        "print(gsalg.build_blueprint.__module__)\n"
+        "star = {}\n"
+        "exec('from gsalg import *', star)\n"
+        "print(sorted(set(gsalg.__all__) - set(star)), sorted(set(gsalg.__all__) - set(dir(gsalg))))\n"
+        % gens_file
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-3:] == ["0 []", "gsalg.gscore", "[] []"]
+
+
+def test_out_of_memory_exits_two_without_traceback(capsys, gens_file, monkeypatch):
+    # exit 1 would claim a failed check; running out of memory is not one
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gsalg.cli, "build_table", exhausted)
+    code, out, err = run(capsys, ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "6"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: out of memory running dims"]
+    assert "Traceback" not in err

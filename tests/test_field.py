@@ -72,6 +72,25 @@ def test_descriptor_validation():
     assert FieldDescriptor(None) == QQ
 
 
+def test_descriptor_is_an_immutable_value():
+    # equal moduli make equal descriptors, however they were written
+    assert FieldDescriptor(5) == FieldDescriptor(p=5)
+    assert hash(FieldDescriptor(5)) == hash(FieldDescriptor(p=5))
+    assert {FieldDescriptor(5): "gf5"}[FieldDescriptor(p=5)] == "gf5"
+    assert FieldDescriptor(5) != FieldDescriptor(7) and GF2 != QQ
+    with pytest.raises(AttributeError):
+        FieldDescriptor(5).p = 7
+    with pytest.raises(AttributeError):
+        GF2.q = 2
+    for bad in (4, 1):
+        with pytest.raises(InvalidParams):
+            FieldDescriptor(p=bad)
+        with pytest.raises(InvalidParams):
+            FieldDescriptor(5)._replace(p=bad)
+    assert (str(GF2), str(QQ), str(FieldDescriptor(65521))) == ("gf2", "q", "gf65521")
+    assert repr(FieldDescriptor(5)) == "FieldDescriptor(p=5)"
+
+
 def test_parse_field():
     assert parse_field("gf2") == GF2
     assert parse_field("GF5") == FieldDescriptor(5)

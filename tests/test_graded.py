@@ -545,6 +545,14 @@ def test_check_dimension_bounds_flags_negatives():
     assert check_dimension_bounds(rows) == [2]
 
 
+def test_dimension_row_reads_by_name():
+    row = dimension_rows(build_table([parse_poly("x1*x2", 2, GF2)], 3))[2]
+    assert (row.n, row.dim_total, row.dim_ideal, row.b, row.bound, row.slack) == (2, 4, 1, 3, 3, 0)
+    assert row == DimensionRow(n=2, dim_total=4, dim_ideal=1, b=3, bound=3, slack=0)
+    with pytest.raises(AttributeError):
+        row.b = 4
+
+
 def test_csv_format_verbatim():
     table = build_table([parse_poly("x1*x2", 2, GF2)], 3)
     out = io.StringIO()

@@ -613,6 +613,26 @@ def test_nil_certificate_errors(toy13):
         nil_certificate(parse_poly("x1*x2*x1", 2, FieldDescriptor(5)), toy13)
 
 
+def test_block_one_of_d3_is_nil_with_exponent_eleven():
+    """The paper's nil claim on a real block: block 1 of (d, eps) = (3, 1/2), GF(2).
+
+    Its generators are the 78 window orbit sums of degree 11, and the linear
+    g = x1 + x2 + x3 has g**11 in their ideal but not g**10.  Block 1 of
+    (2, 9/20) and of (4, 1) cannot be checked so: their tables would need
+    2**21 columns at degree 21 and 4**11 at degree 11, over COLUMN_CAP.
+    """
+    bp = build_blueprint(P3, 1, "dense", d=3, field=GF2)
+    gens = bp.all_generators()
+    assert len(gens) == 78 and {g.degree() for g in gens} == {11}
+    table = build_table(gens, 12, d=3, field=GF2)
+    assert table.b_sequence() == [3**n for n in range(11)] + [177069, 531064]
+    g = parse_poly("x1 + x2 + x3", 3, GF2)
+    assert table.power_normal_form(g, 11).is_zero()
+    assert not table.power_normal_form(g, 10).is_zero()
+    cert = nil_certificate(g, bp, table)
+    assert (cert.exponent, cert.block_index, cert.verified) == (11, 1, True)
+
+
 @pytest.fixture(scope="module")
 def toy25():
     return build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
