@@ -108,12 +108,6 @@ class FieldDescriptor(_Modulus):
     def is_zero(self, a: Coeff) -> bool:
         return a == 0
 
-    def add(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a - b) % self.p if self.p is not None else a - b
-
     def neg(self, a: Coeff) -> Coeff:
         return (-a) % self.p if self.p is not None else -a
 

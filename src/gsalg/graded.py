@@ -27,28 +27,27 @@ array('q'); the word tuples are built from them on first use, and a dims run
 builds none.  The image tables are the right multiplications by x_t in the
 quotient, so the rows b*f are built by walking f's terms letter by letter
 through them, as in F4 (rows built as products, then eliminated as one
-sparse system); only the last step at the degree being built writes
-candidate columns.  The generators of one degree share one prefix tree of
-their words, walked for a block of up to WALK_BLOCK standard start words at
-once.  The first step is one slice of the next level's image table, the
-images b*x_t of the whole block, where the words that lie in the ideal drop
-out; each deeper tree node then steps the block's list of (slot, state)
-pairs in one loop, once for all the generators below it, and the top step
-writes into each row's own accumulator.  A walk state that is a single
-standard word stays an index, since its step is the image entry itself,
-already reduced; at the degree being built it writes its candidate column
-directly.  The block's raw accumulators go into linalg.SparseEchelon
-(least-column pivots, the column rank profile, so the standard words are
-canonical, whatever the order the rows come in), one back-substitution
-sweep reduces them fully, and the degree's table is read off in C-level
-passes: a bytearray mask over the width clears the pivots, the standard
-columns are the columns it keeps (itertools.compress), and the standard
-indices its running sum (itertools.accumulate); the pivot entries are then
-overwritten by their reduced rows.  A normal form walks one state from the
-empty word the same way; it ends in standard coordinates, with no
-reduction left to do.  The normal form of g**n is n such multiplications by
-g, nf(a*g) = nf(nf(a)*g) since the ideal is two-sided, so g**n is never
-expanded.
+sparse system).  One walk, _walk_pairs, serves rows and normal forms.  The
+generators of one degree share one prefix tree of their words, walked for a
+block of up to WALK_BLOCK standard start words at once, each the unit state
+of one (slot, state) pair; each tree node steps the list in one loop, once
+for all the generators below it, and words that fall in the ideal drop out.  A
+walk state that is a single standard word stays an index, since its step is
+the image entry itself, already reduced.  The degree being built has no
+image table yet, so there the top step writes candidate columns into each
+row's own accumulator, a unit state its column directly.  The block's raw
+accumulators go into linalg.SparseEchelon (least-column pivots, the column
+rank profile, so the standard words are canonical, whatever the order the
+rows come in), one back-substitution sweep reduces them fully, and the
+degree's table is read off in C-level passes: a bytearray mask over the width
+clears the pivots, the standard columns are the columns it keeps
+(itertools.compress), and the standard indices its running sum
+(itertools.accumulate); the pivot entries are then overwritten by their
+reduced rows.  A normal form walks one state, from the empty word, to degrees
+whose level is built, so its top step goes through that level's image table
+and it ends in standard coordinates, with no reduction left to do.  The
+normal form of g**n is n such multiplications by g, nf(a*g) = nf(nf(a)*g)
+since the ideal is two-sided, so g**n is never expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
@@ -196,71 +195,31 @@ def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
                 out[j] = get(j, 0) + a * v
 
 
-def _walk(levels, d, p, trie, state, level: int, top: int, out: dict) -> None:
-    """out += state * f at degree top, f the polynomial whose terms are in trie.
-
-    The normal-form walk: one state, a vector at `level` in standard
-    coordinates or a standard index s for {s: 1}, with top at most the
-    table's maxdeg.  Each node's step maps the state through the next
-    level's image table; a unit state's step is its image entry, already
-    reduced.  It is kept apart from _walk_block, which steps a list of
-    states per trie node, so that a normal form, one state, builds no
-    one-element list at every node.
-    """
-    image = levels[level + 1].image
-    unit = state.__class__ is int
-    if level + 1 == top:
-        state = {state: 1} if unit else state
-        for t, leaf in trie.items():
-            for _, c in leaf:
-                _step(state, image, d, t, c, out)
-        return
-    for t, sub in trie.items():
-        if unit:
-            nxt = image[state * d + t - 1]
-        else:
-            nxt = {}
-            _step(state, image, d, t, 1, nxt)
-            nxt = mod_p(nxt, p)
-        if nxt.__class__ is int or nxt:
-            _walk(levels, d, p, sub, nxt, level + 1, top, out)
-
-
-def _walk_block(levels, d, p, trie, block: range, level: int, top: int, accs) -> None:
-    """accs[slot*count + i] += (word block[slot]) * f_i at degree top, for the
-    count = len(accs) // len(block) polynomials f_i in trie.
-
-    block is a range of standard start words at `level`, and top is the
-    degree being built, at least two above (generators have degree >= 2).
-    The first step is one slice of the next level's image table, the image
-    of every start word times x_t at once; words that fall in the ideal
-    (empty dicts) drop out there.
-    """
-    image = levels[level + 1].image
-    count = len(accs) // len(block)
-    first = block.start * d - 1
-    for t, sub in trie.items():
-        states = image[first + t : block.stop * d : d]
-        pairs = [(slot, s) for slot, s in enumerate(states) if s.__class__ is int or s]
-        if pairs:
-            _walk_pairs(levels, d, p, sub, pairs, level + 1, top, accs, count)
-
-
 def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: int) -> None:
-    """The walk below a trie node for a list of (slot, state) pairs at
-    `level`: each node steps the whole list in one loop.  The top step
-    writes candidate columns, a unit state s the column s*d + t-1 itself."""
+    """accs[slot*count + i] += state * f_i at degree top, for each (slot,
+    state) pair at `level` and the count polynomials f_i in trie; a state is
+    a vector in standard coordinates, or a standard index s for {s: 1}, whose
+    step is its image entry.  Each node steps the whole list in one loop.  A
+    built top level (a normal form) takes the top step through its image
+    table; otherwise the step writes candidate columns, s*d + t-1 for a unit
+    state s."""
     if level + 1 == top:
+        image = levels[top].image if top < len(levels) else None
         for t, leaf in trie.items():
             off = t - 1
             for i, c in leaf:
                 for slot, state in pairs:
                     acc = accs[slot * count + i]
-                    if state.__class__ is int:
+                    if state.__class__ is not int:
+                        _step(state, image, d, t, c, acc)
+                    elif image is None:
                         col = state * d + off
                         acc[col] = acc.get(col, 0) + c
+                    elif (img := image[state * d + off]).__class__ is int:
+                        acc[img] = acc.get(img, 0) + c
                     else:
-                        _step(state, None, d, t, c, acc)
+                        for j, v in img.items():
+                            acc[j] = acc.get(j, 0) + c * v
         return
     image = levels[level + 1].image
     for t, sub in trie.items():
@@ -359,7 +318,8 @@ class GradedIdealTable:
                     for j, a in ({state: 1} if state.__class__ is int else state).items():
                         acc[j] = acc.get(j, 0) + c0 * a
                 for k, (trie, _) in tries.items():
-                    _walk(levels, d, p, trie, state, m, m + k, out.setdefault(m + k, {}))
+                    acc = out.setdefault(m + k, {})
+                    _walk_pairs(levels, d, p, trie, [(0, state)], m, m + k, [acc], 1)
             v = {m: vec for m, acc in sorted(out.items()) if (vec := mod_p(acc, p))}
         terms = {}
         for m, vec in v.items():
@@ -411,9 +371,9 @@ def build_table(
                 break
             count, starts = len(polys), len(levels[n - k].cols)
             for lo in range(0, starts, WALK_BLOCK):
-                block = range(lo, min(lo + WALK_BLOCK, starts))
+                block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
                 accs = [{} for _ in range(len(block) * count)]
-                _walk_block(levels, d, p, trie, block, n - k, n, accs)
+                _walk_pairs(levels, d, p, trie, block, n - k, n, accs, count)
                 pivots = [ech.insert(acc) for acc in accs]
         # a degree-n generator whose own row (the last block) adds no pivot
         # lies in the ideal of the others and leaves every later degree's walk

@@ -235,13 +235,23 @@ def reference_poly_str(p: Polynomial) -> str:
 
 # -- coefficient maps folded term by term ------------------------------------------
 
+def field_add(field: FieldDescriptor, a, b):
+    """a + b in the field, reduced at once (the package reduces sums with mod_p)."""
+    return (a + b) % field.p if field.p is not None else a + b
+
+
+def field_sub(field: FieldDescriptor, a, b):
+    """a - b in the field, reduced at once."""
+    return (a - b) % field.p if field.p is not None else a - b
+
+
 def reference_fold(pairs, field: FieldDescriptor) -> dict:
     """{word: coefficient} from (word, raw value) pairs, folded eagerly: each
-    value is coerced and added in with field.add, and a sum that is zero is
+    value is coerced and added in with field_add, and a sum that is zero is
     dropped at once (the package adds raw values and reduces once, mod_p)."""
     out: dict = {}
     for word, raw in pairs:
-        s = field.add(out.get(word, field.zero), field.coerce(raw))
+        s = field_add(field, out.get(word, field.zero), field.coerce(raw))
         if field.is_zero(s):
             out.pop(word, None)
         else:
@@ -324,7 +334,7 @@ def _full_vector(p: Polynomial, d: int, field: FieldDescriptor):
     vec = [field.zero] * (d**n)
     for word, c in p.terms.items():
         idx = word_index(word, d)
-        vec[idx] = field.add(vec[idx], c)
+        vec[idx] = field_add(field, vec[idx], c)
     return vec
 
 
@@ -368,7 +378,7 @@ def _naive_reduce(vec, basis, field):
     for piv, row in basis:
         c = vec[piv]
         if c:
-            vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
+            vec = [field_sub(field, a, field.mul(c, b)) for a, b in zip(vec, row)]
     return vec
 
 
@@ -418,7 +428,7 @@ def naive_dimension_table(
                             vec = [field.zero] * (d**n)
                             for w, c in f.terms.items():
                                 idx = word_index(u + w + v, d)
-                                vec[idx] = field.add(vec[idx], c)
+                                vec[idx] = field_add(field, vec[idx], c)
                             _naive_insert(vec, basis, field)
         if binary:
             pivots = {pb.bit_length() - 1 for pb in basis.rows}

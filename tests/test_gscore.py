@@ -1,6 +1,7 @@
 """Certificates, growth ledgers, minimal block degrees, and blueprints."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -631,6 +632,34 @@ def test_block_one_of_d3_is_nil_with_exponent_eleven():
     assert not table.power_normal_form(g, 10).is_zero()
     cert = nil_certificate(g, bp, table)
     assert (cert.exponent, cert.block_index, cert.verified) == (11, 1, True)
+    # every nonzero linear g: a one-letter trie, whose walk is the top step
+    # alone, through the image table of each built level
+    _assert_nil_exactly_at(table, 11)
+
+
+def _nonzero_linear_forms(d, field):
+    """Every nonzero a_1*x1 + ... + a_d*xd over a finite field."""
+    for coeffs in itertools.product(range(field.p), repeat=d):
+        if any(coeffs):
+            yield Polynomial(d, field, {(t,): a for t, a in enumerate(coeffs, 1) if a})
+
+
+def _assert_nil_exactly_at(table, n):
+    for g in _nonzero_linear_forms(table.d, table.field):
+        assert table.power_normal_form(g, n).is_zero(), g
+        assert not table.power_normal_form(g, n - 1).is_zero(), g
+
+
+def test_block_one_of_d3_is_nil_with_exponent_eleven_over_gf3():
+    """Block 1 of (3, 1/2) over GF(3), dense: the same 78 generators, b_11
+    and b_12 as over GF(2), and each of the 26 nonzero linear g has g**11 in
+    the ideal but not g**10."""
+    gf3 = FieldDescriptor(3)
+    gens = build_blueprint(P3, 1, "dense", d=3, field=gf3).all_generators()
+    assert len(gens) == 78 and {g.degree() for g in gens} == {11}
+    table = build_table(gens, 12, d=3, field=gf3)
+    assert table.b_sequence() == [3**n for n in range(11)] + [177069, 531064]
+    _assert_nil_exactly_at(table, 11)
 
 
 @pytest.fixture(scope="module")
