@@ -38,12 +38,17 @@ image table yet, so there the top step writes candidate columns into each
 row's own accumulator, a unit state its column directly.  The block's raw
 accumulators go into linalg.SparseEchelon (least-column pivots, the column
 rank profile, so the standard words are canonical, whatever the order the
-rows come in), one back-substitution sweep reduces them fully, and the
-degree's table is read off in C-level passes: a bytearray mask over the width
-clears the pivots, the standard columns are the columns it keeps
+rows come in).  b_n is the width less their rank.  Finishing a degree
+(_finish) is one back-substitution sweep, which reduces the rows fully, and
+the table read off in C-level passes: a bytearray mask over the width clears
+the pivots, the standard columns are the columns it keeps
 (itertools.compress), and the standard indices its running sum
 (itertools.accumulate); the pivot entries are then overwritten by their
-reduced rows.  A normal form walks one state, from the empty word, to degrees
+reduced rows.  Every degree below maxdeg is finished for the next degree's
+walk.  The top degree keeps its semi-echelon and is finished on first read
+(basis, or a normal form reaching it), so a dims run, which needs only b_n,
+never finishes it; since b_n grows geometrically, the top degree holds most
+of the table.  A normal form walks one state, from the empty word, to degrees
 whose level is built, so its top step goes through that level's image table
 and it ends in standard coordinates, with no reduction left to do.  The
 normal form of g**n is n such multiplications by g, nf(a*g) = nf(nf(a)*g)
@@ -51,22 +56,25 @@ since the ideal is two-sided, so g**n is never expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
-a 2-core Xeon VM (median of 3 runs, each in its own process):
+a 2-core Xeon VM (median of 3 runs, each in its own process; the top degree
+left unfinished):
 
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.21 s / 40 MB;
-  GF(5), degree 10: 0.028 s / 20 MB
-- d=3 cubic pair, GF(2), degree 12: 0.18 s / 32 MB
-- d=2 binary cubic, GF(2), degree 20: 0.11 s / 27 MB
+- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.069 s / 28 MB
+  (0.116 s / 38 MB when the top degree was finished too);
+  GF(5), degree 10: 0.010 s / 17 MB
+- d=3 cubic pair, GF(2), degree 12: 0.072 s / 24 MB
+- d=2 binary cubic, GF(2), degree 20: 0.041 s / 22 MB
 - the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), GF(5),
-  degree 10: 0.083 s, 832 rows in for a total rank of 231 (0.127 s and 2,136
-  rows before generators in the ideal of the others left the walk)
+  degree 10: 0.035 s, 832 rows in for a total rank of 231 (2,136 rows
+  before generators in the ideal of the others left the walk)
 
 Generators whose fully reduced rows fill in cost more than in the deleted
-packed-int GF(2) engine, a dict entry costing far more than a bit: of three
-pairs of random d=3 GF(2) quadrics to degree 12, two got faster (0.58 ->
-0.37 s, 0.43 -> 0.30 s); the third, a million nonzeros at degree 12, takes
-13.2 s / 195 MB against 1.4 s / 50 MB, nearly all in back-substitution.
-Over GF(5) the same draws to degree 10 took 0.12-0.23 s against 0.85-1.00 s.
+packed-int GF(2) engine, a dict entry costing far more than a bit, nearly all
+in back-substitution.  The d=3 GF(2) quadrics x2*x1 + x2*x3 + x3*x1 and
+x1*x2 + x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (a million
+nonzeros there) take 1.4 s / 127 MB, 1.0 s of it back-substitution, where
+finishing the top degree too took 5.7 s / 204 MB (the deleted engine took
+1.4 s / 50 MB); reading that level later takes 4.4 s more.
 """
 
 from __future__ import annotations
@@ -93,8 +101,9 @@ from .linalg import SparseEchelon
 
 COLUMN_CAP = 2**20
 # start words walked together per trie node.  Peak RSS of the d=3 quadric
-# over GF(2) to degree 12: 39.8 MB in blocks of 1,024 (or of 1), 43.6 MB
-# for a whole degree at once, whose rows all wait for elimination together
+# over GF(2) to degree 12: 27.9 MB in blocks of 1,024 (27.5 MB in blocks of
+# 1, at twice the time), 34.2 MB for a whole degree at once, whose rows all
+# wait for elimination together
 WALK_BLOCK = 1024
 
 
@@ -156,6 +165,22 @@ class _Level:
         # ideal); None at degree 0, which has no candidate columns
         self.cols = cols
         self.image = image
+
+
+def _finish(ech: SparseEchelon, width: int, neg) -> _Level:
+    """Back-substitute a degree's semi-echelon and read its level off."""
+    ech.back_substitute()
+    # standard columns are the unmasked ones, numbered by a running sum
+    mask = bytearray(b"\x01") * width
+    for c in ech.rows:
+        mask[c] = 0
+    cols = array("q", compress(range(width), mask))
+    image = list(accumulate(mask, initial=-1))
+    del image[0]
+    # a pivot word is minus the rest of its reduced row (nonzero entries)
+    for c, row in ech.rows.items():
+        image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
+    return _Level(cols, image)
 
 
 def _term_tries(polys):
@@ -244,37 +269,53 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
 class GradedIdealTable:
     """Per-degree quotient bases of a homogeneous ideal, up to maxdeg."""
 
-    def __init__(self, d, field, generators, maxdeg, levels):
+    def __init__(self, d, field, generators, maxdeg, levels, b, top):
         self.d = d
         self.field = field
         self.generators = tuple(generators)
         self.maxdeg = maxdeg
-        self._levels = levels
+        self._finished = levels  # levels 0.., all but maxdeg when top is set
+        self._top = top  # _finish arguments of level maxdeg until first read
+        self._b = b
         self._words: List[List[Word]] = [[()]]  # words of degrees 0.., on demand
 
-    def _level(self, n: int) -> _Level:
+    def _check_degree(self, n: int) -> None:
         require_int(n, "degree", 0)
         if n > self.maxdeg:
             raise DegreeExceedsTable(
                 "degree %d exceeds table maximum %d" % (n, self.maxdeg)
             )
-        return self._levels[n]
+
+    def _level(self, n: int) -> _Level:
+        """Level n, finished here when it is the top degree's first read."""
+        self._check_degree(n)
+        if n == len(self._finished):
+            self._finished.append(_finish(*self._top))
+            self._top = None
+        return self._finished[n]
+
+    @property
+    def _levels(self) -> List[_Level]:
+        """Every level, the top one finished on first access."""
+        self._level(self.maxdeg)
+        return self._finished
 
     def _words_at(self, n: int) -> List[Word]:
         """Standard words of degree n, built from degree n-1 on first use."""
-        self._level(n)
+        self._check_degree(n)
         words, d = self._words, self.d
         while len(words) <= n:
             prev = words[-1]
-            words.append([prev[c // d] + (c % d + 1,) for c in self._levels[len(words)].cols])
+            words.append([prev[c // d] + (c % d + 1,) for c in self._level(len(words)).cols])
         return words[n]
 
     def b(self, n: int) -> int:
         """Quotient dimension b_n = d**n - dim I_n."""
-        return len(self._level(n).cols)
+        self._check_degree(n)
+        return self._b[n]
 
     def b_sequence(self) -> List[int]:
-        return [len(lv.cols) for lv in self._levels]
+        return list(self._b)
 
     def basis(self, n: int) -> List[Word]:
         """Standard words spanning the degree-n quotient component."""
@@ -303,11 +344,13 @@ class GradedIdealTable:
                 "polynomial is over %s, table over %s" % (g.field, self.field)
             )
         require_int(n, "exponent", 0)
-        if n * g.degree() > self.maxdeg:
+        top = max(n * g.degree(), 0)
+        if top > self.maxdeg:
             raise DegreeExceedsTable(
-                "component of degree %d exceeds table maximum %d" % (n * g.degree(), self.maxdeg)
+                "component of degree %d exceeds table maximum %d" % (top, self.maxdeg)
             )
-        levels, d, p = self._levels, self.d, self.field.p
+        self._level(top)  # the highest level the walk steps through
+        levels, d, p = self._finished, self.d, self.field.p
         tries, c0 = _term_tries([g]), g.constant_coefficient()
         v: dict = {0: 0}  # degree -> walk state of nf(g**i), here nf(1)
         for _ in range(n):
@@ -357,9 +400,9 @@ def build_table(
     require_int(maxdeg, "maxdeg", 0)
     tries = _term_tries(gens)
     p, neg = field.p, field.p or 0
-    levels = [_Level([0], None)]
+    levels, b = [_Level([0], None)], [1]
     for n in range(1, maxdeg + 1):
-        width = len(levels[n - 1].cols) * d
+        width = b[n - 1] * d
         if width > COLUMN_CAP:
             raise TooLarge(
                 "degree %d needs d*b_%d = %d columns, over the %d-column cap"
@@ -369,7 +412,7 @@ def build_table(
         for k, (trie, polys) in tries.items():
             if k > n:
                 break
-            count, starts = len(polys), len(levels[n - k].cols)
+            count, starts = len(polys), b[n - k]
             for lo in range(0, starts, WALK_BLOCK):
                 block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
                 accs = [{} for _ in range(len(block) * count)]
@@ -383,19 +426,13 @@ def build_table(
                 tries[n] = _term_tries(kept)[n]
             else:
                 del tries[n]
-        ech.back_substitute()
-        # standard columns are the unmasked ones, numbered by a running sum
-        mask = bytearray(b"\x01") * width
-        for c in ech.rows:
-            mask[c] = 0
-        cols = array("q", compress(range(width), mask))
-        image = list(accumulate(mask, initial=-1))
-        del image[0]
-        # a pivot word is minus the rest of its reduced row (nonzero entries)
-        for c, row in ech.rows.items():
-            image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
-        levels.append(_Level(cols, image))
-    return GradedIdealTable(d, field, gens, maxdeg, levels)
+        b.append(width - len(ech.rows))
+        if n < maxdeg:  # the next degree's walk steps through this one
+            levels.append(_finish(ech, width, neg))
+    # b_n needs only the rank, so the top degree keeps its semi-echelon until
+    # a query first reads the level
+    top = (ech, width, neg) if maxdeg else None
+    return GradedIdealTable(d, field, gens, maxdeg, levels, b, top)
 
 
 # -- dimension rows and the degree-wise lower bound ----------------------------

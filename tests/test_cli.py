@@ -974,3 +974,57 @@ def test_out_of_memory_exits_two_without_traceback(capsys, gens_file, monkeypatc
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: out of memory running dims"]
     assert "Traceback" not in err
+
+
+def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch):
+    # b_n at the top degree needs only the rank of its rows: dims to degree 6
+    # back-substitutes degrees 1-5 alone, and the sixth is finished by the
+    # first normal form that reaches it, once
+    calls, tables = [], []
+    back = graded.SparseEchelon.back_substitute
+    monkeypatch.setattr(graded.SparseEchelon, "back_substitute", lambda self: calls.append(1) or back(self))
+    build = gsalg.cli.build_table
+    monkeypatch.setattr(gsalg.cli, "build_table", lambda *args, **kw: tables.append(build(*args, **kw)) or tables[-1])
+    path = tmp_path / "quadric.txt"
+    path.write_text("x1*x2 + x2*x3 + x3*x1\n")
+    code, out, err = run(capsys, ["dims", "--gens", str(path), "--d", "3", "--maxdeg", "6", "--field", "gf2"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "6,729,352,377,377,0"
+    assert len(calls) == 5
+    (table,) = tables
+    assert not table.normal_form(gsalg.parse_poly("x1*x2*x3*x1*x2", 3, table.field)).is_zero()
+    assert len(calls) == 5
+    for word in ("x1*x2*x3*x1*x2*x3", "x2*x1*x1*x3*x3*x2"):
+        assert not table.normal_form(gsalg.parse_poly(word, 3, table.field)).is_zero()
+        assert len(calls) == 6
+
+
+def test_dims_out_of_address_space_exits_two(tmp_path):
+    # two d=3 GF(2) quadrics whose reduced rows fill in need about 220 MB
+    # to degree 13.  Under a 160 MB address-space limit, set on this child
+    # alone, dims ends in the one-line out-of-memory error, not a traceback
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+
+    path = tmp_path / "pair_a.txt"
+    path.write_text(
+        "x1*x1 + x1*x2 + x2*x1 + x2*x3 + x3*x1 + x3*x3\n"
+        "x1*x1 + x2*x3 + x3*x2 + x3*x3\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+            "dims", "--gens", str(path), "--d", "3", "--maxdeg", "13", "--field", "gf2",
+        ],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory running dims\n"
+    assert proc.stdout == ""

@@ -413,6 +413,69 @@ def test_words_built_on_demand():
         assert table.normal_form(probe) == oracle.normal_form(probe)
 
 
+# -- the top degree, finished on first read ------------------------------------
+
+
+def _top_degree_cases():
+    """(generators, maxdeg) over GF(2), GF(7) and QQ."""
+    rng = random.Random(18)
+    gf7 = [
+        Polynomial(3, FieldDescriptor(7), {tuple(rng.randint(1, 3) for _ in range(k)): rng.randint(1, 6) for _ in range(3)})
+        for k in (2, 3)
+    ]
+    return {
+        "gf2": ([parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2), parse_poly("x1*x1*x3 + x3*x2*x2", 3, GF2)], 6),
+        "gf7": (gf7, 5),
+        "q": ([parse_poly("x1*x2 - 2*x2*x1 + x3*x3", 3, QQ), parse_poly("3*x1*x1*x2 + x2*x3*x1", 3, QQ)], 5),
+    }
+
+
+def _count_back_substitutions(mp):
+    """Count the calls of SparseEchelon.back_substitute, through mp."""
+    calls = []
+    back = SparseEchelon.back_substitute
+    mp.setattr(SparseEchelon, "back_substitute", lambda self: calls.append(1) or back(self))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["gf2", "gf7", "q"])
+def test_top_level_read_late_equals_the_level_built_below_a_higher_top(monkeypatch, case):
+    # the top degree keeps its semi-echelon: b, b_sequence and the dimension
+    # rows need only its rank, and finish nothing.  Read later, its level
+    # equals the one a table a degree higher builds on the way
+    gens, n = _top_degree_cases()[case]
+    higher = build_table(gens, n + 1)
+    levels = _level_tables(higher)[: n + 1]
+    calls = _count_back_substitutions(monkeypatch)
+    table = build_table(gens, n)
+    assert len(calls) == n - 1
+    assert table.b_sequence() == higher.b_sequence()[: n + 1]
+    assert [table.b(m) for m in range(n + 1)] == table.b_sequence()
+    assert dimension_rows(table) == dimension_rows(higher)[: n + 1]
+    assert len(calls) == n - 1
+    assert _level_tables(table) == levels
+    assert len(calls) == n
+    assert [table.basis(m) for m in range(n + 1)] == [higher.basis(m) for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("case", ["gf2", "gf7", "q"])
+def test_top_level_read_first_by_a_query_matches_naive_table(monkeypatch, case):
+    # basis(maxdeg) and a normal form reaching maxdeg, each the first read
+    # of a fresh table's top level, agree with the full-width reference
+    gens, n = _top_degree_cases()[case]
+    oracle = naive_dimension_table(gens, n)
+    calls = _count_back_substitutions(monkeypatch)
+    assert build_table(gens, n).basis(n) == oracle.standard_words[n]
+    assert len(calls) == n
+    rng = random.Random(n)
+    d, field = gens[0].d, gens[0].field
+    for _ in range(3):
+        probe = Polynomial(d, field, {tuple(rng.randint(1, d) for _ in range(m)): rng.randint(1, 4) for m in (n - 2, n, n)})
+        table = build_table(gens, n)
+        assert table.normal_form(probe) == oracle.normal_form(probe)
+    assert len(calls) == 4 * n
+
+
 def test_normal_form_mixed_degrees():
     table = build_table([parse_poly("x1*x1", 2, QQ)], 5)
     p = parse_poly("3 + x1 + x1*x1 + x1*x2", 2, QQ)
