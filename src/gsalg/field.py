@@ -1,10 +1,12 @@
 """Exact scalar arithmetic over GF(2), GF(p), and the rationals.
 
 A FieldDescriptor is its modulus: a prime p < 2**31 for GF(p), GF(2) being
-simply p = 2, or None for the rationals.  It implements the arithmetic on
-raw values: python ints in [0, p) for the finite fields, fractions.Fraction
-for the rationals.  Polynomials and the linear-algebra engines work on raw
-values tagged by a shared descriptor.
+simply p = 2, or None for the rationals.  Raw values are python ints in
+[0, p) for the finite fields and fractions.Fraction for the rationals;
+polynomials and the linear-algebra engines work on them with plain python
+operators, tagged by a shared descriptor.  An outside int or Fraction enters
+a field through coerce, and pow raises a residue to a large exponent without
+forming the raw power.
 
 Every sparse coefficient map ({word: coefficient} in a polynomial,
 {column: coefficient} in a row) is kept canonical by one rule: add raw
@@ -89,43 +91,22 @@ class FieldDescriptor(_Modulus):
     def one(self) -> Coeff:
         return 1 if self.p is not None else Fraction(1)
 
-    def from_int(self, k: int) -> Coeff:
-        """Canonical image of the integer k."""
-        if self.p is not None:
-            return k % self.p
-        return Fraction(k)
-
     def coerce(self, x) -> Coeff:
-        """Canonical image of an int or Fraction (Fractions over GF(p) via inverse)."""
+        """Canonical image of an int or Fraction (Fractions over GF(p) via inverse,
+        DivisionByZero when the denominator is 0 mod p)."""
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InvalidParams("coefficient must be int or Fraction, got %r" % (x,))
-        if self.p is None:
+        p = self.p
+        if p is None:
             return Fraction(x)
         if isinstance(x, Fraction):
-            return self.div(x.numerator % self.p, x.denominator % self.p)
-        return x % self.p
-
-    def is_zero(self, a: Coeff) -> bool:
-        return a == 0
-
-    def neg(self, a: Coeff) -> Coeff:
-        return (-a) % self.p if self.p is not None else -a
-
-    def mul(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a * b) % self.p if self.p is not None else a * b
+            if x.denominator % p == 0:
+                raise DivisionByZero("denominator of %s vanishes in %s" % (x, self))
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return x % p
 
     def pow(self, a: Coeff, m: int) -> Coeff:
         return pow(a, m, self.p) if self.p is not None else a**m
-
-    def inv(self, a: Coeff) -> Coeff:
-        if a == 0:
-            raise DivisionByZero("inverse of zero in %s" % self)
-        if self.p is not None:
-            return pow(a, -1, self.p)
-        return 1 / a
-
-    def div(self, a: Coeff, b: Coeff) -> Coeff:
-        return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:
         return "q" if self.p is None else "gf%d" % self.p

@@ -22,6 +22,7 @@ integers whenever the coefficient is integral.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
 
 from .errors import (
@@ -150,8 +151,7 @@ class Polynomial:
         return Polynomial._raw(self.d, self.field, mod_p(out, self.field.p))
 
     def __neg__(self) -> "Polynomial":
-        f = self.field
-        return Polynomial._raw(self.d, f, {w: f.neg(c) for w, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -169,9 +169,7 @@ class Polynomial:
         """Multiply by a raw scalar of the ambient field."""
         f = self.field
         c0 = f.coerce(raw)
-        if f.is_zero(c0):
-            return Polynomial.zero(self.d, f)
-        return Polynomial._raw(self.d, f, {w: f.mul(c, c0) for w, c in self._terms.items()})
+        return Polynomial._raw(self.d, f, mod_p({w: c * c0 for w, c in self._terms.items()}, f.p))
 
     def __pow__(self, n: int) -> "Polynomial":
         require_int(n, "the exponent", 0)
@@ -246,15 +244,16 @@ def parse_poly(text: str, d: int, field: FieldDescriptor) -> Polynomial:
         word: Word = ()
         want_factors = True
         if i < n and text[i].isdigit():
-            num, _ = read_int()
-            coeff = field.from_int(num)
+            coeff, _ = read_int()
             if i < n and text[i] == "/":
                 i += 1
                 den, dpos = read_int()
+                # tested on the raw den: Fraction would cancel it against coeff
                 vanishes = den == 0 if field.p is None else den % field.p == 0
                 if vanishes:
                     raise ParseError("coefficient denominator vanishes", dpos + 1)
-                coeff = field.div(coeff, field.from_int(den))
+                coeff = Fraction(coeff, den)
+            coeff = field.coerce(coeff)
             want_factors = False
             skip()
             if i < n and text[i] == "*":

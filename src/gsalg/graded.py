@@ -22,13 +22,14 @@ n stores, for every candidate column c = i*d + t-1, the image of the word
 b_i*x_t in the standard coordinates of degree n: the standard index itself
 when c is not a pivot, and minus the fully reduced pivot row on the standard
 columns when it is.  The standard words are prefix-closed (the tree of
-normal words), so a degree keeps just their candidate columns, in an
-array('q'); the word tuples are built from them on first use, and a dims run
-builds none.  The image tables are the right multiplications by x_t in the
-quotient, so the rows b*f are built by walking f's terms letter by letter
-through them, as in F4 (rows built as products, then eliminated as one
-sparse system).  One walk, _walk_pairs, serves rows and normal forms.  The
-generators of one degree share one prefix tree of their words, walked for a
+normal words), so the image table is all a degree keeps: its standard words
+are the candidate columns of its int entries, built into word tuples on
+first use (a dims run builds none).  The image tables are the right
+multiplications by x_t in the quotient, so the rows b*f are built by
+walking f's terms letter by letter through them, as in F4 (rows built as
+products, then eliminated as one sparse system).  One walk, _walk_pairs,
+serves rows and normal forms.  The generators of one degree share one
+prefix tree of their words, walked for a
 block of up to WALK_BLOCK standard start words at once, each the unit state
 of one (slot, state) pair; each tree node steps the list in one loop, once
 for all the generators below it, and words that fall in the ideal drop out.  A
@@ -41,13 +42,12 @@ rank profile, so the standard words are canonical, whatever the order the
 rows come in).  b_n is the width less their rank.  Finishing a degree
 (_finish) is one back-substitution sweep, which reduces the rows fully, and
 the table read off in C-level passes: a bytearray mask over the width clears
-the pivots, the standard columns are the columns it keeps
-(itertools.compress), and the standard indices its running sum
-(itertools.accumulate); the pivot entries are then overwritten by their
-reduced rows.  Every degree below maxdeg is finished for the next degree's
-walk.  The top degree keeps its semi-echelon and is finished on first read
-(basis, or a normal form reaching it), so a dims run, which needs only b_n,
-never finishes it; since b_n grows geometrically, the top degree holds most
+the pivots, and its running sum (itertools.accumulate) numbers the standard
+columns; the pivot entries are then overwritten by their reduced rows.
+Every degree below maxdeg is finished for the next degree's walk.  The top
+degree keeps its semi-echelon and is finished on first read (basis, or a
+normal form reaching it), so a dims run, which needs only b_n, never
+finishes it; since b_n grows geometrically, the top degree holds most
 of the table.  A normal form walks one state, from the empty word, to degrees
 whose level is built, so its top step goes through that level's image table
 and it ends in standard coordinates, with no reduction left to do.  The
@@ -80,9 +80,8 @@ finishing the top degree too took 5.7 s / 204 MB (the deleted engine took
 from __future__ import annotations
 
 import csv
-from array import array
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -151,36 +150,23 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
             raise InvalidParams("%s[%d] must be 0 (no generators below degree 2)" % (what, deg))
 
 
-# -- per-degree level data ------------------------------------------------------
+# -- per-degree image tables -----------------------------------------------------
 
-class _Level:
-    __slots__ = ("cols", "image")
-
-    def __init__(self, cols, image):
-        # standard word j is (word i one degree below)*x_t for the candidate
-        # column cols[j] = c = i*d + t-1, ascending ([0] for the empty word);
-        # words are built on demand (GradedIdealTable._words_at).  image[c] is
-        # that product in standard coordinates: its standard index j, or for
-        # a pivot column a dict {j: coef} (empty when the word lies in the
-        # ideal); None at degree 0, which has no candidate columns
-        self.cols = cols
-        self.image = image
-
-
-def _finish(ech: SparseEchelon, width: int, neg) -> _Level:
-    """Back-substitute a degree's semi-echelon and read its level off."""
+def _finish(ech: SparseEchelon, width: int, neg) -> list:
+    """Back-substitute a degree's semi-echelon and read its image table off:
+    image[c] is its standard index for a standard column c, and for a pivot
+    column a dict {index: coef} (empty when the word lies in the ideal)."""
     ech.back_substitute()
     # standard columns are the unmasked ones, numbered by a running sum
     mask = bytearray(b"\x01") * width
     for c in ech.rows:
         mask[c] = 0
-    cols = array("q", compress(range(width), mask))
     image = list(accumulate(mask, initial=-1))
     del image[0]
     # a pivot word is minus the rest of its reduced row (nonzero entries)
     for c, row in ech.rows.items():
         image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
-    return _Level(cols, image)
+    return image
 
 
 def _term_tries(polys):
@@ -229,7 +215,7 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
     table; otherwise the step writes candidate columns, s*d + t-1 for a unit
     state s."""
     if level + 1 == top:
-        image = levels[top].image if top < len(levels) else None
+        image = levels[top] if top < len(levels) else None
         for t, leaf in trie.items():
             off = t - 1
             for i, c in leaf:
@@ -246,7 +232,7 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
                         for j, v in img.items():
                             acc[j] = acc.get(j, 0) + c * v
         return
-    image = levels[level + 1].image
+    image = levels[level + 1]
     for t, sub in trie.items():
         off = t - 1
         nxt = []
@@ -274,7 +260,7 @@ class GradedIdealTable:
         self.field = field
         self.generators = tuple(generators)
         self.maxdeg = maxdeg
-        self._finished = levels  # levels 0.., all but maxdeg when top is set
+        self._finished = levels  # image tables 0.., all but maxdeg when top is set
         self._top = top  # _finish arguments of level maxdeg until first read
         self._b = b
         self._words: List[List[Word]] = [[()]]  # words of degrees 0.., on demand
@@ -286,8 +272,8 @@ class GradedIdealTable:
                 "degree %d exceeds table maximum %d" % (n, self.maxdeg)
             )
 
-    def _level(self, n: int) -> _Level:
-        """Level n, finished here when it is the top degree's first read."""
+    def _level(self, n: int) -> list:
+        """Image table n, finished here when it is the top degree's first read."""
         self._check_degree(n)
         if n == len(self._finished):
             self._finished.append(_finish(*self._top))
@@ -295,8 +281,8 @@ class GradedIdealTable:
         return self._finished[n]
 
     @property
-    def _levels(self) -> List[_Level]:
-        """Every level, the top one finished on first access."""
+    def _levels(self) -> list:
+        """Every image table (None at degree 0), the top one finished on first access."""
         self._level(self.maxdeg)
         return self._finished
 
@@ -306,7 +292,9 @@ class GradedIdealTable:
         words, d = self._words, self.d
         while len(words) <= n:
             prev = words[-1]
-            words.append([prev[c // d] + (c % d + 1,) for c in self._level(len(words)).cols])
+            image = self._level(len(words))  # standard columns hold ints
+            words.append([prev[c // d] + (c % d + 1,)
+                          for c, j in enumerate(image) if j.__class__ is int])
         return words[n]
 
     def b(self, n: int) -> int:
@@ -400,7 +388,7 @@ def build_table(
     require_int(maxdeg, "maxdeg", 0)
     tries = _term_tries(gens)
     p, neg = field.p, field.p or 0
-    levels, b = [_Level([0], None)], [1]
+    levels, b = [None], [1]
     for n in range(1, maxdeg + 1):
         width = b[n - 1] * d
         if width > COLUMN_CAP:
@@ -481,16 +469,7 @@ def write_dimension_csv(rows: Sequence[DimensionRow], fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row.n,
-                row.dim_total,
-                row.dim_ideal,
-                row.b,
-                "" if row.bound is None else row.bound,
-                "" if row.slack is None else row.slack,
-            ]
-        )
+        writer.writerow(["" if v is None else v for v in row])
 
 
 def dimension_report(table: GradedIdealTable, rows: Optional[Sequence[DimensionRow]] = None) -> dict:
@@ -502,16 +481,6 @@ def dimension_report(table: GradedIdealTable, rows: Optional[Sequence[DimensionR
         "field": str(table.field),
         "maxdeg": table.maxdeg,
         "r": {str(deg): count for deg, count in sorted(table.r_table().items())},
-        "rows": [
-            {
-                "n": row.n,
-                "dim_Tn": row.dim_total,
-                "dim_In": row.dim_ideal,
-                "b_n": row.b,
-                "eq1_bound": row.bound,
-                "slack": row.slack,
-            }
-            for row in rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
         "all_nonnegative": not check_dimension_bounds(rows),
     }

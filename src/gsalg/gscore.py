@@ -634,8 +634,10 @@ def check_blueprint(bp: GSBlueprint) -> BlueprintReport:
 
     Per block: degree separation (n and hence every generator degree exceeds
     the previous c'), shape (c = c'_prev + 1 for non-toy, c' = n*c, q the
-    window size), margin (tuple count strictly below eps**2 * u**(n-2) —
-    exact Fractions when representable, certified logs otherwise), and
+    window size, (min_degree, max_degree) the extreme keys of degree_counts,
+    else (n, c')), margin (tuple count strictly below eps**2 * u**(n-2), the
+    stored margin being the difference — exact Fractions when representable,
+    certified logs otherwise), and
     domination (every generator count r_ell within the eps**2 * u**(ell-2)
     envelope — exact per-degree when counts are exact, otherwise via
     r_ell <= j_count < eps**2*u**(n-2) <= eps**2*u**(ell-2) for ell >= n,
@@ -646,18 +648,23 @@ def check_blueprint(bp: GSBlueprint) -> BlueprintReport:
     c_prime_prev = 0
     for block in bp.blocks:
         separation_ok = block.n > c_prime_prev and block.min_degree >= block.n
+        counts = block.degree_counts
         shape_ok = (
             block.c_prime == block.n * block.c
             and block.q == window_size(bp.d, block.c)
             and (bp.toy or block.c == c_prime_prev + 1)
+            and (block.min_degree, block.max_degree)
+            == ((min(counts), max(counts)) if counts else (block.n, block.c_prime))
         )
         if bp.toy or params is None:
             margin_ok, margin_route = True, "skipped-toy"
             dominated_ok, dominated_route = True, "skipped-toy"
         else:
             if block.j_count is not None and block.margin is not None:
-                margin_ok = block.margin > 0 and block.j_count == comb(
-                    block.n + block.q - 1, block.n
+                margin_ok = (
+                    block.margin > 0
+                    and block.j_count == comb(block.n + block.q - 1, block.n)
+                    and block.margin == params.eps_sq * params.u ** (block.n - 2) - block.j_count
                 )
                 margin_route = "exact"
             else:

@@ -115,23 +115,24 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
     if g.d != window.d:
         raise InvalidParams("g lives over %d variables, window over %d" % (g.d, window.d))
     require_int(n, "power n", 1)
-    if not g.field.is_zero(g.constant_coefficient()):
+    if g.constant_coefficient():
         raise ConstantTerm("g must lie in T_{>=1}")
     if g.degree() > window.c:
         raise DegreeTooHigh("deg g = %d exceeds the window degree %d" % (g.degree(), window.c))
     f = g.field
     alpha = {i: g.coefficient(window.words[i - 1]) for i in range(1, window.q + 1)}
-    support = [i for i, a in alpha.items() if not f.is_zero(a)]
+    support = [i for i, a in alpha.items() if a]
     lam: dict[WeakTuple, object] = {}
     if support:
         if weak_tuple_count_within(len(support), n, ENUM_CAP // n) is None:
             raise TooLarge("expansion has more entries than the cap %d" % ENUM_CAP)
         # nonzero factors, so lambda_j != 0; one power per run of weakly increasing j
         for pick in itertools.combinations_with_replacement(support, n):
-            c = f.one
+            c = 1
             for i, run in itertools.groupby(pick):
-                c = f.mul(c, f.pow(alpha[i], len(list(run))))
+                c *= f.pow(alpha[i], len(list(run)))
             lam[pick] = c
+        lam = mod_p(lam, f.p)
 
     # the re-check builds m**i words of i*deg(g) letters at step i of g**n (m
     # terms), and n prefixes of at most generator_degree(j) letters for each

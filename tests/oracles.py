@@ -245,6 +245,16 @@ def field_sub(field: FieldDescriptor, a, b):
     return (a - b) % field.p if field.p is not None else a - b
 
 
+def field_mul(field: FieldDescriptor, a, b):
+    """a * b in the field, reduced at once."""
+    return (a * b) % field.p if field.p is not None else a * b
+
+
+def field_inv(field: FieldDescriptor, a):
+    """The inverse of a nonzero a in the field."""
+    return pow(a, -1, field.p) if field.p is not None else 1 / a
+
+
 def reference_fold(pairs, field: FieldDescriptor) -> dict:
     """{word: coefficient} from (word, raw value) pairs, folded eagerly: each
     value is coerced and added in with field_add, and a sum that is zero is
@@ -252,7 +262,7 @@ def reference_fold(pairs, field: FieldDescriptor) -> dict:
     out: dict = {}
     for word, raw in pairs:
         s = field_add(field, out.get(word, field.zero), field.coerce(raw))
-        if field.is_zero(s):
+        if s == 0:
             out.pop(word, None)
         else:
             out[word] = s
@@ -378,7 +388,7 @@ def _naive_reduce(vec, basis, field):
     for piv, row in basis:
         c = vec[piv]
         if c:
-            vec = [field_sub(field, a, field.mul(c, b)) for a, b in zip(vec, row)]
+            vec = [field_sub(field, a, field_mul(field, c, b)) for a, b in zip(vec, row)]
     return vec
 
 
@@ -387,8 +397,8 @@ def _naive_insert(vec, basis, field):
     piv = next((i for i, a in enumerate(vec) if a), None)
     if piv is None:
         return
-    inv = field.inv(vec[piv])
-    insort(basis, (piv, [field.mul(inv, a) for a in vec]))
+    inv = field_inv(field, vec[piv])
+    insort(basis, (piv, [field_mul(field, inv, a) for a in vec]))
 
 
 def naive_dimension_table(

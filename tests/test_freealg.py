@@ -162,6 +162,18 @@ def test_parse_rational_coefficients():
     assert p.coefficient((1,)) == Fraction(1, 2)
 
 
+def test_parse_vanishing_denominator():
+    # the test is on the written denominator: 5/10 must not cancel to 1/2
+    gf5 = FieldDescriptor(5)
+    for text, field, column in (("5/10*x1", gf5, 3), ("1/5*x1", gf5, 3), ("x1 - 3/0", QQ, 8)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2, field)
+        assert info.value.position == column
+        assert "denominator vanishes" in str(info.value)
+    assert parse_poly("2/3*x1", 2, gf5) == parse_poly("4*x1", 2, gf5)
+    assert parse_poly("10/4*x1", 2, QQ) == parse_poly("5/2*x1", 2, QQ)
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x1 + + x2", 2, GF2)

@@ -234,8 +234,8 @@ def test_stored_nonzeros_stay_sparse():
     # each pivot's reduced row); a densifying change moves these counts
     table = build_table([parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)], 10)
     nnz = [
-        sum(1 if img.__class__ is int else len(img) for img in level.image)
-        for level in table._levels[1:]
+        sum(1 if img.__class__ is int else len(img) for img in image)
+        for image in table._levels[1:]
     ]
     assert nnz == [3, 10, 28, 75, 198, 520, 1363, 3570, 9348, 24475]
 
@@ -279,7 +279,7 @@ def test_redundant_generators_leave_the_walk(monkeypatch):
 
 
 def _level_tables(table):
-    return [(list(level.cols), level.image) for level in table._levels]
+    return table._levels
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -391,9 +391,8 @@ def test_words_built_on_demand():
     table = build_table([g], 10)
     assert [row.b for row in dimension_rows(table)] == [fibonacci(2 * n + 2) for n in range(11)]
     assert len(table._words) == 1
-    for level in table._levels[1:]:
-        for name in level.__slots__:
-            assert not any(x.__class__ is tuple for x in getattr(level, name))
+    for image in table._levels[1:]:
+        assert not any(x.__class__ is tuple for x in image)
     assert len(table.basis(4)) == 55 and len(table._words) == 5
     # the naive oracle takes about 5 s at degree 10 on a 2-core Xeon VM, so it
     # stops at 9; degree 10 is checked against degree 9 by prefix closure

@@ -508,6 +508,18 @@ def test_check_blueprint_detects_tampering(bp3):
     assert not rep2.blocks[1].shape_ok
 
 
+def test_check_blueprint_recomputes_stored_fields(bp3, bp2, toy13, toy22):
+    # the stored margin and degree range of block 1 of (3, 1/2) are checked
+    # against what they follow from, not trusted
+    good = bp3.blocks[0]
+    for field, value, failed in (("margin", 10**9, "margin_ok"), ("max_degree", 999, "shape_ok")):
+        bad = dataclasses.replace(good, **{field: value})
+        rep = check_blueprint(dataclasses.replace(bp3, blocks=(bad, bp3.blocks[1])))
+        assert not rep.ok and not getattr(rep.blocks[0], failed)
+    for bp in (bp2, bp3, toy13, toy22):
+        assert check_blueprint(bp).ok
+
+
 def test_blueprint_r_table(bp3, toy13, toy22):
     one_block = build_blueprint(P3, num_blocks=1)
     assert one_block.r_table() == {11: 78}
