@@ -28,10 +28,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, nextafter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BlueprintMismatch,
@@ -69,30 +68,37 @@ def parse_ratio(text: str) -> Fraction:
         raise InvalidParams("ratio %r has a zero denominator" % (text,)) from None
 
 
-def _as_fraction(x, what: str) -> Fraction:
-    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise InvalidParams("%s must be exact (int or Fraction), got %r" % (what, x))
+def _positive_fraction(x, what: str) -> Fraction:
+    if not (isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool)):
+        raise InvalidParams("%s must be exact (int or Fraction), got %r" % (what, x))
+    if x <= 0:
+        raise InvalidParams("%s must be positive, got %s" % (what, x))
+    return Fraction(x)
 
 
 # -- parameters and certificates ------------------------------------------------
 
-@dataclass(frozen=True)
-class GSParams:
-    """Ambient rank d and the accuracy parameter eps, with d - 2*eps > 1."""
-
+class _ParamFields(NamedTuple):
     d: int
     eps: Fraction
 
-    def __post_init__(self):
-        require_int(self.d, "d", 2)
-        object.__setattr__(self, "eps", _as_fraction(self.eps, "eps"))
-        if self.eps <= 0:
-            raise InvalidParams("eps must be positive, got %s" % (self.eps,))
-        if self.d - 2 * self.eps <= 1:
-            raise InvalidParams(
-                "need d - 2*eps > 1, got %s" % (self.d - 2 * self.eps,)
-            )
+
+class GSParams(_ParamFields):
+    """Ambient rank d and the accuracy parameter eps, with d - 2*eps > 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, eps: Fraction):
+        require_int(d, "d", 2)
+        eps = _positive_fraction(eps, "eps")
+        if d - 2 * eps <= 1:
+            raise InvalidParams("need d - 2*eps > 1, got %s" % (d - 2 * eps,))
+        return super().__new__(cls, d, eps)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named-tuple copy constructor (also behind _replace), validated too
+        return cls(*iterable)
 
     @property
     def u(self) -> Fraction:
@@ -103,22 +109,27 @@ class GSParams:
         return self.eps * self.eps
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """A (v, c, u) triple certifying growth at least (d - v)**n."""
-
+class _CertificateFields(NamedTuple):
     d: int
     v: Fraction
     c: Fraction
     u: Fraction
 
-    def __post_init__(self):
-        require_int(self.d, "d", 2)
-        for name in ("v", "c", "u"):
-            val = _as_fraction(getattr(self, name), name)
-            object.__setattr__(self, name, val)
-            if val <= 0:
-                raise InvalidParams("%s must be positive, got %s" % (name, val))
+
+class BoundCertificate(_CertificateFields):
+    """A (v, c, u) triple certifying growth at least (d - v)**n."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, v: Fraction, c: Fraction, u: Fraction):
+        require_int(d, "d", 2)
+        return super().__new__(cls, d, _positive_fraction(v, "v"),
+                               _positive_fraction(c, "c"), _positive_fraction(u, "u"))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named-tuple copy constructor (also behind _replace), validated too
+        return cls(*iterable)
 
     @property
     def growth_base(self) -> Fraction:
@@ -142,8 +153,7 @@ def certificate_from_epsilon(params: GSParams) -> BoundCertificate:
     return BoundCertificate(params.d, params.eps, params.eps_sq, params.u)
 
 
-@dataclass(frozen=True)
-class BoundConditionReport:
+class BoundConditionReport(NamedTuple):
     ok: bool
     ok_a: bool
     first_violation: Optional[int]
@@ -186,8 +196,7 @@ def check_bound_conditions(
 
 # -- the growth ledger -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerLine:
+class LedgerLine(NamedTuple):
     kind: str
     n: int
     lhs: Fraction
@@ -195,8 +204,7 @@ class LedgerLine:
     ok: bool
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     ok: bool
     lines: Tuple[LedgerLine, ...]
 
@@ -394,8 +402,7 @@ def certified_log2_gap(q: int, n: int, params: GSParams) -> Tuple[float, float]:
 
 # -- blueprints -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlueprintBlock:
+class BlueprintBlock(NamedTuple):
     """One inductive block: window degree cap c, tuple degree n, c' = n*c.
 
     j_count and margin are exact when representable (None otherwise, with
@@ -427,8 +434,7 @@ def _summed_counts(blocks: Sequence[BlueprintBlock]) -> Dict[int, int]:
     return dict(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class GSBlueprint:
+class GSBlueprint(NamedTuple):
     d: int
     eps: Optional[Fraction]
     mode: str
@@ -605,8 +611,7 @@ def build_blueprint(
 
 # -- blueprint verification --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(NamedTuple):
     k: int
     separation_ok: bool
     shape_ok: bool
@@ -622,8 +627,7 @@ class BlockCheck:
         )
 
 
-@dataclass(frozen=True)
-class BlueprintReport:
+class BlueprintReport(NamedTuple):
     ok: bool
     toy: bool
     blocks: Tuple[BlockCheck, ...]
@@ -808,8 +812,7 @@ def load_blueprint(path: str) -> GSBlueprint:
 
 # -- nil certificates ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilCertificate:
+class NilCertificate(NamedTuple):
     exponent: int
     block_index: int
     verified: bool

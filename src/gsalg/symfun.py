@@ -18,8 +18,7 @@ they are built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .combinat import (
     ENUM_CAP,
@@ -35,8 +34,7 @@ from .field import FieldDescriptor, mod_p
 from .freealg import Polynomial, Word
 
 
-@dataclass(frozen=True)
-class MonomialWindow:
+class MonomialWindow(NamedTuple):
     """All words of degree 1..c over d variables, in monomial order."""
 
     d: int

@@ -964,6 +964,22 @@ def test_dims_loads_only_the_table_modules(gens_file):
     assert lines[-3:] == ["0 []", "gsalg.gscore", "[] []"]
 
 
+def test_construct_loads_no_dataclass_machinery():
+    # the construction's records are named tuples, so a construct run never
+    # pays for importing dataclasses (and inspect behind it)
+    script = (
+        "import sys\n"
+        "from gsalg.cli import main\n"
+        "code = main(['construct', '--d', '3', '--eps', '1/2', '--blocks', '1'])\n"
+        "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_out_of_memory_exits_two_without_traceback(capsys, gens_file, monkeypatch):
     # exit 1 would claim a failed check; running out of memory is not one
     def exhausted(*args, **kwargs):

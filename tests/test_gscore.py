@@ -1,6 +1,5 @@
 """Certificates, growth ledgers, minimal block degrees, and blueprints."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -135,6 +134,27 @@ def test_certificate_requires_positive_entries():
         BoundCertificate(2, Fraction(0), Fraction(1, 4), Fraction(6, 5))
     with pytest.raises(InvalidParams):
         BoundCertificate(2, Fraction(1, 5), Fraction(-1), Fraction(6, 5))
+
+
+def test_params_and_certificate_are_validated_immutable_values():
+    # like FieldDescriptor: fields cannot be assigned, and a copy made by
+    # _replace passes the same checks as a new value
+    params = GSParams(3, Fraction(1, 2))
+    cert = certificate_from_epsilon(params)
+    with pytest.raises(AttributeError):
+        params.eps = Fraction(1, 3)
+    with pytest.raises(AttributeError):
+        cert.v = Fraction(1)
+    with pytest.raises(InvalidParams):
+        params._replace(eps=Fraction(2))  # d - 2*eps = -1
+    with pytest.raises(InvalidParams):
+        cert._replace(v=0)
+    assert params._replace(d=4, eps=1) == GSParams(d=4, eps=Fraction(1))
+    assert type(params._replace(d=4, eps=1).eps) is Fraction
+    assert cert._replace(c=Fraction(1, 5)).c == Fraction(1, 5)
+    assert repr(params) == "GSParams(d=3, eps=Fraction(1, 2))"
+    assert repr(cert) == ("BoundCertificate(d=3, v=Fraction(1, 2), c=Fraction(1, 4), "
+                          "u=Fraction(2, 1))")
 
 
 @st.composite
@@ -499,12 +519,12 @@ def test_blueprint_def1_bound_exact(bp2, bp3):
 
 def test_check_blueprint_detects_tampering(bp3):
     good = bp3.blocks[1]
-    bad = dataclasses.replace(good, n=5, min_degree=5)  # sits inside block 1's range
-    rep = check_blueprint(dataclasses.replace(bp3, blocks=(bp3.blocks[0], bad)))
+    bad = good._replace(n=5, min_degree=5)  # sits inside block 1's range
+    rep = check_blueprint(bp3._replace(blocks=(bp3.blocks[0], bad)))
     assert not rep.ok
     assert not rep.blocks[1].separation_ok
-    bad_shape = dataclasses.replace(good, c_prime=good.c_prime + 1)
-    rep2 = check_blueprint(dataclasses.replace(bp3, blocks=(bp3.blocks[0], bad_shape)))
+    bad_shape = good._replace(c_prime=good.c_prime + 1)
+    rep2 = check_blueprint(bp3._replace(blocks=(bp3.blocks[0], bad_shape)))
     assert not rep2.blocks[1].shape_ok
 
 
@@ -513,8 +533,8 @@ def test_check_blueprint_recomputes_stored_fields(bp3, bp2, toy13, toy22):
     # against what they follow from, not trusted
     good = bp3.blocks[0]
     for field, value, failed in (("margin", 10**9, "margin_ok"), ("max_degree", 999, "shape_ok")):
-        bad = dataclasses.replace(good, **{field: value})
-        rep = check_blueprint(dataclasses.replace(bp3, blocks=(bad, bp3.blocks[1])))
+        bad = good._replace(**{field: value})
+        rep = check_blueprint(bp3._replace(blocks=(bad, bp3.blocks[1])))
         assert not rep.ok and not getattr(rep.blocks[0], failed)
     for bp in (bp2, bp3, toy13, toy22):
         assert check_blueprint(bp).ok
