@@ -123,12 +123,31 @@ def _load_b_json(path: str) -> List[int]:
     return seq
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-text digit limit (0 means none), at most its default."""
+    digits = sys.int_info.default_max_str_digits
+    return min(sys.get_int_max_str_digits() or digits, digits)
+
+
+def _text(x, what: str) -> str:
+    """str of an exact int or Fraction; TooLarge past the digit limit."""
+    digits = _digit_limit()
+    if max(abs(x.numerator), x.denominator) >= 10**digits:
+        raise TooLarge("%s has over %d digits; refusing to print it" % (what, digits))
+    return str(x)
+
+
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_dims(args) -> int:
     field = parse_field(args.field)
     gens = _read_generators(args.gens, args.d, field)
-    table = build_table(gens, args.maxdeg, d=args.d, field=field)
+    # every output holds dim_Tn = d**n: a table whose last row would not
+    # print is refused before the build (past the first test d**n >= 16**digits)
+    d, n, digits = args.d, args.maxdeg, _digit_limit()
+    if d >= 2 and n >= 0 and (n * (d.bit_length() - 1) >= 4 * digits or d**n >= 10**digits):
+        raise TooLarge("dim_T%d = %d**%d has over %d digits" % (n, d, n, digits))
+    table = build_table(gens, n, d=d, field=field)
     rows = dimension_rows(table)
     buf = io.StringIO()
     write_dimension_csv(rows, buf)
@@ -209,11 +228,7 @@ def cmd_nilcheck(args) -> int:
     if field is None:
         field = GF2
     g = parse_poly(args.g, bp.d, field)
-    table = None
-    if args.verify:
-        if bp.mode != "dense":
-            raise InvalidParams("--verify needs a dense blueprint (materialized generators)")
-        table = blueprint_table(bp)
+    table = blueprint_table(bp) if args.verify else None
     cert = nil_certificate(g, bp, table)
     print("n=%d%s" % (cert.exponent, " verified" if cert.verified else ""))
     if args.verify and not cert.verified:
@@ -262,14 +277,11 @@ def cmd_bound(args) -> int:
         print("condition (a): pass (degrees 2..%d)" % range_max)
     else:
         deg = report.first_violation
-        print(
-            "condition (a): FAIL at degree %d (r_%d = %d > %s)"
-            % (deg, deg, r.get(deg, 0), cert.c * cert.u ** (deg - 2))
-        )
-    print(
-        "condition (b): %s ((v*d-c)/(v+u) = %s, v = %s)"
-        % ("pass" if report.ok_b else "FAIL", report.b_value, report.v)
-    )
+        envelope = _text(cert.c * cert.u ** (deg - 2), "c*u**%d" % (deg - 2))
+        print("condition (a): FAIL at degree %d (r_%d = %d > %s)" % (deg, deg, r.get(deg, 0), envelope))
+    b_value = _text(report.b_value, "(v*d-c)/(v+u)")
+    print("condition (b): %s ((v*d-c)/(v+u) = %s, v = %s)"
+          % ("pass" if report.ok_b else "FAIL", b_value, report.v))
     ok = report.ok
     if b is not None:
         growth = verify_growth(b, r, cert)
@@ -277,10 +289,8 @@ def cmd_bound(args) -> int:
             print("ledger: %d lines, all pass" % len(growth.lines))
         else:
             fail = growth.first_failure
-            print(
-                "ledger: FAIL %s at n=%d (%s < %s)"
-                % (fail.kind, fail.n, fail.lhs, fail.rhs)
-            )
+            lhs, rhs = _text(fail.lhs, "ledger lhs"), _text(fail.rhs, "ledger rhs")
+            print("ledger: FAIL %s at n=%d (%s < %s)" % (fail.kind, fail.n, lhs, rhs))
         ok = ok and growth.ok
     return 0 if ok else 1
 
@@ -289,9 +299,7 @@ def cmd_jcount(args) -> int:
     from .combinat import weak_tuple_count_within, weak_tuples
 
     q, n = args.q, args.n
-    # the interpreter's int-to-text digit limit (0 means none), at most its default
-    digits = sys.int_info.default_max_str_digits
-    digits = min(sys.get_int_max_str_digits() or digits, digits)
+    digits = _digit_limit()
     count = weak_tuple_count_within(q, n, 10**digits - 1)
     if count is None:
         raise TooLarge("|J(%d, %d)| has over %d digits; refusing to materialize" % (q, n, digits))
@@ -307,22 +315,20 @@ def cmd_symfun(args) -> int:
     from .symfun import monomial_window, window_generator
 
     j = _parse_ints(args.j, "index tuple")
+    window = None
     if args.d is not None or args.c is not None:
         if args.d is None or args.c is None:
             raise InvalidParams("--d and --c go together")
         field = parse_field(args.field)
         window = monomial_window(args.d, args.c)
-        validate_weak_tuple(j, window.q)
-        print("q = %d" % window.q)
-        print("orbit size = %d" % orbit_size(j))
-        h = window_generator(j, window, field)
-        print("h = %s" % poly_str(h))
-    else:
-        if args.q is None:
-            raise InvalidParams("need --q, or --d with --c")
-        validate_weak_tuple(j, args.q)
-        print("q = %d" % args.q)
-        print("orbit size = %d" % orbit_size(j))
+    elif args.q is None:
+        raise InvalidParams("need --q, or --d with --c")
+    q = args.q if window is None else window.q
+    validate_weak_tuple(j, q)
+    print("q = %d" % q)
+    print("orbit size = %s" % _text(orbit_size(j), "the orbit size"))
+    if window is not None:
+        print("h = %s" % poly_str(window_generator(j, window, field)))
     return 0
 
 

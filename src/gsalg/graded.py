@@ -20,12 +20,12 @@ One sparse engine serves every field: vectors are dicts {index: coefficient}
 mod p (GF(2) is p = 2), or Fractions over QQ (p None).  Each finished degree
 n stores, for every candidate column c = i*d + t-1, the image of the word
 b_i*x_t in the standard coordinates of degree n: the standard index itself
-when c is not a pivot, and minus the fully reduced pivot row on the standard
-columns when it is.  The standard words are prefix-closed (the tree of
-normal words), so the image table is all a degree keeps: its standard words
-are the candidate columns of its int entries, built into word tuples on
-first use (a dims run builds none).  The image tables are the right
-multiplications by x_t in the quotient, so the rows b*f are built by
+when c is not a pivot, and its reduction to standard words when it is.  The
+standard words are prefix-closed (the tree of normal words), so the image
+table is all a degree keeps: its standard words are the candidate columns
+of its int entries, built into word tuples on first use (a dims run builds
+none).  The image tables are the right multiplications by x_t in the
+quotient, so the rows b*f are built by
 walking f's terms letter by letter through them, as in F4 (rows built as
 products, then eliminated as one sparse system).  One walk, _walk_pairs,
 serves rows and normal forms.  The generators of one degree share one
@@ -40,10 +40,12 @@ row's own accumulator, a unit state its column directly.  The block's raw
 accumulators go into linalg.SparseEchelon (least-column pivots, the column
 rank profile, so the standard words are canonical, whatever the order the
 rows come in).  b_n is the width less their rank.  Finishing a degree
-(_finish) is one back-substitution sweep, which reduces the rows fully, and
-the table read off in C-level passes: a bytearray mask over the width clears
-the pivots, and its running sum (itertools.accumulate) numbers the standard
-columns; the pivot entries are then overwritten by their reduced rows.
+(_finish) reads the table straight off the semi-echelon: a bytearray mask
+over the width clears the pivots, and its running sum (itertools.accumulate)
+numbers the standard columns; then, the highest pivot first, each pivot
+entry becomes minus the rest of its row, a later pivot in it giving its
+image, already built.  This is back-substitution in the standard (non-pivot)
+coordinates alone, the split of Faugere and Lachartre (PASCO 2010).
 Every degree below maxdeg is finished for the next degree's walk.  The top
 degree keeps its semi-echelon and is finished on first read (basis, or a
 normal form reaching it), so a dims run, which needs only b_n, never
@@ -68,13 +70,13 @@ left unfinished):
   degree 10: 0.035 s, 832 rows in for a total rank of 231 (2,136 rows
   before generators in the ideal of the others left the walk)
 
-Generators whose fully reduced rows fill in cost more than in the deleted
-packed-int GF(2) engine, a dict entry costing far more than a bit, nearly all
-in back-substitution.  The d=3 GF(2) quadrics x2*x1 + x2*x3 + x3*x1 and
-x1*x2 + x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (a million
-nonzeros there) take 1.4 s / 127 MB, 1.0 s of it back-substitution, where
-finishing the top degree too took 5.7 s / 204 MB (the deleted engine took
-1.4 s / 50 MB); reading that level later takes 4.4 s more.
+Generators whose images fill in cost more than in the deleted packed-int
+GF(2) engine, a dict entry costing far more than a bit, most of it in
+_finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 + x3*x1 and x1*x2 + x1*x3 +
+x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.45 million nonzeros in its
+image tables) take 0.93 s / 126 MB, 0.61 s of it in _finish; reading that
+level later takes 2.6 s more, to a 152 MB peak (the deleted engine,
+finishing every degree, took 1.4 s / 50 MB).
 """
 
 from __future__ import annotations
@@ -152,20 +154,31 @@ def validate_r(r: Dict[int, int], what: str = "r") -> None:
 
 # -- per-degree image tables -----------------------------------------------------
 
-def _finish(ech: SparseEchelon, width: int, neg) -> list:
-    """Back-substitute a degree's semi-echelon and read its image table off:
-    image[c] is its standard index for a standard column c, and for a pivot
-    column a dict {index: coef} (empty when the word lies in the ideal)."""
-    ech.back_substitute()
+def _finish(ech: SparseEchelon, width: int) -> list:
+    """Read a degree's image table off its semi-echelon: image[c] is its
+    standard index for a standard column c, and for a pivot column a dict
+    {index: coef} (empty when the word lies in the ideal).  Row c is 0
+    before c and 1 at it, so word c is minus the rest of its row in the
+    quotient, where each later pivot already has its image."""
+    rows, p = ech.rows, ech.p
     # standard columns are the unmasked ones, numbered by a running sum
     mask = bytearray(b"\x01") * width
-    for c in ech.rows:
+    for c in rows:
         mask[c] = 0
     image = list(accumulate(mask, initial=-1))
     del image[0]
-    # a pivot word is minus the rest of its reduced row (nonzero entries)
-    for c, row in ech.rows.items():
-        image[c] = {image[k]: neg - v for k, v in row.items() if k != c}
+    neg = p or 0  # neg - v is -v in [1, p) over GF(p), or over QQ
+    for c in sorted(rows, reverse=True):
+        row = rows[c]
+        # standard entries first, in one pass: distinct indices, reduced
+        vec = {j: neg - v for k, v in row.items() if k != c and (j := image[k]).__class__ is int}
+        if len(vec) + 1 < len(row):  # entries at later pivots
+            for k, v in row.items():
+                if (img := image[k]).__class__ is not int:
+                    for j, w in img.items():
+                        vec[j] = vec.get(j, 0) - v * w
+            vec = mod_p(vec, p)
+        image[c] = vec
     return image
 
 
@@ -387,7 +400,7 @@ def build_table(
     gens, d, field = _check_generators(generators, d, field)
     require_int(maxdeg, "maxdeg", 0)
     tries = _term_tries(gens)
-    p, neg = field.p, field.p or 0
+    p = field.p
     levels, b = [None], [1]
     for n in range(1, maxdeg + 1):
         width = b[n - 1] * d
@@ -416,10 +429,10 @@ def build_table(
                 del tries[n]
         b.append(width - len(ech.rows))
         if n < maxdeg:  # the next degree's walk steps through this one
-            levels.append(_finish(ech, width, neg))
+            levels.append(_finish(ech, width))
     # b_n needs only the rank, so the top degree keeps its semi-echelon until
     # a query first reads the level
-    top = (ech, width, neg) if maxdeg else None
+    top = (ech, width) if maxdeg else None
     return GradedIdealTable(d, field, gens, maxdeg, levels, b, top)
 
 

@@ -52,6 +52,9 @@ from .symfun import generator_degree, monomial_window, window_generators, window
 # log path (see _certified_sides)
 EXACT_VALUE_BIT_CAP = 50_000
 EXACT_CONFIRM_BIT_CAP = 400_000
+# an exact count or margin is kept below this bound, so that it prints: the
+# interpreter's default int-to-text limit, fixed here so files do not vary
+EXACT_VALUE_BOUND = 10**4300
 _DPS_LADDER = (40, 80, 160, 320, 640, 1280)
 # the certified comparison's slack, in units of mp.eps times the summed
 # magnitudes of the terms it adds (see _certified_sides)
@@ -66,6 +69,8 @@ def parse_ratio(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise InvalidParams("ratio %r has a zero denominator" % (text,)) from None
+    except ValueError:  # past the interpreter's int-from-text digit limit
+        raise InvalidParams("a ratio of %d characters has too many digits" % len(text)) from None
 
 
 def _positive_fraction(x, what: str) -> Fraction:
@@ -310,6 +315,11 @@ def _certified_sides(q: int, n: int, params: GSParams):
     )
 
 
+def _printable(x):
+    """x (an int or Fraction), or None when it reaches EXACT_VALUE_BOUND."""
+    return x if max(abs(x.numerator), x.denominator) < EXACT_VALUE_BOUND else None
+
+
 def _envelope_bits(n: int, params: GSParams) -> int:
     """Bound on the bit length of u**(n-2)'s numerator and denominator."""
     u = params.u
@@ -405,9 +415,10 @@ def certified_log2_gap(q: int, n: int, params: GSParams) -> Tuple[float, float]:
 class BlueprintBlock(NamedTuple):
     """One inductive block: window degree cap c, tuple degree n, c' = n*c.
 
-    j_count and margin are exact when representable (None otherwise, with
-    the log2 diagnostics always present for non-toy blocks); degree_counts
-    maps generator degree to count when exactly known.
+    j_count and margin are exact when they are within the effort caps and
+    print (None otherwise, with the log2 diagnostics always present for
+    non-toy blocks); degree_counts maps generator degree to count when
+    exactly known.
     """
 
     k: int
@@ -555,9 +566,10 @@ def build_blueprint(
             j_log2 = log2_count
             margin_lo = gap_lo
             if log2_count <= EXACT_VALUE_BIT_CAP:
-                j_count = comb(n + q - 1, n)
+                count = comb(n + q - 1, n)
+                j_count = _printable(count)
                 if _envelope_bits(n, params) <= EXACT_VALUE_BIT_CAP:
-                    margin = params.eps_sq * params.u ** (n - 2) - j_count
+                    margin = _printable(params.eps_sq * params.u ** (n - 2) - count)
 
         generators = None
         degree_counts: Optional[Dict[int, int]] = None
@@ -705,35 +717,17 @@ def check_blueprint(bp: GSBlueprint) -> BlueprintReport:
 # -- serialization ------------------------------------------------------------------
 
 def blueprint_to_dict(bp: GSBlueprint) -> dict:
-    """JSON-ready dict; lossless, fixed key order."""
-    return {
-        "d": bp.d,
+    """JSON-ready dict; lossless, keys in the records' field order, then r."""
+    blocks = [b._asdict() | {
+        "margin": None if b.margin is None else str(b.margin),
+        "degree_counts": None if b.degree_counts is None
+        else {str(k): v for k, v in sorted(b.degree_counts.items())},
+        "generators": None if b.generators is None else [poly_str(p) for p in b.generators],
+    } for b in bp.blocks]
+    return bp._asdict() | {
         "eps": None if bp.eps is None else str(Fraction(bp.eps)),
-        "mode": bp.mode,
-        "toy": bp.toy,
         "field": None if bp.field is None else str(bp.field),
-        "blocks": [
-            {
-                "k": b.k,
-                "c": b.c,
-                "c_prime": b.c_prime,
-                "q": b.q,
-                "n": b.n,
-                "j_count": b.j_count,
-                "j_count_log2": b.j_count_log2,
-                "margin": None if b.margin is None else str(b.margin),
-                "margin_log2_lo": b.margin_log2_lo,
-                "min_degree": b.min_degree,
-                "max_degree": b.max_degree,
-                "degree_counts": None
-                if b.degree_counts is None
-                else {str(k): v for k, v in sorted(b.degree_counts.items())},
-                "generators": None
-                if b.generators is None
-                else [poly_str(p) for p in b.generators],
-            }
-            for b in bp.blocks
-        ],
+        "blocks": blocks,
         "r": {str(deg): cnt for deg, cnt in _summed_counts(bp.blocks).items()},
     }
 

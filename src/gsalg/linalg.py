@@ -10,11 +10,11 @@ quadric over GF(2) and GF(5)), so a row costs what its nonzeros cost.
 SparseEchelon keeps the least-column pivot of every row with a leading 1.
 The pivot set of a row space does not depend on insertion order, so the
 standard/pivot split it gives is canonical.  insert() only clears the
-leading column against the stored rows (a semi-echelon); back_substitute()
-then makes every row zero at every other pivot in one sweep in descending
-pivot order.  Keeping the rows fully reduced on every insert instead, with
-a column -> rows index to find the rows a new pivot must clear, took 3.4x
-and 6.6x as long on two pairs of random d=3 GF(2) quadrics to degree 11,
+leading column against the stored rows (a semi-echelon); graded._finish
+reduces the rows in one sweep, in the standard coordinates alone.  Keeping
+them fully reduced on every insert instead, with a column -> rows index to
+find the rows a new pivot must clear, took 3.4x and 6.6x as long as one
+sweep at the end on two pairs of random d=3 GF(2) quadrics to degree 11,
 whose rows fill in.
 """
 
@@ -53,8 +53,7 @@ class SparseEchelon:
     """Echelon basis of sparse rows over GF(p), or over QQ when p is None.
 
     rows maps each pivot column to its row, which is zero before the pivot
-    and 1 at it.  After back_substitute() every row is also zero at every
-    other pivot: the rows are the reduced row echelon form of the span.
+    and 1 at it (a semi-echelon basis of the span).
     """
 
     def __init__(self, p: Optional[int]):
@@ -78,16 +77,3 @@ class SparseEchelon:
                 return c
             _axpy(row, -row[c], prow, p)
         return None
-
-    def back_substitute(self) -> None:
-        """Clear every row at every other pivot, the highest pivots first.
-
-        A row's other pivots all lie after its own, and those rows are
-        already cleared when it is reached, so one subtraction each clears
-        them without bringing in another pivot.
-        """
-        rows, p = self.rows, self.p
-        for c in sorted(rows, reverse=True):
-            row = rows[c]
-            for k in [k for k in row if k != c and k in rows]:
-                _axpy(row, -row[k], rows[k], p)

@@ -505,6 +505,35 @@ def test_bound_r_from_blueprint(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+def test_bound_ledger_failure_exits_one(capsys):
+    # b meets the degree-wise bound, but r_2 = 2 breaks condition (a) and the
+    # ledger with it
+    code, out, err = run(capsys, ["bound", "--d", "3", "--eps", "1/2", "--r", "2:2", "--b", "1,3,7,15"])
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "condition (a): FAIL at degree 2 (r_2 = 2 > 1/4)",
+        "condition (b): pass ((v*d-c)/(v+u) = 1/2, v = 1/2)",
+        "ledger: FAIL generator_tail at n=0 (3/2 < 2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags, first",
+    [(["--r", "13"], "error: bad r entry '13' (expected deg:count)"),
+     (["--r", "2:1,a:1"], "error: bad r entry 'a:1' (expected deg:count)"),
+     (["--b", "1,3,x"], "error: bad b sequence '1,3,x' (expected comma-separated integers)"),
+     (["--b-json", "{path}"], "error: b sequence in {path} has non-integer entries")],
+    ids=["r-no-colon", "r-not-integer", "b-not-integer", "b-json-not-integer"],
+)
+def test_bound_malformed_r_and_b_exit_two(capsys, tmp_path, flags, first):
+    path = tmp_path / "b.json"
+    path.write_text("[1, 3, 8.0]")
+    argv = ["bound", "--d", "3", "--eps", "1/2"] + [f.format(path=path) for f in flags]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [first.format(path=path)]
+
+
 def test_bound_inconsistent_b_exits_one(capsys):
     code, out, err = run(capsys, ["bound", "--d", "3", "--eps", "1/2", "--b", "1,3,0"])
     assert code == 1
@@ -656,6 +685,10 @@ def _assert_exit_contract(argv):
     assert err.getvalue().count("\n") <= 1
 
 
+# every quadratic monomial in two letters: b_n = 0 from degree 2 on
+_QUADRATIC_MONOMIALS = os.path.join(os.path.dirname(__file__), "data", "quadratic_monomials_d2.txt")
+
+
 @given(_INT_ARGV)
 @example(["construct", "--d", "2", "--mode", "dense", "--toy-c=17", "--toy-n=100000000"])
 @example(["jcount", "--q=900000", "--n=900000"])
@@ -663,6 +696,14 @@ def _assert_exit_contract(argv):
 @example(["jcount", "--q=1", "--n=4611686018427387904", "--list"])
 # one empty tuple, over a pool of 2**63 entries
 @example(["jcount", "--q=9223372036854775808", "--n=0", "--list"])
+# exact values past the interpreter's 4,300-digit int-to-text limit: a margin
+# (kept as its log2 bound), the condition (a) envelope c*u**198, dim_T15000 =
+# 2**15000, the orbit size 2000! and a 5,000-digit ratio read in
+@example(["construct", "--d", "3", "--eps", "1/1" + "0" * 31])
+@example(["bound", "--d", "3", "--eps", "1/1" + "0" * 32, "--r", "200:" + "9" * 130, "--range", "200"])
+@example(["dims", "--gens", _QUADRATIC_MONOMIALS, "--d", "2", "--maxdeg", "15000"])
+@example(["symfun", "--j", ",".join(map(str, range(1, 2001))), "--q", "2000"])
+@example(["bound", "--d", "3", "--eps", "1/" + "1" * 5000])
 def test_integer_arguments_keep_the_exit_contract(argv):
     _assert_exit_contract(argv)
 
@@ -994,11 +1035,11 @@ def test_out_of_memory_exits_two_without_traceback(capsys, gens_file, monkeypatc
 
 def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch):
     # b_n at the top degree needs only the rank of its rows: dims to degree 6
-    # back-substitutes degrees 1-5 alone, and the sixth is finished by the
-    # first normal form that reaches it, once
+    # finishes degrees 1-5 alone, and the sixth is finished by the first
+    # normal form that reaches it, once
     calls, tables = [], []
-    back = graded.SparseEchelon.back_substitute
-    monkeypatch.setattr(graded.SparseEchelon, "back_substitute", lambda self: calls.append(1) or back(self))
+    finish = graded._finish
+    monkeypatch.setattr(graded, "_finish", lambda *args: calls.append(1) or finish(*args))
     build = gsalg.cli.build_table
     monkeypatch.setattr(gsalg.cli, "build_table", lambda *args, **kw: tables.append(build(*args, **kw)) or tables[-1])
     path = tmp_path / "quadric.txt"

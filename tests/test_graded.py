@@ -429,11 +429,11 @@ def _top_degree_cases():
     }
 
 
-def _count_back_substitutions(mp):
-    """Count the calls of SparseEchelon.back_substitute, through mp."""
+def _count_finishes(mp):
+    """Count the calls of graded._finish, through mp."""
     calls = []
-    back = SparseEchelon.back_substitute
-    mp.setattr(SparseEchelon, "back_substitute", lambda self: calls.append(1) or back(self))
+    finish = graded._finish
+    mp.setattr(graded, "_finish", lambda *args: calls.append(1) or finish(*args))
     return calls
 
 
@@ -445,7 +445,7 @@ def test_top_level_read_late_equals_the_level_built_below_a_higher_top(monkeypat
     gens, n = _top_degree_cases()[case]
     higher = build_table(gens, n + 1)
     levels = _level_tables(higher)[: n + 1]
-    calls = _count_back_substitutions(monkeypatch)
+    calls = _count_finishes(monkeypatch)
     table = build_table(gens, n)
     assert len(calls) == n - 1
     assert table.b_sequence() == higher.b_sequence()[: n + 1]
@@ -463,7 +463,7 @@ def test_top_level_read_first_by_a_query_matches_naive_table(monkeypatch, case):
     # of a fresh table's top level, agree with the full-width reference
     gens, n = _top_degree_cases()[case]
     oracle = naive_dimension_table(gens, n)
-    calls = _count_back_substitutions(monkeypatch)
+    calls = _count_finishes(monkeypatch)
     assert build_table(gens, n).basis(n) == oracle.standard_words[n]
     assert len(calls) == n
     rng = random.Random(n)

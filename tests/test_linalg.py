@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsalg.graded import _finish
 from gsalg.linalg import SparseEchelon
 
 
@@ -85,29 +86,31 @@ def _sparse(row, p=None):
     return {c: (x if p is None else x % p) for c, x in enumerate(row) if (x if p is None else x % p)}
 
 
-def _dense(row, width):
-    return [row.get(c, 0) for c in range(width)]
-
-
 def _insert_all(ech, mat, p=None):
     for r in mat:
         ech.insert(_sparse(r, p))
 
 
-def _reduce(ech, row):
-    # normal form by the fully reduced rows: subtract at each pivot once
-    out = dict(row)
-    for c, prow in ech.rows.items():
-        a = out.get(c)
-        if a:
-            for k, v in prow.items():
-                x = out.get(k, 0) - a * v
-                x = x if ech.p is None else x % ech.p
-                if x:
-                    out[k] = x
-                else:
-                    out.pop(k, None)
-    return out
+def _naive_image(rows, width, p=None):
+    # the image table graded._finish reads off the span of the dense rows:
+    # a standard column's index among the standard columns, and at a pivot
+    # minus the rest of its fully reduced row, in those indices
+    red, pivots = _naive_rref_q(rows) if p is None else _naive_rref_mod_p(rows, p)
+    index = {c: i for i, c in enumerate(c for c in range(width) if c not in pivots)}
+    image = [index.get(c) for c in range(width)]
+    for row, c in zip(red, pivots):
+        image[c] = {index[k]: -x if p is None else -x % p for k, x in enumerate(row) if k in index and x}
+    return image
+
+
+def _through(image, row, p=None):
+    # a row mapped into standard coordinates by an image table: its normal form
+    out = {}
+    for k, a in row.items():
+        img = image[k]
+        for j, v in ({img: 1} if img.__class__ is int else img).items():
+            out[j] = out.get(j, 0) + a * v
+    return {j: v if p is None else v % p for j, v in out.items() if (v if p is None else v % p)}
 
 
 # -- GF(2) as p = 2 ----------------------------------------------------------------
@@ -129,20 +132,14 @@ def test_gf2_echelon_normal_form():
     ech = SparseEchelon(2)
     rows = [[rng.randrange(2) for _ in range(width)] for _ in range(12)]
     _insert_all(ech, rows)
-    ech.back_substitute()
-    piv = set(ech.rows)
     for c, row in ech.rows.items():
         assert min(row) == c and row[c] == 1
-        assert not (set(row) & piv) - {c}
-    for _ in range(50):
-        v = _sparse([rng.randrange(2) for _ in range(width)])
-        red = _reduce(ech, v)
-        assert not set(red) & piv
-        assert _reduce(ech, red) == red
+    image = _finish(ech, width)
+    assert image == _naive_image(rows, width, 2)
     # anything already in the span is dependent
     span_elt = [(a + b) % 2 for a, b in zip(rows[0], rows[3])]
     assert ech.insert(_sparse(span_elt)) is None
-    assert _reduce(ech, _sparse(span_elt)) == {}
+    assert _through(image, _sparse(span_elt), 2) == {}
 
 
 def test_gf2_echelon_known_rank():
@@ -174,10 +171,11 @@ def test_gfp_echelon_against_naive(p):
 )
 @settings(max_examples=25)
 def test_gfp_echelon_differential(p, seed, cuts):
-    # rank, pivots and fully reduced rows equal the naive RREF, whether the
-    # rows go in at once or in batches with a back-substitution after each;
-    # insert reduces what it is fed (about half the rows come unreduced, and
-    # one row is zero mod p) and never changes the caller's dict
+    # rank, pivots and the image table graded._finish reads off equal the
+    # naive RREF's, whether the rows go in at once or in batches with a
+    # finish after each; insert reduces what it is fed (about half the rows
+    # come unreduced, and one row is zero mod p) and never changes the
+    # caller's dict
     rng = random.Random(seed)
     width = rng.randrange(8, 40)
 
@@ -213,23 +211,20 @@ def test_gfp_echelon_differential(p, seed, cuts):
     whole = SparseEchelon(p)
     for r in fed:
         whole.insert(r)
-    whole.back_substitute()
     split = SparseEchelon(p)
     for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(fed)]):
         for r in fed[lo:hi]:
             split.insert(r)
-        split.back_substitute()
+        split_image = _finish(split, width)
     assert fed == kept
     want_rows, want_piv = _naive_rref_q(mat) if p is None else _naive_rref_mod_p(mat, p)
-    for ech in (whole, split):
+    want_image = _naive_image(mat, width, p)
+    for ech, image in ((whole, _finish(whole, width)), (split, split_image)):
         assert len(ech.rows) == len(want_piv)
         assert sorted(ech.rows) == want_piv
-        assert [_dense(ech.rows[c], width) for c in want_piv] == want_rows
-    for _ in range(5):
-        v = _sparse([draw() for _ in range(width)], p)
-        red = _reduce(split, v)
-        assert not set(red) & set(want_piv)
-        assert _reduce(split, red) == red
+        assert image == want_image
+    for row in want_rows:
+        assert _through(split_image, _sparse(row, p), p) == {}
 
 
 def test_gfp_echelon_incremental_batches():
@@ -238,17 +233,12 @@ def test_gfp_echelon_incremental_batches():
     width = 20
     mat = _known_rank_matrix(rng, rank=8, width=width, extra=14, p=p)
     ech = SparseEchelon(p)
-    # feeding in uneven batches must land on the same rank and keep rows reduced
+    # feeding in uneven batches must land on the same rank, and each finish
+    # on the image table of the rows in so far
     for lo in range(0, len(mat), 5):
         _insert_all(ech, mat[lo : lo + 5], p)
-        ech.back_substitute()
+        assert _finish(ech, width) == _naive_image(mat[: lo + 5], width, p)
     assert len(ech.rows) == 8
-    piv = set(ech.rows)
-    for _ in range(40):
-        v = _sparse([rng.randrange(p) for _ in range(width)], p)
-        red = _reduce(ech, v)
-        assert not set(red) & piv
-        assert _reduce(ech, red) == red
 
 
 def test_gfp_insert_dependent_row():
@@ -279,17 +269,17 @@ def test_fraction_echelon_known_rank():
 
 def test_fraction_echelon_normal_form():
     ech = SparseEchelon(None)
-    ech.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
-    ech.insert({1: Fraction(2), 2: Fraction(5)})
-    ech.back_substitute()
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2), Fraction(5)]]
+    _insert_all(ech, rows)
     piv = sorted(ech.rows)
     assert piv == [0, 1]
-    assert ech.rows[0] == {0: 1, 2: Fraction(-5, 3)}
-    assert ech.rows[1] == {1: 1, 2: Fraction(5, 2)}
+    # the reduced rows are {0: 1, 2: -5/3} and {1: 1, 2: 5/2}
+    reduced = [[1, 0, Fraction(-5, 3)], [0, 1, Fraction(5, 2)]]
+    image = _finish(ech, 3)
+    assert image == _naive_image(reduced, 3) == _naive_image(rows, 3)
+    assert image == [{0: Fraction(5, 3)}, {0: Fraction(-5, 2)}, 0]
     v = {0: Fraction(7), 1: Fraction(-2), 2: Fraction(1, 6)}
-    red = _reduce(ech, v)
-    assert not set(red) & set(piv)
-    assert _reduce(ech, red) == red
+    assert _through(image, v) == {0: Fraction(7 * 5, 3) + 5 + Fraction(1, 6)}
 
 
 def test_fraction_echelon_against_modular_rank():
