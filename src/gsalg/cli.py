@@ -183,23 +183,28 @@ def cmd_construct(args) -> int:
         toy_c=args.toy_c,
         toy_n=args.toy_n,
     )
-    if args.out:
-        save_blueprint(bp, args.out)
+    # every text is made before the file is saved: an exact value that a
+    # lowered int-to-text limit cannot print is refused with nothing written
+    heads = []
     for block in bp.blocks:
         if block.j_count is not None:
-            jtxt = str(block.j_count)
+            jtxt = _text(block.j_count, "|J|")
         else:
             jtxt = "~2^%.2f" % block.j_count_log2
         if block.margin is not None:
-            mtxt = "margin=%s" % block.margin
+            mtxt = "margin=%s" % _text(block.margin, "the margin")
         elif block.margin_log2_lo is not None:
             mtxt = "margin_log2>=%.4f" % block.margin_log2_lo
         else:
             mtxt = "margin=skipped(toy)"
-        print(
+        heads.append(
             "block %d: c=%d q=%d n=%d |J|=%s %s"
             % (block.k, block.c, block.q, block.n, jtxt, mtxt)
         )
+    if args.out:
+        save_blueprint(bp, args.out)
+    for block, head in zip(bp.blocks, heads):
+        print(head)
         if block.generators is not None:
             print("generators (block %d):" % block.k)
             for poly in block.generators:

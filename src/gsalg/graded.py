@@ -46,37 +46,29 @@ numbers the standard columns; then, the highest pivot first, each pivot
 entry becomes minus the rest of its row, a later pivot in it giving its
 image, already built.  This is back-substitution in the standard (non-pivot)
 coordinates alone, the split of Faugere and Lachartre (PASCO 2010).
-Every degree below maxdeg is finished for the next degree's walk.  The top
-degree keeps its semi-echelon and is finished on first read (basis, or a
-normal form reaching it), so a dims run, which needs only b_n, never
-finishes it; since b_n grows geometrically, the top degree holds most
-of the table.  A normal form walks one state, from the empty word, to degrees
-whose level is built, so its top step goes through that level's image table
-and it ends in standard coordinates, with no reduction left to do.  The
-normal form of g**n is n such multiplications by g, nf(a*g) = nf(nf(a)*g)
-since the ideal is two-sided, so g**n is never expanded.
+A table builds each degree when something first needs it: b(n),
+b_sequence (every degree), basis, or a walk that steps through it.
+Building degree n puts its rows in and keeps the semi-echelon, whose rank
+gives b_n.  The level is finished on its first read, and the walk of
+degree n+1 is one, which drops the semi-echelon before a row of degree n+1
+goes in.  So a dims run, which needs only b_n, never finishes the top
+degree (most of the table, b_n growing geometrically), and the normal form
+of g**n builds only the degrees up to n*deg g.  A normal form walks one
+state, from the empty word, to degrees whose level is built, so its top
+step goes through that level's image table and it ends in standard
+coordinates, with no reduction left to do.  The normal form of g**n is n
+such multiplications by g, nf(a*g) = nf(nf(a)*g) since the ideal is
+two-sided, so g**n is never expanded.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
-keeps about 3.6 nonzeros per row.  build_table CPU seconds and peak RSS on
-a 2-core Xeon VM (median of 3 runs, each in its own process; the top degree
-left unfinished):
-
-- d=3 quadric x1*x2 + x2*x3 + x3*x1, GF(2), degree 12: 0.069 s / 28 MB
-  (0.116 s / 38 MB when the top degree was finished too);
-  GF(5), degree 10: 0.010 s / 17 MB
-- d=3 cubic pair, GF(2), degree 12: 0.072 s / 24 MB
-- d=2 binary cubic, GF(2), degree 20: 0.041 s / 22 MB
-- the toy d=2, c=2, n=5 blueprint (244 generators of degree 5-10), GF(5),
-  degree 10: 0.035 s, 832 rows in for a total rank of 231 (2,136 rows
-  before generators in the ideal of the others left the walk)
-
-Generators whose images fill in cost more than in the deleted packed-int
-GF(2) engine, a dict entry costing far more than a bit, most of it in
-_finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 + x3*x1 and x1*x2 + x1*x3 +
-x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.45 million nonzeros in its
-image tables) take 0.93 s / 126 MB, 0.61 s of it in _finish; reading that
-level later takes 2.6 s more, to a 152 MB peak (the deleted engine,
-finishing every degree, took 1.4 s / 50 MB).
+keeps about 3.6 nonzeros per row, and the toy d=2, c=2, n=5 blueprint
+(244 generators of degree 5-10) over GF(5) puts 832 rows in to degree 10
+for a total rank of 231.  Generators whose images fill in cost a dict entry
+per nonzero, most of it in _finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 +
+x3*x1 and x1*x2 + x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.45
+million nonzeros in its image tables) take 0.93 s / 126 MB on a 2-core Xeon
+VM, 0.61 s of it in _finish; reading that level later takes 2.6 s more, to a
+152 MB peak.
 """
 
 from __future__ import annotations
@@ -266,16 +258,26 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
 # -- the table -----------------------------------------------------------------
 
 class GradedIdealTable:
-    """Per-degree quotient bases of a homogeneous ideal, up to maxdeg."""
+    """Per-degree quotient bases of a homogeneous ideal, up to maxdeg, each
+    degree built when it is first needed.
 
-    def __init__(self, d, field, generators, maxdeg, levels, b, top):
+    Generators must be homogeneous of degree >= 2 over one common field; the
+    empty list (zero ideal) needs explicit d and field.  A degree whose
+    working width d*b_{n-1} exceeds COLUMN_CAP is refused with TooLarge when
+    it is built.
+    """
+
+    def __init__(self, generators, maxdeg, *, d=None, field=None):
+        gens, d, field = _check_generators(generators, d, field)
+        require_int(maxdeg, "maxdeg", 0)
         self.d = d
         self.field = field
-        self.generators = tuple(generators)
+        self.generators = tuple(gens)
         self.maxdeg = maxdeg
-        self._finished = levels  # image tables 0.., all but maxdeg when top is set
-        self._top = top  # _finish arguments of level maxdeg until first read
-        self._b = b
+        self._tries = _term_tries(gens)  # the generators still in the walk
+        self._b = [1]  # b_0.. of the degrees whose rows are in
+        self._finished = [None]  # image tables 0.., the last degree's on first read
+        self._ech = None  # semi-echelon of the last degree until it is finished
         self._words: List[List[Word]] = [[()]]  # words of degrees 0.., on demand
 
     def _check_degree(self, n: int) -> None:
@@ -285,19 +287,51 @@ class GradedIdealTable:
                 "degree %d exceeds table maximum %d" % (n, self.maxdeg)
             )
 
-    def _level(self, n: int) -> list:
-        """Image table n, finished here when it is the top degree's first read."""
+    def _build(self, n: int) -> None:
+        """Put in the rows of every degree up to n not yet built.  The walk
+        of degree m steps through degree m-1, so it finishes that level
+        first, dropping its semi-echelon before a row of degree m goes in."""
         self._check_degree(n)
-        if n == len(self._finished):
-            self._finished.append(_finish(*self._top))
-            self._top = None
-        return self._finished[n]
+        d, p, b, tries = self.d, self.field.p, self._b, self._tries
+        while len(b) <= n:
+            m = len(b)
+            width = b[m - 1] * d
+            if width > COLUMN_CAP:
+                raise TooLarge(
+                    "degree %d needs d*b_%d = %d columns, over the %d-column cap"
+                    % (m, m - 1, width, COLUMN_CAP)
+                )
+            self._level(m - 1)
+            ech = SparseEchelon(p)
+            for k, (trie, polys) in tries.items():
+                if k > m:
+                    break
+                count, starts = len(polys), b[m - k]
+                for lo in range(0, starts, WALK_BLOCK):
+                    block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
+                    accs = [{} for _ in range(len(block) * count)]
+                    _walk_pairs(self._finished, d, p, trie, block, m - k, m, accs, count)
+                    pivots = [ech.insert(acc) for acc in accs]
+            # a degree-m generator whose own row (the last block) adds no pivot
+            # lies in the ideal of the others and leaves every later degree's walk
+            if m in tries and None in pivots:
+                kept = [g for g, c in zip(tries[m][1], pivots) if c is not None]
+                if kept:
+                    tries[m] = _term_tries(kept)[m]
+                else:
+                    del tries[m]
+            b.append(width - len(ech.rows))
+            self._ech = ech
+        if len(b) > self.maxdeg:  # no degree is left to walk
+            self._tries = None
 
-    @property
-    def _levels(self) -> list:
-        """Every image table (None at degree 0), the top one finished on first access."""
-        self._level(self.maxdeg)
-        return self._finished
+    def _level(self, n: int) -> list:
+        """Image table n, finished on its first read."""
+        self._build(n)
+        if n == len(self._finished):
+            self._finished.append(_finish(self._ech, self.d * self._b[n - 1]))
+            self._ech = None
+        return self._finished[n]
 
     def _words_at(self, n: int) -> List[Word]:
         """Standard words of degree n, built from degree n-1 on first use."""
@@ -312,10 +346,11 @@ class GradedIdealTable:
 
     def b(self, n: int) -> int:
         """Quotient dimension b_n = d**n - dim I_n."""
-        self._check_degree(n)
+        self._build(n)
         return self._b[n]
 
     def b_sequence(self) -> List[int]:
+        self._build(self.maxdeg)
         return list(self._b)
 
     def basis(self, n: int) -> List[Word]:
@@ -345,12 +380,7 @@ class GradedIdealTable:
                 "polynomial is over %s, table over %s" % (g.field, self.field)
             )
         require_int(n, "exponent", 0)
-        top = max(n * g.degree(), 0)
-        if top > self.maxdeg:
-            raise DegreeExceedsTable(
-                "component of degree %d exceeds table maximum %d" % (top, self.maxdeg)
-            )
-        self._level(top)  # the highest level the walk steps through
+        self._level(max(n * g.degree(), 0))  # the highest level the walk steps through
         levels, d, p = self._finished, self.d, self.field.p
         tries, c0 = _term_tries([g]), g.constant_coefficient()
         v: dict = {0: 0}  # degree -> walk state of nf(g**i), here nf(1)
@@ -391,49 +421,12 @@ def build_table(
     d: Optional[int] = None,
     field: Optional[FieldDescriptor] = None,
 ) -> GradedIdealTable:
-    """Build the graded table of the ideal generated by the given polynomials.
-
-    Generators must be homogeneous of degree >= 2 over one common field; the
-    empty list (zero ideal) needs explicit d and field.  A degree whose
-    working width d*b_{n-1} exceeds COLUMN_CAP is refused with TooLarge.
-    """
-    gens, d, field = _check_generators(generators, d, field)
-    require_int(maxdeg, "maxdeg", 0)
-    tries = _term_tries(gens)
-    p = field.p
-    levels, b = [None], [1]
-    for n in range(1, maxdeg + 1):
-        width = b[n - 1] * d
-        if width > COLUMN_CAP:
-            raise TooLarge(
-                "degree %d needs d*b_%d = %d columns, over the %d-column cap"
-                % (n, n - 1, width, COLUMN_CAP)
-            )
-        ech = SparseEchelon(p)
-        for k, (trie, polys) in tries.items():
-            if k > n:
-                break
-            count, starts = len(polys), b[n - k]
-            for lo in range(0, starts, WALK_BLOCK):
-                block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
-                accs = [{} for _ in range(len(block) * count)]
-                _walk_pairs(levels, d, p, trie, block, n - k, n, accs, count)
-                pivots = [ech.insert(acc) for acc in accs]
-        # a degree-n generator whose own row (the last block) adds no pivot
-        # lies in the ideal of the others and leaves every later degree's walk
-        if n in tries and None in pivots:
-            kept = [g for g, c in zip(tries[n][1], pivots) if c is not None]
-            if kept:
-                tries[n] = _term_tries(kept)[n]
-            else:
-                del tries[n]
-        b.append(width - len(ech.rows))
-        if n < maxdeg:  # the next degree's walk steps through this one
-            levels.append(_finish(ech, width))
-    # b_n needs only the rank, so the top degree keeps its semi-echelon until
-    # a query first reads the level
-    top = (ech, width) if maxdeg else None
-    return GradedIdealTable(d, field, gens, maxdeg, levels, b, top)
+    """The graded table of the ideal generated by the given polynomials, with
+    every degree up to maxdeg built, so that a degree over COLUMN_CAP is
+    refused here.  Its top level is finished only on its first read."""
+    table = GradedIdealTable(generators, maxdeg, d=d, field=field)
+    table.b(maxdeg)
+    return table
 
 
 # -- dimension rows and the degree-wise lower bound ----------------------------

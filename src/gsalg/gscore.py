@@ -45,7 +45,7 @@ from .errors import (
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
-from .graded import GradedIdealTable, build_table, degree_bound, validate_r
+from .graded import GradedIdealTable, degree_bound, validate_r
 from .symfun import generator_degree, monomial_window, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
@@ -843,6 +843,7 @@ def nil_certificate(
 def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
     """Graded table of a dense blueprint's ideal, up to the last block's c'.
 
+    Nothing is built here: a query builds each degree it first needs.
     Generators that vanish over the field (orbit-sum collisions) add nothing
     to the ideal and are left out; the construction's nominal counts stay in
     GSBlueprint.r_table().
@@ -851,4 +852,4 @@ def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
         raise InvalidParams("a dense blueprint with materialized generators is required")
     gens = [p for p in bp.all_generators() if not p.is_zero()]
     maxdeg = max(block.c_prime for block in bp.blocks)
-    return build_table(gens, maxdeg, d=bp.d, field=bp.field)
+    return GradedIdealTable(gens, maxdeg, d=bp.d, field=bp.field)

@@ -210,6 +210,25 @@ def test_construct_out_deterministic(capsys, tmp_path):
     assert bp.blocks[1].n == 2713118
 
 
+def test_construct_under_a_lowered_digit_limit_exits_two(capsys, tmp_path):
+    # the exact margin of block 1 (1,078 digits over 1,074) is kept below a
+    # fixed bound, so that a saved file does not depend on the int-to-text
+    # limit.  Under a lowered limit it cannot print: one error line and exit
+    # 2, with no file written
+    path = tmp_path / "bp.json"
+    argv = ["construct", "--d", "3", "--eps", "1/1000000000000000"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, argv + extra)
+            assert code == 2 and out == ""
+            assert err == "error: the margin has over 640 digits; refusing to print it\n"
+            assert not path.exists()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- nilcheck ---------------------------------------------------------------------
 
 
@@ -1054,6 +1073,25 @@ def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch
     for word in ("x1*x2*x3*x1*x2*x3", "x2*x1*x1*x3*x3*x2"):
         assert not table.normal_form(gsalg.parse_poly(word, 3, table.field)).is_zero()
         assert len(calls) == 6
+
+
+def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monkeypatch):
+    # the toy table reaches c' = 10, but g**5 for a linear g lies in degree 5:
+    # the verify puts in the rows of degrees 1-5 alone and finishes each once
+    # (a table built to c' first finishes degrees 1-9)
+    path = tmp_path / "toy25.json"
+    save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5), str(path))
+    calls, tables = [], []
+    finish = graded._finish
+    monkeypatch.setattr(graded, "_finish", lambda *args: calls.append(1) or finish(*args))
+    table_of = gsalg.gscore.blueprint_table
+    monkeypatch.setattr(gsalg.gscore, "blueprint_table", lambda bp: tables.append(table_of(bp)) or tables[-1])
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1 + x2", "--verify"])
+    assert code == 0 and err == ""
+    assert out == "n=5 verified\n"
+    (table,) = tables
+    assert table.maxdeg == 10
+    assert len(calls) == 5 and len(table._b) == 6
 
 
 def test_dims_out_of_address_space_exits_two(tmp_path):

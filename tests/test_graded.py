@@ -234,8 +234,8 @@ def test_stored_nonzeros_stay_sparse():
     # each pivot's reduced row); a densifying change moves these counts
     table = build_table([parse_poly("x1*x2 + x2*x3 + x3*x1", 3, GF2)], 10)
     nnz = [
-        sum(1 if img.__class__ is int else len(img) for img in image)
-        for image in table._levels[1:]
+        sum(1 if img.__class__ is int else len(img) for img in table._level(n))
+        for n in range(1, 11)
     ]
     assert nnz == [3, 10, 28, 75, 198, 520, 1363, 3570, 9348, 24475]
 
@@ -272,14 +272,14 @@ def test_redundant_generators_leave_the_walk(monkeypatch):
     bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
     rows = _count_rows(monkeypatch)
     table = blueprint_table(bp)
-    assert len(rows) == 832
     b = table.b_sequence()
+    assert len(rows) == 832
     assert sum(2 * b[n - 1] - b[n] for n in range(1, len(b))) == 231  # pivots
     assert len(table.generators) == 244 and sum(table.r_table().values()) == 244
 
 
 def _level_tables(table):
-    return table._levels
+    return [table._level(n) for n in range(table.maxdeg + 1)]
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -391,8 +391,8 @@ def test_words_built_on_demand():
     table = build_table([g], 10)
     assert [row.b for row in dimension_rows(table)] == [fibonacci(2 * n + 2) for n in range(11)]
     assert len(table._words) == 1
-    for image in table._levels[1:]:
-        assert not any(x.__class__ is tuple for x in image)
+    for n in range(1, 11):
+        assert not any(x.__class__ is tuple for x in table._level(n))
     assert len(table.basis(4)) == 55 and len(table._words) == 5
     # the naive oracle takes about 5 s at degree 10 on a 2-core Xeon VM, so it
     # stops at 9; degree 10 is checked against degree 9 by prefix closure

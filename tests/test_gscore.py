@@ -24,6 +24,7 @@ from gsalg.errors import (
 from gsalg.field import GF2, QQ, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly
 from gsalg.graded import build_table
+from gsalg.symfun import monomial_window
 from gsalg.gscore import (
     BoundCertificate,
     GSParams,
@@ -743,6 +744,30 @@ def test_iterated_nil_check_matches_expansion(case, request):
                 assert cert.verified
                 assert table.normal_form(g**cert.exponent).is_zero()
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("c, n, p", [(2, 5, 2), (2, 5, 3), (2, 6, 2)])
+def test_every_window_element_is_nil_on_a_table_built_on_demand(c, n, p):
+    # every nonzero g in the span of the d=2 toy's window monomials (63, 728
+    # and 63 g): g**n lies in the ideal, and the table that builds only the
+    # degrees g**n reaches gives the residue of a table built to c' = n*c
+    field = FieldDescriptor(p)
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=c, toy_n=n, field=field)
+    words = monomial_window(2, c).words
+    gs = sorted(
+        (Polynomial(2, field, {w: a for w, a in zip(words, coeffs) if a})
+         for coeffs in itertools.product(range(p), repeat=len(words)) if any(coeffs)),
+        key=Polynomial.degree,
+    )
+    assert len(gs) == p ** len(words) - 1
+    lazy = blueprint_table(bp)
+    eager = build_table([g for g in bp.all_generators() if not g.is_zero()], n * c, d=2, field=field)
+    for g in gs:
+        residue = lazy.power_normal_form(g, n)
+        assert residue == eager.power_normal_form(g, n) and residue.is_zero(), g
+        if g.degree() == 1:  # the linear g come first, and reach degree n alone
+            assert len(lazy._b) == n + 1
+    assert lazy.b_sequence() == eager.b_sequence()
 
 
 def test_nil_certificate_degree_beyond_table(toy13, toy22):
