@@ -8,8 +8,10 @@ like (d - v)**n; verify_growth replays that induction line by line on a
 concrete b-sequence.  Second, minimal_power finds the smallest block degree
 n whose weak-tuple count C(n+q-1, q-1) drops below eps**2 * u**(n-2); the
 count grows polynomially in n while the bound grows exponentially, so such
-an n exists, and the log of bound/count is convex in n, so a gallop and
-bisection on the comparison finds the least one.  Third, blueprints: the
+an n exists, and the log of bound/count is convex in n, so above a start
+where the comparison fails it fails on a prefix and holds after it; a float
+estimate of the root and Newton steps on the certified comparison find the
+switch in a few probes.  Third, blueprints: the
 block-by-block construction whose union of window generators bounds every
 generator count by the block's tuple count while covering every low-degree
 polynomial with a nil exponent.
@@ -29,7 +31,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, nextafter
+from math import ceil, comb, log, log1p, nextafter, pi, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -341,51 +343,116 @@ def _exact_predicate(q: int, n: int, params: GSParams):
     return comb(n + q - 1, n) < params.eps_sq * params.u ** (n - 2)
 
 
+def _root_guide(q: int, n_lo: int, reach: int, params: GSParams) -> Optional[int]:
+    """Float estimate in (n_lo, reach] of the least n with a positive log gap.
+
+    The log count ln C(x+q-1, q-1) is Stirling's series arranged so that no
+    two large terms cancel, (x + 1/2) log1p((q-1)/(x+1)) + (q-1) log1p(x/q)
+    - ln(q)/2 + 1 - ln(2 pi)/2; lnGamma differences cancel, and an estimate
+    from them lands 2.6 * 10**7 off the root at q = 3.7 * 10**19.  The gap
+    2 ln eps + (x-2) ln u minus the count is bisected on a log scale from
+    n_lo, or the gap's minimum near (q-u)/(u-1) if later, to reach.  None
+    when the inputs leave float range.
+    """
+    u = params.u
+    try:
+        ln_u, qf = log1p(u - 1), float(q)
+        if not ln_u > 0:
+            return None
+        base = 2 * log(params.eps) - 2 * ln_u + log(qf) / 2 - 1 + log(2 * pi) / 2
+        lo, hi = max(float(n_lo), float((q - u) / (u - 1))), float(reach)
+        while lo < (x := sqrt(lo * hi)) < hi:
+            if base + x * ln_u - (x + 0.5) * log1p((qf - 1) / (x + 1)) - (qf - 1) * log1p(x / qf) > 0:
+                hi = x
+            else:
+                lo = x
+        return min(max(ceil(hi), n_lo + 1), reach)
+    except (OverflowError, ValueError):
+        return None
+
+
 def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     """Smallest n > c_prev with C(n+q-1, q-1) < eps**2 * (d-2*eps)**(n-2).
 
     The predicate is the certified log comparison, settled in exact
     arithmetic when the two sides tie to working precision.  It is tested at
-    n_lo = max(c_prev + 1, 2); if false there, the search gallops upward
-    from n_lo in doubling steps until it holds and bisects the last bracket.
-    Bisection is sound because the log-gap ln(eps**2 * u**(n-2)) -
-    ln C(n+q-1, q-1) is convex in n: its increment ln u - ln((n+q)/(n+1))
-    grows with n.  A convex gap that is not positive at n_lo and at some
-    m > n_lo is not positive anywhere in between, so above a false n_lo the
-    false region is a prefix and the true region the rest.  No n is probed
-    twice (the gallop's probes increase, each midpoint lies strictly inside
-    its bracket).  The boundary is re-confirmed exactly when it fits the caps.
+    n_lo = max(c_prev + 1, 2) first.  If false there, the search probes a
+    float estimate of the root (_root_guide), then takes Newton steps on the
+    certified log gap, each from the last probe with the slope ln u -
+    ln((n+q)/(n+1)), for as long as each lands strictly inside the bracket
+    of known verdicts.  From its last probe it gallops in doubling steps, up
+    while the predicate is false and down while it is true, and bisects the
+    bracket that closes.  Without a float estimate it gallops from n_lo
+    itself, through n_lo + 1, n_lo + 2, n_lo + 4, ...
+
+    The estimate and the steps only choose where to probe; every verdict is
+    certified.  The search is sound because the log-gap ln(eps**2 *
+    u**(n-2)) - ln C(n+q-1, q-1) is convex in n: its increment ln u -
+    ln((n+q)/(n+1)) grows with n.  A convex gap that is not positive at
+    n_lo and at some m > n_lo is not positive anywhere in between, so above
+    a false n_lo the false region is a prefix and the true region the rest,
+    and a search that ends on a certified pair, false at N-1 (or N = n_lo)
+    and true at N, has found the least N wherever it started.  No n is
+    probed twice and none past n_lo + 2**199; the predicate false there
+    raises TooLarge.  The boundary is re-confirmed exactly when it fits the
+    caps.
     """
     require_int(q, "q", 2)
     require_int(c_prev, "c_prev", 0)
     n_lo = max(c_prev + 1, 2)
+    reach = n_lo + 2**199
+    lo, hi = n_lo - 1, None  # false at lo (or lo < n_lo), true at hi
 
-    def pred(m: int) -> bool:
+    def probe(m: int) -> Optional[float]:
+        """Record the verdict at m in (lo, hi); return the certified log gap
+        at m in nats (None when exact arithmetic settled it)."""
+        nonlocal lo, hi
         try:
-            return _certified_sides(q, m, params)[0] > 0
+            sign, _, edge = _certified_sides(q, m, params)
+            holds, gap = sign > 0, float(edge) * log(2)
         except TooLarge:
-            exact = _exact_predicate(q, m, params)
-            if exact is None:
+            holds, gap = _exact_predicate(q, m, params), None
+            if holds is None:
                 raise
-            return exact
-
-    # gallop through n_lo, n_lo + 1, n_lo + 2, n_lo + 4, ...; lo trails as
-    # the last false probe
-    lo = hi = n_lo
-    step = 1
-    for _ in range(201):
-        if pred(hi):
-            break
-        lo, hi = hi, n_lo + step
-        step *= 2
-    else:
-        raise TooLarge("no block degree found below astronomically large bounds")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
+        if holds:
+            hi = m
+        elif m == reach:
+            raise TooLarge("no block degree found below astronomically large bounds")
         else:
-            lo = mid
+            lo = m
+        return gap
+
+    def inside(m: int) -> bool:
+        return lo < m and (hi is None or m < hi)
+
+    m = n_lo
+    probe(m)
+    guide = None if hi is not None else _root_guide(q, n_lo, reach, params)
+    if guide is not None:
+        m = guide
+        gap = probe(m)
+        # as many Newton steps at most as the gallop below has doublings
+        for _ in range(200):
+            if gap is None or hi is not None and hi - lo == 1:
+                break
+            try:
+                slope = log1p(params.u - 1) - log1p((q - 1) / (m + 1))
+                # the first n past the root of the line through (m, gap)
+                # with that slope; a step of 0 (m holds) checks m - 1 next
+                t = min(m + (ceil(-gap / slope) or -1), reach) if slope > 0 else None
+            except (OverflowError, ValueError):
+                t = None
+            if t is None or not inside(t):
+                break
+            m = t
+            gap = probe(m)
+
+    # gallop away from m toward the boundary, then bisect the closed bracket
+    down, jump = m == hi, 1
+    while hi is None or hi - lo > 1:
+        t = m - jump if down else min(m + jump, reach)
+        jump *= 2
+        probe(t if inside(t) else (lo + hi) // 2)
 
     # exact boundary confirmation when representable
     if _exact_predicate(q, hi, params) is False:
@@ -551,7 +618,7 @@ def build_blueprint(
             # eps**2 * u**(n-2) <= (u * max(1, (eps/u)**2))**n, so no n <= N
             # passes once q >= N * u * max(1, (eps/u)**2).  q >= d**c, and
             # minimal_power never probes past N = c + 2**200, so this refuses
-            # only what its gallop would refuse, before q is built.
+            # only what its search would refuse, before q is built.
             reach = (c + 2**200) * ceil(params.u * max(1, (params.eps / params.u) ** 2))
             if c * (d.bit_length() - 1) >= reach.bit_length():
                 raise TooLarge("block %d: window cap c=%d makes q >= %d**%d, beyond "

@@ -4,10 +4,13 @@ Everything here is deliberately implemented with different machinery than
 the package under test: Decimal-based Stirling bounds with explicit
 remainder and rounding slack (the package uses mpmath), direct
 transfer-style word counting (the package uses row reduction), literal
-binomial scans (the package uses a gallop-and-bisect search), and
-full-width elimination over all d**n words (the package works in the
-d*b_{n-1}-column quotient space).  Agreement between the two stacks is the
-point.
+binomial scans (the package uses a search guided by a float estimate of
+the root), and full-width elimination over all d**n words (the package
+works in the d*b_{n-1}-column quotient space).  Agreement between the two
+stacks is the point.  One oracle shares the package's machinery on
+purpose: gallop_minimal_power is the search that minimal_power replaced,
+run on the package's own certified comparison, so that the two searches
+are compared on one predicate.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from gsalg.errors import (
 from gsalg.field import FieldDescriptor
 from gsalg.freealg import Polynomial, Word, order_key, word_index, words_of_degree
 from gsalg.graded import _check_generators
+from gsalg.gscore import _certified_sides, _exact_predicate
 
 # 100 digits, hardcoded so the oracle does not depend on any library constant
 PI_100 = Decimal(
@@ -160,6 +164,41 @@ def brute_minimal_n(
         lhs *= u.denominator
         rhs *= u.numerator
     raise ArithmeticError("no admissible n below %d" % limit)
+
+
+def gallop_minimal_power(q: int, c_prev: int, params) -> int:
+    """minimal_power as the package searched before its root guide: test
+    n_lo = max(c_prev + 1, 2), gallop upward through n_lo + 1, n_lo + 2,
+    n_lo + 4, ..., n_lo + 2**199 until the predicate holds (TooLarge if it
+    never does), then bisect the last bracket.  The predicate is the
+    package's certified comparison, settled exactly on a tie."""
+    n_lo = max(c_prev + 1, 2)
+
+    def pred(m: int) -> bool:
+        try:
+            return _certified_sides(q, m, params)[0] > 0
+        except TooLarge:
+            exact = _exact_predicate(q, m, params)
+            if exact is None:
+                raise
+            return exact
+
+    lo = hi = n_lo
+    step = 1
+    for _ in range(201):
+        if pred(hi):
+            break
+        lo, hi = hi, n_lo + step
+        step *= 2
+    else:
+        raise TooLarge("no block degree found below astronomically large bounds")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def scan_all_false(

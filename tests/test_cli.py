@@ -427,6 +427,18 @@ def test_third_block_refused_at_the_size_wall(capsys, d, eps):
     assert err.startswith("error: block 3: window cap c=") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d, eps, blocks, err", [
+    ("2", "499999/1000000", "2", "error: block 2: window cap c=8681515 makes q >= "
+     "2**8681515, beyond any block degree the search reaches\n"),
+    ("3", "1/2", "3", "error: block 3: window cap c=32557417 makes q >= "
+     "3**32557417, beyond any block degree the search reaches\n"),
+])
+def test_size_wall_refusal_text(capsys, d, eps, blocks, err):
+    # u = 1 + 2/10**6 puts block 1's degree at 8681514, and block 2 is
+    # refused at the size wall like block 3 of (3, 1/2)
+    assert run(capsys, ["construct", "--d", d, "--eps", eps, "--blocks", blocks]) == (2, "", err)
+
+
 def test_forged_third_block_refused_at_the_size_wall(capsys, tmp_path):
     path = tmp_path / "bp.json"
     save_blueprint(build_blueprint(GSParams(3, Fraction(1, 2)), 2), str(path))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gsalg import gscore
 from gsalg.errors import (
     ConstantTerm,
     DegreeExceedsTable,
@@ -52,6 +53,7 @@ from oracles import (
     certified_predicate,
     exact_log2_comb_bounds,
     fibonacci,
+    gallop_minimal_power,
     log2_comb_bounds,
     log2_envelope_bounds,
     naive_dimension_table,
@@ -429,6 +431,72 @@ def test_minimal_power_beyond_the_gallop_reach():
     # the boundary, about 3.4 * 10**60, lies past n_lo + 2**199
     with pytest.raises(TooLarge):
         minimal_power(10**60, 0, P3)
+
+
+def test_minimal_power_just_inside_the_reach():
+    # the boundary, about 3.4 * 10**59, lies inside n_lo + 2**199
+    assert minimal_power(10**59, 0, P3) == 340349787906229328067528311264272352990241543540590590459487
+
+
+def test_minimal_power_where_floats_fail_or_u_is_near_one():
+    # q past float range leaves the search without a float estimate; it
+    # gallops from n_lo as before and is refused at the same reach
+    with pytest.raises(TooLarge):
+        minimal_power(10**400, 0, P3)
+    # u = 1 + 2/10**6 and u = 1 + 2/1000 put the root far from n_lo
+    assert minimal_power(2, 0, GSParams(2, Fraction(499999, 1000000))) == 8681514
+    assert minimal_power(10**6, 0, GSParams(2, Fraction(499, 1000))) == 4736278831
+
+
+@st.composite
+def _search_cases(draw):
+    d = draw(st.integers(min_value=2, max_value=5))
+    # u - 1 = num/den in (0, d - 1), down to 1/10**8
+    den = draw(st.integers(min_value=2, max_value=10 ** draw(st.integers(1, 8))))
+    num = draw(st.integers(min_value=1, max_value=(d - 1) * den - 1))
+    q = draw(st.integers(min_value=2, max_value=10**30))
+    c_prev = draw(st.integers(min_value=0, max_value=10**6))
+    return q, c_prev, GSParams(d, (d - 1 - Fraction(num, den)) / 2)
+
+
+def _outcome(search, case):
+    try:
+        return search(*case)
+    except TooLarge:
+        return TooLarge
+
+
+@given(_search_cases())
+def test_minimal_power_matches_the_gallop_oracle(case):
+    assert _outcome(minimal_power, case) == _outcome(gallop_minimal_power, case)
+
+
+@pytest.mark.parametrize("d, eps", [(3, "1/2"), (2, "9/20"), (4, "1")])
+def test_minimal_power_probes_few_points_near_the_root(monkeypatch, d, eps):
+    # the two searches of build_blueprint(P, 2) each make at most six
+    # certified comparisons, never past n_lo + 2**199, and end on a probed
+    # pair: true at n, false at n - 1 unless n = n_lo
+    searches, active = [], []
+    search, sides = gscore.minimal_power, gscore._certified_sides
+
+    def counted_search(q, c_prev, params):
+        active.append([])
+        n = search(q, c_prev, params)
+        searches.append((max(c_prev + 1, 2), n, active.pop()))
+        return n
+
+    def counted_sides(q, n, params):
+        if active:
+            active[-1].append(n)
+        return sides(q, n, params)
+
+    monkeypatch.setattr(gscore, "minimal_power", counted_search)
+    monkeypatch.setattr(gscore, "_certified_sides", counted_sides)
+    build_blueprint(GSParams(d, Fraction(eps)), 2)
+    assert len(searches) == 2
+    for n_lo, n, probes in searches:
+        assert len(probes) <= 6 and max(probes) <= n_lo + 2**199
+        assert n in probes and (n == n_lo or n - 1 in probes)
 
 
 def test_minimal_power_validation():
