@@ -16,13 +16,15 @@ block-by-block construction whose union of window generators bounds every
 generator count by the block's tuple count while covering every low-degree
 polynomial with a nil exponent.
 
-All verdicts are exact.  Each count/bound comparison is a certified
-multiprecision log comparison whose slack scales with the summed magnitudes
-of the log terms that cancel in it, with precision escalation (block-2
-boundary sizes reach 10**20-bit binomials); an exact tie falls back to
-integer/Fraction arithmetic, and the boundary found is re-confirmed exactly
-whenever integer sizes show the numbers fit.  A block whose window is too
-large for any reachable block degree is refused before it is built.
+All verdicts are exact.  Each count/bound comparison is a certified log
+comparison in the standard library's decimal arithmetic, correctly rounded,
+with lnGamma from exact factorials or Stirling's series; its slack covers
+every rounding and the series' remainder, and the working precision climbs
+a ladder (block-2 boundary sizes reach 10**20-bit binomials).  An exact tie
+falls back to integer/Fraction arithmetic, and the boundary found is
+re-confirmed exactly whenever integer sizes show the numbers fit.  A block
+whose window is too large for any reachable block degree is refused before
+it is built.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import ceil, comb, log, log1p, nextafter, pi, sqrt
+from functools import lru_cache
+from math import ceil, comb, factorial, log, log1p, log2, nextafter, pi, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -58,8 +62,8 @@ EXACT_CONFIRM_BIT_CAP = 400_000
 # interpreter's default int-to-text limit, fixed here so files do not vary
 EXACT_VALUE_BOUND = 10**4300
 _DPS_LADDER = (40, 80, 160, 320, 640, 1280)
-# the certified comparison's slack, in units of mp.eps times the summed
-# magnitudes of the terms it adds (see _certified_sides)
+# the certified comparison's slack, in units of the rung's binary epsilon
+# times the summed magnitudes of the terms it adds (see _certified_sides)
 _SLACK_ULPS = 1024
 
 
@@ -277,40 +281,134 @@ def verify_growth(
 
 # -- minimal block degree ----------------------------------------------------------
 
-def _certified_sides(q: int, n: int, params: GSParams):
+_BERNOULLI: List[Fraction] = []  # B_2, B_4, ..., extended on demand
+
+
+def _digits(prec: int):
+    """A local decimal context of prec digits rounding half to even, whatever
+    the caller's context."""
+    return localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX))
+
+
+def _bernoulli(k: int) -> Fraction:
+    """B_2k for k >= 1, from the tangent numbers T_j by the integer recurrence
+    of R. P. Brent and D. Harvey (Fast computation of Bernoulli, tangent and
+    secant numbers, 2013): B_2j = (-1)**(j-1) 2j T_j / (4**j (4**j - 1))."""
+    if k > len(_BERNOULLI):
+        m = max(k, 2 * len(_BERNOULLI))
+        t = [0, 1] + [0] * (m - 1)
+        for j in range(2, m + 1):
+            t[j] = (j - 1) * t[j - 1]
+        for i in range(2, m + 1):
+            for j in range(i, m + 1):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+        _BERNOULLI[:] = [Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1))
+                         for j in range(1, m + 1)]
+    return _BERNOULLI[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _rung_constants(prec: int) -> Tuple[Decimal, Decimal]:
+    """(ln 2, ln(2 pi)/2) to prec digits.  pi is Machin's 16 atan(1/5) -
+    4 atan(1/239), summed in integers scaled by 10**(prec+10): each of the
+    under prec+10 terms of a series is floored twice, so pi is off by under
+    50*(prec+10) units of 10**-(prec+10), far below 10**-prec."""
+    scale = 10 ** (prec + 10)
+
+    def atan_inv(x: int) -> int:
+        total = term = scale // x
+        k = 1
+        while term:
+            term //= x * x
+            k += 2
+            total += term // k if k % 4 == 1 else -(term // k)
+        return total
+
+    with _digits(prec):
+        two_pi = Decimal(2 * (16 * atan_inv(5) - 4 * atan_inv(239))) / scale
+        return Decimal(2).ln(), two_pi.ln() / 2
+
+
+@lru_cache(maxsize=64)
+def _param_logs(params: GSParams, prec: int) -> Tuple[Decimal, ...]:
+    """(ln en, ln ed, ln un, ln ud) to prec digits, eps = en/ed, u = un/ud."""
+    with _digits(prec):
+        return tuple(Decimal(x).ln() for x in (params.eps.numerator, params.eps.denominator,
+                                               params.u.numerator, params.u.denominator))
+
+
+def _ln_gamma(z: int, half_ln_2pi: Decimal) -> Decimal:
+    """lnGamma(z), z an integer >= 1, in the context's precision P.
+
+    Up to z = 2P it is ln((z-1)!), one correctly rounded log of an exact
+    integer.  Past it, Stirling's series (DLMF 5.11.1) (z - 1/2) ln z - z +
+    ln(2 pi)/2 + sum B_2k / (2k (2k-1) z**(2k-1)), each term one rounded
+    division of exact integers, summed until a term falls below 10**-P.  That
+    term is left out, and it bounds the remainder: for real z > 0 the
+    remainder is smaller than the first term left out (DLMF 5.11(ii)).
+    """
+    prec = getcontext().prec
+    if z <= 2 * prec:
+        return Decimal(factorial(z - 1)).ln()
+    zd = Decimal(z)
+    total = (zd - Decimal("0.5")) * zd.ln() - zd + half_ln_2pi
+    tol, k = Decimal(1).scaleb(-prec), 1
+    while True:
+        b = _bernoulli(k)
+        term = Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1) * z ** (2 * k - 1))
+        if abs(term) < tol:
+            return total
+        total += term
+        k += 1
+
+
+class _Sides(tuple):
+    """(sign, log2_count, gap_log2) of _certified_sides; .mid is the gap's
+    computed value in nats, the middle of its enclosure."""
+
+    mid: Decimal
+
+
+def _certified_sides(q: int, n: int, params: GSParams) -> _Sides:
     """Certified sign of eps**2 * u**(n-2) - C(n+q-1, q-1), via logs.
 
     With eps = en/ed and u = un/ud the log-gap diff is the sum of the terms
     2 ln en, -2 ln ed, (n-2) ln un, -(n-2) ln ud, -lnGamma(n+q), lnGamma(n+1)
-    and lnGamma(q).  Each is computed to a few units of mp.eps of its own
-    magnitude, and each addition rounds by at most mp.eps of a partial sum,
-    so diff is off by at most a small multiple of mp.eps times the sum S of
-    the terms' magnitudes (N. J. Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 4.2): S, not |diff|, since the terms cancel.
-    The sign is accepted only when |diff| exceeds slack = _SLACK_ULPS *
-    mp.eps * (S + 1), far above that multiple; otherwise the working
-    precision climbs _DPS_LADDER, and an exact tie raises TooLarge.
+    and lnGamma(q) (_ln_gamma), let S be the sum of their magnitudes.  A rung
+    of _DPS_LADDER with dps digits works at P = dps + 5 digits in decimal
+    arithmetic, whose + - * / and ln are correctly rounded, each within u =
+    10**(1-P)/2 of its result.  diff is then off by at most R*u*M + 3*10**-P
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 4.2): R, the count of roundings, is under 40 plus two per Stirling
+    term; M, the largest partial term, is at most 2(S + 1), the product (z -
+    1/2) ln z of Stirling's series being the largest above S; and each of
+    three Stirling remainders is below 10**-P (DLMF 5.11(ii)).  The sign is
+    accepted only when |diff| exceeds slack = _SLACK_ULPS * 2**(1-b) * (S +
+    1), b = round((dps + 1) log2 10) the binary precision of dps digits:
+    slack exceeds 144 * 10**-dps * (S + 1), over twice that error for any R
+    below 10**5.  Otherwise the precision climbs the ladder, and an exact tie
+    raises TooLarge.
 
-    Returns (sign, log2_count, gap_log2) as mpf values at working precision,
-    gap_log2 being the end of the gap's enclosure nearest 0, (diff -+
-    slack)/ln 2.
+    Returns (sign, log2_count, gap_log2) as Decimals, gap_log2 being the end
+    of the gap's enclosure nearest 0, (diff -+ slack)/ln 2, and diff itself
+    as .mid.
     """
-    import mpmath as mp
-    en, ed = params.eps.numerator, params.eps.denominator
-    un, ud = params.u.numerator, params.u.denominator
     for dps in _DPS_LADDER:
-        with mp.workdps(dps):
-            top, low, win = mp.loggamma(n + q), mp.loggamma(n + 1), mp.loggamma(q)
-            le, ld, lu, lv = mp.log(en), mp.log(ed), mp.log(un), mp.log(ud)
+        prec = dps + 5
+        ln2, half_ln_2pi = _rung_constants(prec)
+        le, ld, lu, lv = _param_logs(params, prec)
+        with _digits(prec):
+            top, low, win = (_ln_gamma(z, half_ln_2pi) for z in (n + q, n + 1, q))
             ln_count = top - low - win
             diff = 2 * (le - ld) + (n - 2) * (lu - lv) - ln_count
             # every term is the log of an integer >= 1, so none is negative
             terms = top + low + win + 2 * (le + ld) + (n - 2) * (lu + lv)
-            slack = _SLACK_ULPS * mp.eps * (terms + 1)
+            slack = _SLACK_ULPS * (terms + 1) / (1 << (round((dps + 1) * log2(10)) - 1))
             if abs(diff) > slack:
-                ln2 = mp.log(2)
                 edge = diff - slack if diff > 0 else diff + slack
-                return (1 if diff > 0 else -1), ln_count / ln2, edge / ln2
+                sides = _Sides((1 if diff > 0 else -1, ln_count / ln2, edge / ln2))
+                sides.mid = diff
+                return sides
     raise TooLarge(
         "could not certify the count/bound comparison at q=%d, n=%d "
         "within precision limits" % (q, n)
@@ -378,9 +476,9 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     arithmetic when the two sides tie to working precision.  It is tested at
     n_lo = max(c_prev + 1, 2) first.  If false there, the search probes a
     float estimate of the root (_root_guide), then takes Newton steps on the
-    certified log gap, each from the last probe with the slope ln u -
-    ln((n+q)/(n+1)), for as long as each lands strictly inside the bracket
-    of known verdicts.  From its last probe it gallops in doubling steps, up
+    log gap, each from the middle of the last probe's certified enclosure
+    with the slope ln u - ln((n+q)/(n+1)), for as long as each lands
+    strictly inside the bracket of known verdicts.  From its last probe it gallops in doubling steps, up
     while the predicate is false and down while it is true, and bisects the
     bracket that closes.  Without a float estimate it gallops from n_lo
     itself, through n_lo + 1, n_lo + 2, n_lo + 4, ...
@@ -404,12 +502,13 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     lo, hi = n_lo - 1, None  # false at lo (or lo < n_lo), true at hi
 
     def probe(m: int) -> Optional[float]:
-        """Record the verdict at m in (lo, hi); return the certified log gap
-        at m in nats (None when exact arithmetic settled it)."""
+        """Record the verdict at m in (lo, hi); return the middle of the
+        certified log gap's enclosure at m in nats (None when exact
+        arithmetic settled it)."""
         nonlocal lo, hi
         try:
-            sign, _, edge = _certified_sides(q, m, params)
-            holds, gap = sign > 0, float(edge) * log(2)
+            sides = _certified_sides(q, m, params)
+            holds, gap = sides[0] > 0, float(sides.mid)
         except TooLarge:
             holds, gap = _exact_predicate(q, m, params), None
             if holds is None:

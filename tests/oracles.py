@@ -1,16 +1,19 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately implemented with different machinery than
-the package under test: Decimal-based Stirling bounds with explicit
-remainder and rounding slack (the package uses mpmath), direct
-transfer-style word counting (the package uses row reduction), literal
-binomial scans (the package uses a search guided by a float estimate of
-the root), and full-width elimination over all d**n words (the package
-works in the d*b_{n-1}-column quotient space).  Agreement between the two
-stacks is the point.  One oracle shares the package's machinery on
-purpose: gallop_minimal_power is the search that minimal_power replaced,
-run on the package's own certified comparison, so that the two searches
-are compared on one predicate.
+the package under test: two-term Stirling bounds and exact binomials in
+Decimal, with explicit remainder and rounding slack (the package also
+works in Decimal, but sums Stirling's full series to its working precision
+and takes the factorials of small arguments exactly; mpmath, which the
+tests use as a third implementation, checks both), direct transfer-style
+word counting (the package uses row reduction), literal binomial scans
+(the package uses a search guided by a float estimate of the root), and
+full-width elimination over all d**n words (the package works in the
+d*b_{n-1}-column quotient space).  Agreement between the stacks is the
+point.  One oracle shares the package's machinery on purpose:
+gallop_minimal_power is the search that minimal_power replaced, run on the
+package's own certified comparison, so that the two searches are compared
+on one predicate.
 """
 
 from __future__ import annotations

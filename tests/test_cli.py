@@ -1011,6 +1011,25 @@ def test_table_commands_never_import_mpmath(gens_file):
     assert lines[-1] == "0 False"
 
 
+def test_no_subcommand_imports_mpmath(tmp_path):
+    # the certified comparison runs on the standard library's decimal: a
+    # construct and a nilcheck of its symbolic blueprint, whose check
+    # re-certifies block 2 through certified_log2_gap, never load mpmath
+    out = tmp_path / "bp.json"
+    script = (
+        "import sys\n"
+        "from gsalg.cli import main\n"
+        "codes = [main(['construct', '--d', '3', '--eps', '1/2', '--blocks', '2', '--out', %r]),\n"
+        "         main(['nilcheck', '--blueprint', %r, '--g', 'x1*x2'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n" % (str(out), str(out))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_dims_loads_only_the_table_modules(gens_file):
     # a bare import loads no submodule; a dims run never loads the
     # construction layers or dataclasses; every public name still resolves

@@ -427,6 +427,19 @@ def test_minimal_power_at_q_10_to_45():
     assert minimal_power(10**45, 0, P3) == _N45
 
 
+def test_newton_steps_start_from_the_middle_of_the_enclosure(monkeypatch):
+    # at q = 10**45 the 40-digit slack is about 10**10 nats; a step from the
+    # middle of the enclosure lands within its rounding error, about 10**3
+    # nats, of the root, where one from the edge nearest 0 falls short by
+    # the slack
+    probes = []
+    sides = gscore._certified_sides
+    monkeypatch.setattr(gscore, "_certified_sides",
+                        lambda q, n, params: probes.append(n) or sides(q, n, params))
+    assert minimal_power(10**45, 0, P3) == _N45
+    assert len(probes) == 6 and probes[-2:] == [_N45, _N45 - 1]
+
+
 def test_minimal_power_beyond_the_gallop_reach():
     # the boundary, about 3.4 * 10**60, lies past n_lo + 2**199
     with pytest.raises(TooLarge):
@@ -469,6 +482,71 @@ def _outcome(search, case):
 @given(_search_cases())
 def test_minimal_power_matches_the_gallop_oracle(case):
     assert _outcome(minimal_power, case) == _outcome(gallop_minimal_power, case)
+
+
+@given(_search_cases(), st.integers(-3, 3) | st.integers(-10**30, 10**30))
+def test_certified_sides_sign_matches_the_oracle(case, offset):
+    # near the least n (offset -3..3) and anywhere; where the oracle's
+    # Stirling or exact-binomial bounds settle the sign, the package agrees
+    q, _, params = case
+    n = _outcome(minimal_power, (q, 0, params))
+    assume(n is not TooLarge)
+    n = max(2, n + offset)
+    try:
+        want = certified_predicate(q, n, params.eps, params.u)
+    except ArithmeticError:
+        assume(False)
+    assert (_certified_sides(q, n, params)[0] > 0) == want
+
+
+def _worst_ln_gamma_error(zs, dps):
+    """Largest |error| / bound of gscore._ln_gamma over zs, at the rung's
+    precision P = dps + 5, against mpmath.loggamma at 400+ digits.  The
+    bound is 8 units u = 10**(1-P)/2 of lnGamma(z) + 1, plus 10**-P for
+    Stirling's remainder.  Past z = 2P, (z - 1/2) ln z is at most 1.3
+    (lnGamma(z) + 1), so its four roundings take 5.2 units; ln(2 pi)/2 and
+    the series' terms, below 1/12, take under one more.  Up to 2P lnGamma
+    is one rounded log."""
+    import mpmath as mp
+
+    prec = dps + 5
+    _, half_ln_2pi = gscore._rung_constants(prec)
+    worst = 0
+    with mp.workdps(max(400, prec + 30)), localcontext() as ctx:
+        ctx.prec = prec
+        for z in zs:
+            got, want = mp.mpf(str(gscore._ln_gamma(z, half_ln_2pi))), mp.loggamma(z)
+            bound = 4 * mp.mpf(10) ** (1 - prec) * (want + 1) + mp.mpf(10) ** -prec
+            worst = max(worst, abs(got - want) / bound)
+    return worst
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+def test_ln_gamma_matches_mpmath_on_small_integers(dps):
+    # both routes: exact factorials up to 2P, Stirling's series past it
+    assert _worst_ln_gamma_error(range(1, 3001), dps) <= 1
+
+
+@pytest.mark.parametrize("dps", gscore._DPS_LADDER)
+def test_ln_gamma_matches_mpmath_on_powers_of_ten(dps):
+    ks = range(1, 1001) if dps <= 160 else [1, 2, 3, 5, 10, 20, 45, 60, 100, 300, 700, 1000]
+    assert _worst_ln_gamma_error([10**k for k in ks], dps) <= 1
+
+
+@pytest.mark.parametrize("dps", gscore._DPS_LADDER)
+def test_ln_gamma_matches_mpmath_on_the_benchmark_blocks(dps):
+    zs = {z for d, eps in [(3, "1/2"), (2, "9/20"), (4, "1")]
+          for b in build_blueprint(GSParams(d, Fraction(eps)), 2).blocks
+          for z in (b.n + b.q, b.n + 1, b.q)}
+    assert _worst_ln_gamma_error(zs, dps) <= 1
+
+
+def test_bernoulli_numbers_match_mpmath():
+    import mpmath as mp
+
+    for k in range(1, 121):
+        b = gscore._bernoulli(k)
+        assert mp.bernfrac(2 * k) == (b.numerator, b.denominator)
 
 
 @pytest.mark.parametrize("d, eps", [(3, "1/2"), (2, "9/20"), (4, "1")])
