@@ -51,7 +51,7 @@ from .errors import (
 )
 from .field import GF2, FieldDescriptor, parse_field
 from .freealg import Polynomial, poly_str
-from .graded import GradedIdealTable, degree_bound, validate_r
+from .graded import GradedIdealTable, degree_bound
 from .symfun import generator_degree, monomial_window, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
@@ -162,6 +162,15 @@ def certificate_from_epsilon(params: GSParams) -> BoundCertificate:
     (eps*d - eps**2) / (eps + d - 2*eps) = eps.
     """
     return BoundCertificate(params.d, params.eps, params.eps_sq, params.u)
+
+
+def validate_r(r: Dict[int, int]) -> None:
+    """Check a degree -> generator-count table: r_0 = r_1 = 0, counts >= 0."""
+    for deg, count in r.items():
+        require_int(deg, "a degree key of r", 0)
+        require_int(count, "r[%d]" % deg, 0)
+        if deg < 2 and count != 0:
+            raise InvalidParams("r[%d] must be 0 (no generators below degree 2)" % deg)
 
 
 class BoundConditionReport(NamedTuple):

@@ -994,8 +994,8 @@ def test_console_script_runs():
 
 
 def test_table_commands_never_import_mpmath(gens_file):
-    # only minimal_power and the certified log comparison need mpmath; the
-    # import and a dims run must not pay for loading it
+    # the package has no runtime dependency on mpmath: neither the import
+    # nor a dims run loads it
     script = (
         "import sys, gsalg.cli\n"
         "print('mpmath' in sys.modules)\n"
@@ -1031,14 +1031,16 @@ def test_no_subcommand_imports_mpmath(tmp_path):
 
 
 def test_dims_loads_only_the_table_modules(gens_file):
-    # a bare import loads no submodule; a dims run never loads the
-    # construction layers or dataclasses; every public name still resolves
+    # a bare import loads no submodule; a dims run loads the table modules
+    # alone, never the construction layers, dataclasses or csv; every public
+    # name still resolves
     script = (
         "import sys, gsalg\n"
         "print(sorted(m for m in sys.modules if m.startswith('gsalg.')))\n"
         "import gsalg.cli\n"
         "code = gsalg.cli.main(['dims', '--gens', %r, '--d', '2', '--maxdeg', '6'])\n"
-        "late = ('gsalg.gscore', 'gsalg.symfun', 'gsalg.combinat', 'dataclasses')\n"
+        "print(sorted(m for m in sys.modules if m == 'gsalg' or m.startswith('gsalg.')))\n"
+        "late = ('gsalg.gscore', 'gsalg.symfun', 'gsalg.combinat', 'dataclasses', 'csv')\n"
         "print(code, [m for m in late if m in sys.modules])\n"
         "print(gsalg.build_blueprint.__module__)\n"
         "star = {}\n"
@@ -1052,6 +1054,8 @@ def test_dims_loads_only_the_table_modules(gens_file):
     assert proc.returncode == 0 and proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
+    loaded = ["gsalg", "gsalg.cli", "gsalg.errors", "gsalg.field", "gsalg.freealg", "gsalg.graded"]
+    assert lines[-4] == str(loaded)
     assert lines[-3:] == ["0 []", "gsalg.gscore", "[] []"]
 
 
@@ -1109,7 +1113,8 @@ def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch
 def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monkeypatch):
     # the toy table reaches c' = 10, but g**5 for a linear g lies in degree 5:
     # the verify puts in the rows of degrees 1-5 alone and finishes each once
-    # (a table built to c' first finishes degrees 1-9)
+    # (a table built to c' first finishes degrees 1-9), and builds the trie of
+    # the degree-5 generators alone (of generators of degree 5-10)
     path = tmp_path / "toy25.json"
     save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5), str(path))
     calls, tables = [], []
@@ -1123,6 +1128,7 @@ def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monk
     (table,) = tables
     assert table.maxdeg == 10
     assert len(calls) == 5 and len(table._b) == 6
+    assert list(table._tries) == [5]
 
 
 def test_dims_out_of_address_space_exits_two(tmp_path):

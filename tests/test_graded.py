@@ -31,7 +31,6 @@ from gsalg.graded import (
     dimension_rows,
     write_dimension_csv,
 )
-from gsalg.linalg import SparseEchelon
 
 from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
 
@@ -258,10 +257,10 @@ def test_merged_walk_step_count(monkeypatch):
 
 
 def _count_rows(mp):
-    """Count the rows that go into SparseEchelon.insert, through mp."""
+    """Count the rows that go into graded._insert, through mp."""
     rows = []
-    insert = SparseEchelon.insert
-    mp.setattr(SparseEchelon, "insert", lambda self, row: rows.append(1) or insert(self, row))
+    insert = graded._insert
+    mp.setattr(graded, "_insert", lambda ech, row, p: rows.append(1) or insert(ech, row, p))
     return rows
 
 

@@ -1,4 +1,5 @@
-"""The sparse echelon against naive eliminations and known-rank matrices."""
+"""The semi-echelon of graded._insert and the image table graded._finish reads
+off it, against naive eliminations and known-rank matrices."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsalg.graded import _finish
-from gsalg.linalg import SparseEchelon
+from gsalg.graded import _finish, _insert
 
 
 def _naive_rank_mod_p(rows, p):
@@ -86,9 +86,9 @@ def _sparse(row, p=None):
     return {c: (x if p is None else x % p) for c, x in enumerate(row) if (x if p is None else x % p)}
 
 
-def _insert_all(ech, mat, p=None):
+def _insert_all(rows, mat, p=None):
     for r in mat:
-        ech.insert(_sparse(r, p))
+        _insert(rows, _sparse(r, p), p)
 
 
 def _naive_image(rows, width, p=None):
@@ -121,34 +121,34 @@ def test_gf2_echelon_against_naive():
     for width in (5, 17, 40):
         for rows_n in (3, 10, 25):
             mat = [[rng.randrange(2) for _ in range(width)] for _ in range(rows_n)]
-            ech = SparseEchelon(2)
-            _insert_all(ech, mat)
-            assert len(ech.rows) == _naive_rank_mod_p(mat, 2)
+            ech = {}
+            _insert_all(ech, mat, 2)
+            assert len(ech) == _naive_rank_mod_p(mat, 2)
 
 
 def test_gf2_echelon_normal_form():
     rng = random.Random(13)
     width = 30
-    ech = SparseEchelon(2)
+    ech = {}
     rows = [[rng.randrange(2) for _ in range(width)] for _ in range(12)]
-    _insert_all(ech, rows)
-    for c, row in ech.rows.items():
+    _insert_all(ech, rows, 2)
+    for c, row in ech.items():
         assert min(row) == c and row[c] == 1
-    image = _finish(ech, width)
+    image = _finish(ech, width, 2)
     assert image == _naive_image(rows, width, 2)
     # anything already in the span is dependent
     span_elt = [(a + b) % 2 for a, b in zip(rows[0], rows[3])]
-    assert ech.insert(_sparse(span_elt)) is None
+    assert _insert(ech, _sparse(span_elt), 2) is None
     assert _through(image, _sparse(span_elt), 2) == {}
 
 
 def test_gf2_echelon_known_rank():
     rng = random.Random(17)
     mat = _known_rank_matrix(rng, rank=6, width=14, extra=9, p=2)
-    ech = SparseEchelon(2)
-    _insert_all(ech, mat)
-    assert len(ech.rows) == 6
-    assert all(min(r) == c and r[c] == 1 for c, r in ech.rows.items())
+    ech = {}
+    _insert_all(ech, mat, 2)
+    assert len(ech) == 6
+    assert all(min(r) == c and r[c] == 1 for c, r in ech.items())
 
 
 # -- GF(p) and QQ --------------------------------------------------------------------
@@ -159,9 +159,9 @@ def test_gfp_echelon_against_naive(p):
     rng = random.Random(p)
     for width, rows_n in ((6, 4), (12, 20), (25, 10)):
         mat = [[rng.randrange(p) for _ in range(width)] for _ in range(rows_n)]
-        ech = SparseEchelon(p)
+        ech = {}
         _insert_all(ech, mat, p)
-        assert len(ech.rows) == _naive_rank_mod_p(mat, p)
+        assert len(ech) == _naive_rank_mod_p(mat, p)
 
 
 @given(
@@ -207,21 +207,21 @@ def test_gfp_echelon_differential(p, seed, cuts):
     zero = {c: 0 if p is None else p * rng.randrange(-3, 4) for c in range(0, width, 3)}
     fed.insert(rng.randrange(len(fed) + 1), zero)
     kept = [dict(r) for r in fed]
-    assert SparseEchelon(p).insert(zero) is None
-    whole = SparseEchelon(p)
+    assert _insert({}, zero, p) is None
+    whole = {}
     for r in fed:
-        whole.insert(r)
-    split = SparseEchelon(p)
+        _insert(whole, r, p)
+    split = {}
     for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(fed)]):
         for r in fed[lo:hi]:
-            split.insert(r)
-        split_image = _finish(split, width)
+            _insert(split, r, p)
+        split_image = _finish(split, width, p)
     assert fed == kept
     want_rows, want_piv = _naive_rref_q(mat) if p is None else _naive_rref_mod_p(mat, p)
     want_image = _naive_image(mat, width, p)
-    for ech, image in ((whole, _finish(whole, width)), (split, split_image)):
-        assert len(ech.rows) == len(want_piv)
-        assert sorted(ech.rows) == want_piv
+    for ech, image in ((whole, _finish(whole, width, p)), (split, split_image)):
+        assert len(ech) == len(want_piv)
+        assert sorted(ech) == want_piv
         assert image == want_image
     for row in want_rows:
         assert _through(split_image, _sparse(row, p), p) == {}
@@ -232,22 +232,22 @@ def test_gfp_echelon_incremental_batches():
     rng = random.Random(29)
     width = 20
     mat = _known_rank_matrix(rng, rank=8, width=width, extra=14, p=p)
-    ech = SparseEchelon(p)
+    ech = {}
     # feeding in uneven batches must land on the same rank, and each finish
     # on the image table of the rows in so far
     for lo in range(0, len(mat), 5):
         _insert_all(ech, mat[lo : lo + 5], p)
-        assert _finish(ech, width) == _naive_image(mat[: lo + 5], width, p)
-    assert len(ech.rows) == 8
+        assert _finish(ech, width, p) == _naive_image(mat[: lo + 5], width, p)
+    assert len(ech) == 8
 
 
 def test_gfp_insert_dependent_row():
     p = 5
-    ech = SparseEchelon(p)
-    assert ech.insert({0: 1, 1: 2, 2: 3, 3: 4}) == 0
-    assert ech.insert({0: 2, 1: 4, 2: 1, 3: 3}) is None
-    assert ech.insert({1: 1, 2: 1, 3: 1}) == 1
-    assert len(ech.rows) == 2
+    ech = {}
+    assert _insert(ech, {0: 1, 1: 2, 2: 3, 3: 4}, p) == 0
+    assert _insert(ech, {0: 2, 1: 4, 2: 1, 3: 3}, p) is None
+    assert _insert(ech, {1: 1, 2: 1, 3: 1}, p) == 1
+    assert len(ech) == 2
 
 
 # -- rationals --------------------------------------------------------------------
@@ -259,23 +259,23 @@ def test_fraction_echelon_known_rank():
     # entries were built mod a large prime; reuse them as plain integers, the
     # integer combinations stay dependent over the rationals only if built there
     base = [[Fraction(x) for x in row] for row in mat[:5]]
-    ech = SparseEchelon(None)
+    ech = {}
     for row in base:
-        assert ech.insert(_sparse(row)) is not None
+        assert _insert(ech, _sparse(row), None) is not None
     combo = [sum((3 * b[j] for b in base), start=Fraction(0)) for j in range(11)]
-    assert ech.insert(_sparse(combo)) is None
-    assert len(ech.rows) == 5
+    assert _insert(ech, _sparse(combo), None) is None
+    assert len(ech) == 5
 
 
 def test_fraction_echelon_normal_form():
-    ech = SparseEchelon(None)
+    ech = {}
     rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2), Fraction(5)]]
     _insert_all(ech, rows)
-    piv = sorted(ech.rows)
+    piv = sorted(ech)
     assert piv == [0, 1]
     # the reduced rows are {0: 1, 2: -5/3} and {1: 1, 2: 5/2}
     reduced = [[1, 0, Fraction(-5, 3)], [0, 1, Fraction(5, 2)]]
-    image = _finish(ech, 3)
+    image = _finish(ech, 3, None)
     assert image == _naive_image(reduced, 3) == _naive_image(rows, 3)
     assert image == [{0: Fraction(5, 3)}, {0: Fraction(-5, 2)}, 0]
     v = {0: Fraction(7), 1: Fraction(-2), 2: Fraction(1, 6)}
@@ -289,6 +289,6 @@ def test_fraction_echelon_against_modular_rank():
     p = 2**31 - 1
     for _ in range(5):
         mat = [[rng.randrange(-9, 10) for _ in range(8)] for _ in range(6)]
-        ech = SparseEchelon(None)
+        ech = {}
         _insert_all(ech, [[Fraction(x) for x in row] for row in mat])
-        assert len(ech.rows) == _naive_rank_mod_p(mat, p)
+        assert len(ech) == _naive_rank_mod_p(mat, p)
