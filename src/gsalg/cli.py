@@ -9,10 +9,10 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed (negative
 slack, violated condition, failed ledger line, unverified membership, a
 blueprint file that differs from the rebuild of its parameters), 2 usage
 or input errors (a blueprint file that differs from its rebuild only in
-the derived floats j_count_log2 and margin_log2_lo is a stale input, not a
-failed check), a run out of memory, and a standard output closed before
-all was written.  Outputs are deterministic: fixed orderings, no
-timestamps, exact rationals printed as num/den.
+its log2 floats or generator list is a stale input, not a failed check),
+a run out of memory, and a standard output closed before all was written.
+Outputs are deterministic: fixed orderings, no timestamps, exact rationals
+printed as num/den.
 
 Only the modules a dims run needs are imported here; each other
 subcommand imports its gscore, symfun and combinat names when it runs.
@@ -203,14 +203,8 @@ def cmd_construct(args) -> int:
         )
     if args.out:
         save_blueprint(bp, args.out)
-    for block, head in zip(bp.blocks, heads):
-        print(head)
-        if block.generators is not None:
-            print("generators (block %d):" % block.k)
-            for poly in block.generators:
-                print("  %s" % poly_str(poly))
-    if args.out:
-        print("saved: %s" % args.out)
+        heads.append("saved: %s" % args.out)
+    print("\n".join(heads))
     report = check_blueprint(bp)
     if not report.ok:
         print("blueprint invariants FAILED", file=sys.stderr)
@@ -222,16 +216,10 @@ def cmd_nilcheck(args) -> int:
     from .gscore import blueprint_table, load_blueprint, nil_certificate
 
     bp = load_blueprint(args.blueprint)
-    field = bp.field
-    if args.field is not None:
-        requested = parse_field(args.field)
-        if field is not None and requested != field:
-            raise InvalidParams(
-                "blueprint was materialized over %s, not %s" % (field, requested)
-            )
-        field = requested
-    if field is None:
-        field = GF2
+    field = (bp.field or GF2) if args.field is None else parse_field(args.field)
+    if bp.field not in (None, field):
+        raise InvalidParams("the blueprint's generators are materialized over %s, not %s"
+                            % (bp.field, field))
     g = parse_poly(args.g, bp.d, field)
     table = blueprint_table(bp) if args.verify else None
     cert = nil_certificate(g, bp, table)

@@ -78,7 +78,6 @@ VM, 0.61 s of it in _finish; reading that level later takes 2.6 s more, to a
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence
@@ -294,22 +293,23 @@ class GradedIdealTable:
     """Per-degree quotient bases of a homogeneous ideal, up to maxdeg, each
     degree built when it is first needed.
 
-    Generators must be homogeneous of degree >= 2 over one common field; the
-    empty list (zero ideal) needs explicit d and field.  A degree whose
-    working width d*b_{n-1} exceeds COLUMN_CAP is refused with TooLarge when
-    it is built.
+    Generators are homogeneous of degree >= 2 over one field: a list, or a
+    dict {degree: iterable of (key, generator or zero)} made on demand and
+    listed in key order, which, like the empty list, needs d and field.  A
+    degree over COLUMN_CAP columns (d*b_{n-1}) is refused with TooLarge.
     """
 
     def __init__(self, generators, maxdeg, *, d=None, field=None):
-        gens, d, field = _check_generators(generators, d, field)
+        made = generators if isinstance(generators, dict) else {}
+        listed, d, field = _check_generators(() if made else generators, d, field)
         require_int(maxdeg, "maxdeg", 0)
         self.d = d
         self.field = field
-        self.generators = tuple(gens)
         self.maxdeg = maxdeg
-        self._gens: Dict[int, list] = {}  # degree -> generators not yet reached
-        for g in gens:
-            self._gens.setdefault(g.degree(), []).append(g)
+        # degree -> (key, generator) list, or the iterable that makes it
+        self._gens: Dict[int, object] = {deg: iter(pairs) for deg, pairs in made.items()}
+        for i, g in enumerate(listed):
+            self._gens.setdefault(g.degree(), []).append((i, g))
         self._tries: dict = {}  # degree -> (trie, generators) still in the walk
         self._b = [1]  # b_0.. of the degrees whose rows are in
         self._finished = [None]  # image tables 0.., the last degree's on first read
@@ -339,8 +339,8 @@ class GradedIdealTable:
                     % (m, m - 1, width, COLUMN_CAP)
                 )
             self._level(m - 1)
-            if m in self._gens:
-                polys = self._gens.pop(m)
+            polys = [g for _, g in self._drawn(m)]
+            if polys:
                 tries[m] = (_trie(polys), polys)
             rows: Dict[int, dict] = {}
             for k, (trie, polys) in tries.items():
@@ -361,7 +361,21 @@ class GradedIdealTable:
             b.append(width - len(rows))
             self._rows = rows
         if len(b) > self.maxdeg:  # no degree is left to walk
-            self._gens = self._tries = None
+            self._tries = None
+
+    def _drawn(self, m: int) -> list:
+        """The (key, generator) pairs of degree m, made and checked once."""
+        made = self._gens.get(m, [])
+        if made.__class__ is not list:
+            made = self._gens[m] = [(key, g) for key, g in made if g.terms]
+            _check_generators([g for _, g in made], self.d, self.field)
+        return made
+
+    @property
+    def generators(self) -> tuple:
+        """Every generator in key order (a list's own), zeros left out."""
+        pairs = [pair for m in self._gens for pair in self._drawn(m)]
+        return tuple(g for _, g in sorted(pairs, key=lambda pair: pair[0]))
 
     def _level(self, n: int) -> list:
         """Image table n, finished on its first read."""
@@ -397,7 +411,7 @@ class GradedIdealTable:
 
     def r_table(self) -> Dict[int, int]:
         """Degree -> number of generators of that degree, with multiplicity."""
-        return dict(sorted(Counter(g.degree() for g in self.generators).items()))
+        return {m: len(made) for m in sorted(self._gens) if (made := self._drawn(m))}
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Residue of p modulo the ideal; zero iff p is a member."""
@@ -444,13 +458,8 @@ class GradedIdealTable:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def __repr__(self):
-        return "GradedIdealTable(d=%d, field=%s, maxdeg=%d, %d generators)" % (
-            self.d,
-            self.field,
-            self.maxdeg,
-            len(self.generators),
-        )
+    def __repr__(self):  # counts no generators, which would make them all
+        return "GradedIdealTable(d=%d, field=%s, maxdeg=%d)" % (self.d, self.field, self.maxdeg)
 
 
 def build_table(

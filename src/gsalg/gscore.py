@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, comb, factorial, log, log1p, log2, nextafter, pi, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,9 +49,9 @@ from .errors import (
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .freealg import Polynomial, poly_str
+from .freealg import Polynomial
 from .graded import GradedIdealTable, degree_bound
-from .symfun import generator_degree, monomial_window, window_generators, window_size
+from .symfun import monomial_window, tuples_by_degree, window_generator, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
@@ -608,7 +607,6 @@ class BlueprintBlock(NamedTuple):
     min_degree: int
     max_degree: int
     degree_counts: Optional[Dict[int, int]]
-    generators: Optional[Tuple[Polynomial, ...]]
 
 
 def _summed_counts(blocks: Sequence[BlueprintBlock]) -> Dict[int, int]:
@@ -658,11 +656,9 @@ class GSBlueprint(NamedTuple):
         return _summed_counts(self.blocks)
 
     def all_generators(self) -> List[Polynomial]:
-        out: List[Polynomial] = []
-        for block in self.blocks:
-            if block.generators:
-                out.extend(block.generators)
-        return out
+        """A dense blueprint's window generators in weak-tuple order, made here."""
+        return [p for block in self.blocks if self.mode == "dense"
+                for _, p in window_generators(monomial_window(self.d, block.c), block.n, self.field)]
 
 
 def build_blueprint(
@@ -680,10 +676,10 @@ def build_blueprint(
     Each block takes the smallest admissible window cap c = c'_prev + 1, the
     full monomial window of size q = d + d**2 + ... + d**c, and the minimal
     block degree n from minimal_power; its generator degrees lie in
-    [n, n*c], strictly above the previous block's c'.  Dense mode
-    materializes the window generators over the given field (default GF(2));
-    the toy override (toy_c, toy_n) skips the eps-condition to keep the
-    materialization small and is flagged as such.
+    [n, n*c], strictly above the previous block's c'.  Dense mode counts
+    the generators over the given field (default GF(2)) per degree, making
+    none; the toy override (toy_c, toy_n) skips the eps-condition to keep
+    the window small and is flagged as such.
     """
     if mode not in ("symbolic", "dense"):
         raise InvalidParams("mode must be 'symbolic' or 'dense', got %r" % (mode,))
@@ -697,9 +693,8 @@ def build_blueprint(
             raise InvalidParams("toy mode builds exactly one block")
         require_int(toy_c, "toy_c", 1)
         require_int(toy_n, "toy_n", 1)
-    else:
-        if params is None:
-            raise InvalidParams("params are required outside toy mode")
+    elif params is None:
+        raise InvalidParams("params are required outside toy mode")
     if params is not None:
         if d is not None and d != params.d:
             raise InvalidParams("conflicting d: %r vs params.d = %d" % (d, params.d))
@@ -737,27 +732,21 @@ def build_blueprint(
 
         j_count = j_log2 = margin = margin_lo = None
         if not toy:
-            gap_lo, log2_count = certified_log2_gap(q, n, params)
-            j_log2 = log2_count
-            margin_lo = gap_lo
-            if log2_count <= EXACT_VALUE_BIT_CAP:
+            margin_lo, j_log2 = certified_log2_gap(q, n, params)
+            if j_log2 <= EXACT_VALUE_BIT_CAP:
                 count = comb(n + q - 1, n)
                 j_count = _printable(count)
                 if _envelope_bits(n, params) <= EXACT_VALUE_BIT_CAP:
                     margin = _printable(params.eps_sq * params.u ** (n - 2) - count)
 
-        generators = None
         degree_counts: Optional[Dict[int, int]] = None
         if mode == "dense":
             if not toy:
                 window = monomial_window(d, c)
-            pairs = window_generators(window, n, field)
-            generators = tuple(p for _, p in pairs)
-            counts = Counter(generator_degree(j, window) for j, _ in pairs)
-            degree_counts = dict(sorted(counts.items()))
+            degree_counts = {deg: len(js) for deg, js in tuples_by_degree(window, n).items()}
             if toy:
                 # one generator per weak tuple; counted after the window's cap check
-                j_count = len(pairs)
+                j_count = sum(degree_counts.values())
         elif c == 1 and j_count is not None:
             # a width-1 window makes every generator degree exactly n
             degree_counts = {n: j_count}
@@ -781,7 +770,6 @@ def build_blueprint(
                 min_degree=min_degree,
                 max_degree=max_degree,
                 degree_counts=degree_counts,
-                generators=generators,
             )
         )
         c_prime_prev = c_prime
@@ -897,7 +885,7 @@ def blueprint_to_dict(bp: GSBlueprint) -> dict:
         "margin": None if b.margin is None else str(b.margin),
         "degree_counts": None if b.degree_counts is None
         else {str(k): v for k, v in sorted(b.degree_counts.items())},
-        "generators": None if b.generators is None else [poly_str(p) for p in b.generators],
+        "generators": None,  # the key of a stored generator list, kept for the format
     } for b in bp.blocks]
     return bp._asdict() | {
         "eps": None if bp.eps is None else str(Fraction(bp.eps)),
@@ -923,11 +911,11 @@ def _first_difference(built: dict, data: dict) -> str:
     return "key %r" % first_key(built, data)
 
 
-def _without_log2_floats(data: dict) -> dict:
-    """data with each block's j_count_log2 and margin_log2_lo left out."""
+def _without_stale_keys(data: dict) -> dict:
+    """data without each block's j_count_log2, margin_log2_lo and generators."""
     return dict(data, blocks=[
         {key: val for key, val in rec.items()
-         if key not in ("j_count_log2", "margin_log2_lo")}
+         if key not in ("j_count_log2", "margin_log2_lo", "generators")}
         if isinstance(rec, dict) else rec
         for rec in data["blocks"]
     ])
@@ -940,8 +928,8 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
     and n of a toy's one block; build_blueprint derives everything else, and
     the data must equal the rebuild's dict.  Malformed or refused inputs
     raise InvalidParams, and so does data that differs from its rebuild only
-    in the derived floats j_count_log2 and margin_log2_lo (a file saved by a
-    build that rounded them differently); any other difference raises
+    in what an older build saved otherwise: the derived floats j_count_log2
+    and margin_log2_lo, and generator lists.  Any other difference raises
     BlueprintMismatch.  Both name the first block and key that differ.
     """
     try:
@@ -964,9 +952,9 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
     built = blueprint_to_dict(bp)
     if built != data:
         where = _first_difference(built, data)
-        if _without_log2_floats(built) == _without_log2_floats(data):
-            raise InvalidParams("malformed blueprint data: %s holds a stale log2 "
-                                "float; rebuild the file with construct" % where)
+        if _without_stale_keys(built) == _without_stale_keys(data):
+            raise InvalidParams("malformed blueprint data: %s holds a stale value; "
+                                "rebuild the file with construct" % where)
         raise BlueprintMismatch("blueprint invariants FAILED: %s differs from its rebuild" % where)
     return bp
 
@@ -1018,13 +1006,18 @@ def nil_certificate(
 def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
     """Graded table of a dense blueprint's ideal, up to the last block's c'.
 
-    Nothing is built here: a query builds each degree it first needs.
-    Generators that vanish over the field (orbit-sum collisions) add nothing
-    to the ideal and are left out; the construction's nominal counts stay in
-    GSBlueprint.r_table().
+    Nothing is built or made here: a query builds each degree it first
+    needs and makes its window generators, keyed by weak tuple.  Generators
+    that vanish over the field (orbit-sum collisions) are left out; the
+    construction's nominal counts stay in GSBlueprint.r_table().
     """
-    if bp.mode != "dense" or any(block.generators is None for block in bp.blocks):
-        raise InvalidParams("a dense blueprint with materialized generators is required")
-    gens = [p for p in bp.all_generators() if not p.is_zero()]
+    if bp.mode != "dense":
+        raise InvalidParams("a dense blueprint is required")
+    gens = {}
+    for block in bp.blocks:
+        window = monomial_window(bp.d, block.c)
+        make = partial(window_generator, window=window, field=bp.field)
+        for deg, tuples in tuples_by_degree(window, block.n).items():
+            gens[deg] = zip(tuples, map(make, tuples))
     maxdeg = max(block.c_prime for block in bp.blocks)
     return GradedIdealTable(gens, maxdeg, d=bp.d, field=bp.field)

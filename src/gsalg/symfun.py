@@ -96,6 +96,15 @@ def generator_degree(j: WeakTuple, window: MonomialWindow) -> int:
     return sum(len(window.words[i - 1]) for i in j)
 
 
+def tuples_by_degree(window: MonomialWindow, n: int) -> dict[int, list[WeakTuple]]:
+    """The weak tuples of [1..q]**n in lexicographic order, by generator_degree."""
+    size = (0,) + tuple(len(w) for w in window.words)
+    groups: dict[int, list[WeakTuple]] = {}
+    for j in weak_tuples(window.q, n):
+        groups.setdefault(sum(map(size.__getitem__, j)), []).append(j)
+    return dict(sorted(groups.items()))
+
+
 def window_generators(window: MonomialWindow, n: int,
                       field: FieldDescriptor) -> list[tuple[WeakTuple, Polynomial]]:
     """(j, generator) for every weak tuple j in [1..q]**n, in lexicographic order."""

@@ -186,15 +186,7 @@ def test_construct_toy_dense(capsys):
         ["construct", "--d", "2", "--toy-c", "1", "--toy-n", "3", "--mode", "dense"],
     )
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "block 1: c=1 q=2 n=3 |J|=4 margin=skipped(toy)"
-    assert lines[1] == "generators (block 1):"
-    assert lines[2:] == [
-        "  x1*x1*x1",
-        "  x1*x1*x2 + x1*x2*x1 + x2*x1*x1",
-        "  x1*x2*x2 + x2*x1*x2 + x2*x2*x1",
-        "  x2*x2*x2",
-    ]
+    assert out.splitlines() == ["block 1: c=1 q=2 n=3 |J|=4 margin=skipped(toy)"]
 
 
 def test_construct_out_deterministic(capsys, tmp_path):
@@ -317,8 +309,8 @@ _TAMPER_SOURCES = {
 
 def _one_value_edits(data):
     """(label, edited copy) pairs, each changing one value of the saved data:
-    ints + 1, strings to another string, booleans flipped, present values
-    made null, and the first generator of each block dropped."""
+    ints + 1, strings to another string, booleans flipped, and present values
+    made null."""
     edits = []
 
     def edit(path, value):
@@ -346,9 +338,6 @@ def _one_value_edits(data):
             edit(path, None)
 
     visit((), data)
-    for i, rec in enumerate(data["blocks"]):
-        if rec["generators"]:
-            edit(("blocks", i, "generators"), rec["generators"][1:])
     return edits
 
 
@@ -475,6 +464,37 @@ def test_stale_log2_float_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: blueprint invariants FAILED: block 2 key 'n'")
+
+
+def test_dense_file_with_generator_text_is_stale(capsys, tmp_path):
+    # a dense file saved when blocks stored their generators: the rebuild
+    # holds none, so the file is stale input, refused whatever command reads it
+    path = tmp_path / "toy.json"
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=2)
+    save_blueprint(bp, str(path))
+    data = json.loads(path.read_text())
+    assert data["blocks"][0]["generators"] is None
+    data["blocks"][0]["generators"] = [gsalg.poly_str(g) for g in bp.all_generators()]
+    path.write_text(json.dumps(data))
+    for argv in (["nilcheck", "--blueprint", str(path), "--g", "x1", "--verify"],
+                 ["bound", "--d", "2", "--eps", "2/5", "--r-from", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: malformed blueprint data: block 1 key 'generators' holds a stale"
+            " value; rebuild the file with construct\n"
+        )
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_verify_refuses_a_degree_one_generator(capsys, tmp_path, c):
+    # a toy of block degree n = 1 has x1 among its generators: the verify
+    # refuses them when it first makes them, as when they were made up front
+    path = tmp_path / "toy.json"
+    save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=c, toy_n=1), str(path))
+    code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1", "--verify"])
+    assert code == 2 and out == ""
+    assert err == "error: generator 0 has degree 1 < 2\n"
 
 
 # -- bound -----------------------------------------------------------------------
@@ -962,23 +982,23 @@ def test_failed_write_keeps_the_earlier_file(flag, tmp_path, gens_file, monkeypa
 
 
 def test_closed_stdout_exits_two_and_keeps_the_saved_file(tmp_path):
-    # the generators run to about 119 kB, past what the pipe and one read
-    # hold, so the child is still writing when the reader goes away
+    # the child's stdout is a pipe whose reader is already gone, so its
+    # first write fails, after the file is saved
     cmd = [sys.executable, "-c", "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
            "construct", "--d", "2", "--mode", "dense", "--toy-c", "2", "--toy-n", "5",
            "--field", "gf2", "--out"]
     piped, plain = tmp_path / "piped.json", tmp_path / "plain.json"
-    proc = subprocess.Popen(cmd + [str(piped)], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_src_env())
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 2
-    assert first.startswith(b"block 1: c=2 q=6 n=5")
-    assert b"Traceback" not in err
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(cmd + [str(piped)], stdout=writer, stderr=subprocess.PIPE, env=_src_env())
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
     full = subprocess.run(cmd + [str(plain)], capture_output=True, env=_src_env())
     assert full.returncode == 0
+    assert full.stdout.startswith(b"block 1: c=2 q=6 n=5")
     assert piped.read_bytes() == plain.read_bytes()
 
 
@@ -1113,13 +1133,17 @@ def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch
 def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monkeypatch):
     # the toy table reaches c' = 10, but g**5 for a linear g lies in degree 5:
     # the verify puts in the rows of degrees 1-5 alone and finishes each once
-    # (a table built to c' first finishes degrees 1-9), and builds the trie of
-    # the degree-5 generators alone (of generators of degree 5-10)
+    # (a table built to c' first finishes degrees 1-9), and makes the 6
+    # degree-5 generators and their trie alone (of 252 of degree 5-10)
     path = tmp_path / "toy25.json"
     save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5), str(path))
-    calls, tables = [], []
+    calls, tables, made = [], [], []
     finish = graded._finish
     monkeypatch.setattr(graded, "_finish", lambda *args: calls.append(1) or finish(*args))
+    make = gsalg.symfun.window_generator
+    for module in (gsalg.symfun, gsalg.gscore):
+        monkeypatch.setattr(module, "window_generator",
+                            lambda j, *args, **kw: made.append(j) or make(j, *args, **kw), raising=False)
     table_of = gsalg.gscore.blueprint_table
     monkeypatch.setattr(gsalg.gscore, "blueprint_table", lambda bp: tables.append(table_of(bp)) or tables[-1])
     code, out, err = run(capsys, ["nilcheck", "--blueprint", str(path), "--g", "x1 + x2", "--verify"])
@@ -1129,6 +1153,7 @@ def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monk
     assert table.maxdeg == 10
     assert len(calls) == 5 and len(table._b) == 6
     assert list(table._tries) == [5]
+    assert made == [j for j in gsalg.weak_tuples(6, 5) if max(j) <= 2]
 
 
 def test_dims_out_of_address_space_exits_two(tmp_path):
@@ -1160,3 +1185,32 @@ def test_dims_out_of_address_space_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: out of memory running dims\n"
     assert proc.stdout == ""
+
+
+def test_dense_construct_runs_in_bounded_memory(tmp_path):
+    # the c=4, n=5 toy has 278,256 generators, which construct counts by
+    # degree without making one: a 47 MB peak of address space, run here
+    # under a 100 MB limit set on this child alone.  Making them all took
+    # past 4.4 GB
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    path = tmp_path / "toy45.json"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+            "construct", "--d", "2", "--toy-c", "4", "--toy-n", "5", "--mode", "dense",
+            "--out", str(path),
+        ],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "block 1: c=4 q=30 n=5 |J|=278256 margin=skipped(toy)"
+    assert json.loads(path.read_text())["blocks"][0]["j_count"] == 278256
