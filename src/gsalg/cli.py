@@ -37,6 +37,7 @@ from .errors import (
     TooLarge,
     read_json,
     read_text,
+    require_int,
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
@@ -77,7 +78,7 @@ def _read_generators(path: str, d: int, field: FieldDescriptor) -> List[Polynomi
 
 
 def _parse_r(text: str) -> Dict[int, int]:
-    """'deg:count,deg:count' -> exact table."""
+    """'deg:count,deg:count' -> exact table; repeats of a degree add up."""
     table: Dict[int, int] = {}
     if not text.strip():
         return table
@@ -90,6 +91,7 @@ def _parse_r(text: str) -> Dict[int, int]:
             deg, count = int(deg_s), int(count_s)
         except ValueError:
             raise InvalidParams("bad r entry %r (expected deg:count)" % (piece,)) from None
+        require_int(count, "r[%d]" % deg, 0)
         table[deg] = table.get(deg, 0) + count
     return table
 
@@ -266,6 +268,7 @@ def cmd_bound(args) -> int:
         range_max = max([2] + list(r) + ([len(b) - 1] if b else []))
 
     report = check_bound_conditions(r, cert, range_max)
+    growth = None if b is None else verify_growth(b, r, cert)  # raises before any output
     if report.ok_a:
         print("condition (a): pass (degrees 2..%d)" % range_max)
     else:
@@ -276,8 +279,7 @@ def cmd_bound(args) -> int:
     print("condition (b): %s ((v*d-c)/(v+u) = %s, v = %s)"
           % ("pass" if report.ok_b else "FAIL", b_value, report.v))
     ok = report.ok
-    if b is not None:
-        growth = verify_growth(b, r, cert)
+    if growth is not None:
         if growth.ok:
             print("ledger: %d lines, all pass" % len(growth.lines))
         else:

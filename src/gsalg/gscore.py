@@ -16,15 +16,14 @@ block-by-block construction whose union of window generators bounds every
 generator count by the block's tuple count while covering every low-degree
 polynomial with a nil exponent.
 
-All verdicts are exact.  Each count/bound comparison is a certified log
-comparison in the standard library's decimal arithmetic, correctly rounded,
-with lnGamma from exact factorials or Stirling's series; its slack covers
-every rounding and the series' remainder, and the working precision climbs
-a ladder (block-2 boundary sizes reach 10**20-bit binomials).  An exact tie
-falls back to integer/Fraction arithmetic, and the boundary found is
-re-confirmed exactly whenever integer sizes show the numbers fit.  A block
-whose window is too large for any reachable block degree is refused before
-it is built.
+All verdicts are exact.  A count/bound comparison is settled in
+integer/Fraction arithmetic whenever integer sizes show the numbers fit;
+past that it is a certified log comparison in the standard library's
+decimal arithmetic, correctly rounded, with lnGamma from exact factorials
+or Stirling's series; its slack covers every rounding and the series'
+remainder, and the working precision climbs a ladder (block-2 boundary
+sizes reach 10**20-bit binomials).  A block whose window is too large for
+any reachable block degree is refused before it is built.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .symfun import monomial_window, tuples_by_degree, window_generator, window_
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
 EXACT_VALUE_BIT_CAP = 50_000
-EXACT_CONFIRM_BIT_CAP = 400_000
+EXACT_PREDICATE_BIT_CAP = 400_000
 # an exact count or margin is kept below this bound, so that it prints: the
 # interpreter's default int-to-text limit, fixed here so files do not vary
 EXACT_VALUE_BOUND = 10**4300
@@ -437,19 +436,21 @@ def _envelope_bits(n: int, params: GSParams) -> int:
 def _exact_predicate(q: int, n: int, params: GSParams):
     """Exact C(n+q-1, q-1) < eps**2 * u**(n-2), or None beyond the bit caps.
 
-    The caps are read off integer sizes, before any big number is built:
-    C(N, k) <= (e*N/k)**k with N = n+q-1 and k = min(n, q-1), so the count
-    has at most k * bit_length(ceil(3*(n+q)/k)) bits.
+    Every probe of minimal_power asks this first, and only a None sends it
+    to the certified log comparison.  The caps are read off integer sizes,
+    before any big number is built: C(N, k) <= (e*N/k)**k with N = n+q-1
+    and k = min(n, q-1), so the count has at most
+    k * bit_length(ceil(3*(n+q)/k)) bits.
     """
     k = min(n, q - 1)
-    if k * (-(-3 * (n + q) // k)).bit_length() > EXACT_CONFIRM_BIT_CAP:
+    if k * (-(-3 * (n + q) // k)).bit_length() > EXACT_PREDICATE_BIT_CAP:
         return None
-    if _envelope_bits(n, params) > 4 * EXACT_CONFIRM_BIT_CAP:
+    if _envelope_bits(n, params) > 4 * EXACT_PREDICATE_BIT_CAP:
         return None
     return comb(n + q - 1, n) < params.eps_sq * params.u ** (n - 2)
 
 
-def _root_guide(q: int, n_lo: int, reach: int, params: GSParams) -> Optional[int]:
+def _root_guide(q: int, n_lo: int, reach: int, params: GSParams) -> int:
     """Float estimate in (n_lo, reach] of the least n with a positive log gap.
 
     The log count ln C(x+q-1, q-1) is Stirling's series arranged so that no
@@ -457,15 +458,18 @@ def _root_guide(q: int, n_lo: int, reach: int, params: GSParams) -> Optional[int
     - ln(q)/2 + 1 - ln(2 pi)/2; lnGamma differences cancel, and an estimate
     from them lands 2.6 * 10**7 off the root at q = 3.7 * 10**19.  The gap
     2 ln eps + (x-2) ln u minus the count is bisected on a log scale from
-    n_lo, or the gap's minimum near (q-u)/(u-1) if later, to reach.  None
-    when the inputs leave float range.
+    n_lo, or the gap's minimum near (q-u)/(u-1) if later, to reach; ln eps
+    is read from eps's integer numerator and denominator, so it has no
+    float range.  reach when the other inputs leave float range: a probe
+    there refuses the search at once or starts the Newton steps down.
     """
     u = params.u
     try:
         ln_u, qf = log1p(u - 1), float(q)
         if not ln_u > 0:
-            return None
-        base = 2 * log(params.eps) - 2 * ln_u + log(qf) / 2 - 1 + log(2 * pi) / 2
+            return reach
+        ln_eps = log(params.eps.numerator) - log(params.eps.denominator)
+        base = 2 * ln_eps - 2 * ln_u + log(qf) / 2 - 1 + log(2 * pi) / 2
         lo, hi = max(float(n_lo), float((q - u) / (u - 1))), float(reach)
         while lo < (x := sqrt(lo * hi)) < hi:
             if base + x * ln_u - (x + 0.5) * log1p((qf - 1) / (x + 1)) - (qf - 1) * log1p(x / qf) > 0:
@@ -474,34 +478,32 @@ def _root_guide(q: int, n_lo: int, reach: int, params: GSParams) -> Optional[int
                 lo = x
         return min(max(ceil(hi), n_lo + 1), reach)
     except (OverflowError, ValueError):
-        return None
+        return reach
 
 
 def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
     """Smallest n > c_prev with C(n+q-1, q-1) < eps**2 * (d-2*eps)**(n-2).
 
-    The predicate is the certified log comparison, settled in exact
-    arithmetic when the two sides tie to working precision.  It is tested at
-    n_lo = max(c_prev + 1, 2) first.  If false there, the search probes a
-    float estimate of the root (_root_guide), then takes Newton steps on the
-    log gap, each from the middle of the last probe's certified enclosure
-    with the slope ln u - ln((n+q)/(n+1)), for as long as each lands
-    strictly inside the bracket of known verdicts.  From its last probe it gallops in doubling steps, up
-    while the predicate is false and down while it is true, and bisects the
-    bracket that closes.  Without a float estimate it gallops from n_lo
-    itself, through n_lo + 1, n_lo + 2, n_lo + 4, ...
+    Each probe settles the predicate exactly when integer sizes show the
+    numbers fit (_exact_predicate), and by the certified log comparison
+    otherwise.  It is tested at n_lo = max(c_prev + 1, 2) first.  If false
+    there, the search probes a float estimate of the root (_root_guide),
+    then takes Newton steps on the log gap, each from the middle of the last
+    certified probe's enclosure with the slope ln u - ln((n+q)/(n+1)), for
+    as long as each lands strictly inside the bracket of known verdicts.
+    From its last probe it gallops in doubling steps, up while the predicate
+    is false and down while it is true, and bisects the bracket that closes.
 
     The estimate and the steps only choose where to probe; every verdict is
-    certified.  The search is sound because the log-gap ln(eps**2 *
+    exact or certified.  The search is sound because the log-gap ln(eps**2 *
     u**(n-2)) - ln C(n+q-1, q-1) is convex in n: its increment ln u -
     ln((n+q)/(n+1)) grows with n.  A convex gap that is not positive at
     n_lo and at some m > n_lo is not positive anywhere in between, so above
     a false n_lo the false region is a prefix and the true region the rest,
-    and a search that ends on a certified pair, false at N-1 (or N = n_lo)
+    and a search that ends on a settled pair, false at N-1 (or N = n_lo)
     and true at N, has found the least N wherever it started.  No n is
     probed twice and none past n_lo + 2**199; the predicate false there
-    raises TooLarge.  The boundary is re-confirmed exactly when it fits the
-    caps.
+    raises TooLarge.
     """
     require_int(q, "q", 2)
     require_int(c_prev, "c_prev", 0)
@@ -514,13 +516,10 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
         certified log gap's enclosure at m in nats (None when exact
         arithmetic settled it)."""
         nonlocal lo, hi
-        try:
+        holds, gap = _exact_predicate(q, m, params), None
+        if holds is None:
             sides = _certified_sides(q, m, params)
             holds, gap = sides[0] > 0, float(sides.mid)
-        except TooLarge:
-            holds, gap = _exact_predicate(q, m, params), None
-            if holds is None:
-                raise
         if holds:
             hi = m
         elif m == reach:
@@ -534,9 +533,8 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
 
     m = n_lo
     probe(m)
-    guide = None if hi is not None else _root_guide(q, n_lo, reach, params)
-    if guide is not None:
-        m = guide
+    if hi is None:
+        m = _root_guide(q, n_lo, reach, params)
         gap = probe(m)
         # as many Newton steps at most as the gallop below has doublings
         for _ in range(200):
@@ -560,17 +558,6 @@ def minimal_power(q: int, c_prev: int, params: GSParams) -> int:
         t = m - jump if down else min(m + jump, reach)
         jump *= 2
         probe(t if inside(t) else (lo + hi) // 2)
-
-    # exact boundary confirmation when representable
-    if _exact_predicate(q, hi, params) is False:
-        raise AssertionError(
-            "certified search and exact arithmetic disagree at n=%d; this is a bug" % hi
-        )
-    if hi - 1 >= n_lo and _exact_predicate(q, hi - 1, params) is True:
-        raise AssertionError(
-            "certified search missed an earlier block degree at n=%d; this is a bug"
-            % (hi - 1)
-        )
     return hi
 
 

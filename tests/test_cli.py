@@ -573,8 +573,12 @@ def test_bound_ledger_failure_exits_one(capsys):
     [(["--r", "13"], "error: bad r entry '13' (expected deg:count)"),
      (["--r", "2:1,a:1"], "error: bad r entry 'a:1' (expected deg:count)"),
      (["--b", "1,3,x"], "error: bad b sequence '1,3,x' (expected comma-separated integers)"),
-     (["--b-json", "{path}"], "error: b sequence in {path} has non-integer entries")],
-    ids=["r-no-colon", "r-not-integer", "b-not-integer", "b-json-not-integer"],
+     (["--b-json", "{path}"], "error: b sequence in {path} has non-integer entries"),
+     (["--r", "2:1,2:-1"], "error: r[2] must be a nonnegative integer, got -1"),
+     (["--b", "1,2"], "error: b_1 must equal d = 3, got 2"),
+     (["--b", ""], "error: b must start with b_0 = 1")],
+    ids=["r-no-colon", "r-not-integer", "b-not-integer", "b-json-not-integer",
+         "r-cancelled-negative", "b-wrong-b1", "b-empty"],
 )
 def test_bound_malformed_r_and_b_exit_two(capsys, tmp_path, flags, first):
     path = tmp_path / "b.json"

@@ -427,17 +427,55 @@ def test_minimal_power_at_q_10_to_45():
     assert minimal_power(10**45, 0, P3) == _N45
 
 
+def _record_probes(monkeypatch):
+    """Record the probes of each search called through gscore.minimal_power.
+
+    Wraps minimal_power, _exact_predicate and _certified_sides.  Each search
+    appends (n_lo, answer, probes) to the list returned, the answer None if
+    it raised, and probes holding one (route, n) per probe: "exact" when
+    _exact_predicate settles n, "certified" when it returns None and
+    _certified_sides settles n.
+    """
+    searches, active = [], []
+    search, exact, sides = gscore.minimal_power, gscore._exact_predicate, gscore._certified_sides
+
+    def recorded_search(q, c_prev, params):
+        active.append([])
+        n = None
+        try:
+            n = search(q, c_prev, params)
+            return n
+        finally:
+            searches.append((max(c_prev + 1, 2), n, active.pop()))
+
+    def recorded_exact(q, n, params):
+        holds = exact(q, n, params)
+        if active and holds is not None:
+            active[-1].append(("exact", n))
+        return holds
+
+    def recorded_sides(q, n, params):
+        if active:
+            active[-1].append(("certified", n))
+        return sides(q, n, params)
+
+    monkeypatch.setattr(gscore, "minimal_power", recorded_search)
+    monkeypatch.setattr(gscore, "_exact_predicate", recorded_exact)
+    monkeypatch.setattr(gscore, "_certified_sides", recorded_sides)
+    return searches
+
+
 def test_newton_steps_start_from_the_middle_of_the_enclosure(monkeypatch):
     # at q = 10**45 the 40-digit slack is about 10**10 nats; a step from the
     # middle of the enclosure lands within its rounding error, about 10**3
     # nats, of the root, where one from the edge nearest 0 falls short by
-    # the slack
-    probes = []
-    sides = gscore._certified_sides
-    monkeypatch.setattr(gscore, "_certified_sides",
-                        lambda q, n, params: probes.append(n) or sides(q, n, params))
-    assert minimal_power(10**45, 0, P3) == _N45
-    assert len(probes) == 6 and probes[-2:] == [_N45, _N45 - 1]
+    # the slack.  n_lo = 2 fits the exact caps.
+    searches = _record_probes(monkeypatch)
+    assert gscore.minimal_power(10**45, 0, P3) == _N45
+    [(_, _, probes)] = searches
+    assert probes[0] == ("exact", 2) and len(probes) == 6
+    assert all(route == "certified" for route, _ in probes[1:])
+    assert [n for _, n in probes[-2:]] == [_N45, _N45 - 1]
 
 
 def test_minimal_power_beyond_the_gallop_reach():
@@ -453,12 +491,44 @@ def test_minimal_power_just_inside_the_reach():
 
 def test_minimal_power_where_floats_fail_or_u_is_near_one():
     # q past float range leaves the search without a float estimate; it
-    # gallops from n_lo as before and is refused at the same reach
+    # starts at the reach, where one probe refuses it
     with pytest.raises(TooLarge):
         minimal_power(10**400, 0, P3)
     # u = 1 + 2/10**6 and u = 1 + 2/1000 put the root far from n_lo
     assert minimal_power(2, 0, GSParams(2, Fraction(499999, 1000000))) == 8681514
     assert minimal_power(10**6, 0, GSParams(2, Fraction(499, 1000))) == 4736278831
+
+
+def test_minimal_power_settles_small_sizes_exactly(monkeypatch):
+    # inside the exact caps no probe needs the certified comparison, not
+    # even at the exact tie of n = 7 for q = 2 under P3
+    def refuse(q, n, params):
+        raise AssertionError("certified comparison at q=%d, n=%d" % (q, n))
+
+    monkeypatch.setattr(gscore, "_certified_sides", refuse)
+    assert minimal_power(2, 0, P3) == 8
+    assert minimal_power(3, 0, P3) == 11
+    assert minimal_power(2, 10, P3) == 11
+    # the block-1 searches of the construct benchmark cells
+    assert minimal_power(2, 0, P2) == 63
+    assert minimal_power(4, 0, GSParams(4, 1)) == 11
+
+
+@pytest.mark.parametrize("case, want", [
+    ((10**400, 0, P3), TooLarge),
+    ((3, 0, GSParams(3, Fraction(1, 10**400))), 1692),
+    ((10**20, 0, GSParams(3, Fraction(1, 10**400))), 155813206701920794259),
+    ((5, 0, GSParams(3, 1 - Fraction(1, 10**400))), TooLarge),
+], ids=["q-past-floats", "eps-below-floats", "eps-below-floats-large-q", "u-1-below-floats"])
+def test_minimal_power_where_floats_fail_probes_few_points(monkeypatch, case, want):
+    # ln eps comes from eps's numerator and denominator; past float range
+    # the search starts at the reach, which refuses it or from which Newton
+    # steps come down
+    assert _outcome(gallop_minimal_power, case) == want
+    searches = _record_probes(monkeypatch)
+    assert _outcome(gscore.minimal_power, case) == want
+    [(_, _, probes)] = searches
+    assert len(probes) <= 6
 
 
 @st.composite
@@ -552,27 +622,13 @@ def test_bernoulli_numbers_match_mpmath():
 @pytest.mark.parametrize("d, eps", [(3, "1/2"), (2, "9/20"), (4, "1")])
 def test_minimal_power_probes_few_points_near_the_root(monkeypatch, d, eps):
     # the two searches of build_blueprint(P, 2) each make at most six
-    # certified comparisons, never past n_lo + 2**199, and end on a probed
-    # pair: true at n, false at n - 1 unless n = n_lo
-    searches, active = [], []
-    search, sides = gscore.minimal_power, gscore._certified_sides
-
-    def counted_search(q, c_prev, params):
-        active.append([])
-        n = search(q, c_prev, params)
-        searches.append((max(c_prev + 1, 2), n, active.pop()))
-        return n
-
-    def counted_sides(q, n, params):
-        if active:
-            active[-1].append(n)
-        return sides(q, n, params)
-
-    monkeypatch.setattr(gscore, "minimal_power", counted_search)
-    monkeypatch.setattr(gscore, "_certified_sides", counted_sides)
+    # probes, never past n_lo + 2**199, and end on a probed pair: true at
+    # n, false at n - 1 unless n = n_lo
+    searches = _record_probes(monkeypatch)
     build_blueprint(GSParams(d, Fraction(eps)), 2)
     assert len(searches) == 2
     for n_lo, n, probes in searches:
+        probes = [m for _, m in probes]
         assert len(probes) <= 6 and max(probes) <= n_lo + 2**199
         assert n in probes and (n == n_lo or n - 1 in probes)
 
