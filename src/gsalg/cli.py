@@ -25,6 +25,7 @@ import io
 import json
 import os
 import sys
+from contextlib import suppress
 from typing import Dict, List, Optional
 
 from .errors import (
@@ -273,8 +274,10 @@ def cmd_bound(args) -> int:
         print("condition (a): pass (degrees 2..%d)" % range_max)
     else:
         deg = report.first_violation
-        envelope = _text(cert.c * cert.u ** (deg - 2), "c*u**%d" % (deg - 2))
-        print("condition (a): FAIL at degree %d (r_%d = %d > %s)" % (deg, deg, r.get(deg, 0), envelope))
+        count, envelope = _text(r[deg], "r_%d" % deg), "c*u**%d" % (deg - 2)
+        with suppress(TooLarge):  # an envelope too long to print is named instead
+            envelope = _text(cert.c * cert.u ** (deg - 2), envelope)
+        print("condition (a): FAIL at degree %d (r_%d = %s > %s)" % (deg, deg, count, envelope))
     b_value = _text(report.b_value, "(v*d-c)/(v+u)")
     print("condition (b): %s ((v*d-c)/(v+u) = %s, v = %s)"
           % ("pass" if report.ok_b else "FAIL", b_value, report.v))

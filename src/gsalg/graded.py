@@ -492,7 +492,7 @@ class DimensionRow(NamedTuple):
 
 def degree_bound(d: int, b: Sequence[int], r: Dict[int, int], n: int) -> int:
     """The degree-wise lower bound d*b_{n-1} - sum_j r_{n-j}*b_j on b_n, n >= 2."""
-    return d * b[n - 1] - sum(r.get(n - j, 0) * b[j] for j in range(n - 1))
+    return d * b[n - 1] - sum(cnt * b[n - k] for k, cnt in r.items() if 2 <= k <= n)
 
 
 def dimension_rows(table: GradedIdealTable) -> List[DimensionRow]:

@@ -185,7 +185,7 @@ def check_bound_conditions(
 ) -> BoundConditionReport:
     """Exact check of both certificate conditions against a generator table.
 
-    (a): r_ell <= c * u**(ell-2) for 2 <= ell <= max_degree;
+    (a): r_ell <= c * u**(ell-2) for 2 <= ell <= max_degree, where r_ell > 0;
     (b): (v*d - c)/(v + u) >= v.
     """
     validate_r(r)
@@ -194,13 +194,12 @@ def check_bound_conditions(
         raise TooLarge(
             "exact power checks capped at degree 100000; got %d" % max_degree
         )
-    first = None
-    bound = cert.c  # c * u**(ell-2) at ell = 2, multiplied up incrementally
-    for ell in range(2, max_degree + 1):
-        if r.get(ell, 0) > bound:
-            first = ell
+    first, ell, bound = None, 2, cert.c  # the envelope c * u**(ell-2) at ell
+    for deg in sorted(k for k, cnt in r.items() if cnt and k <= max_degree):
+        bound, ell = bound * cert.u ** (deg - ell), deg
+        if r[deg] > bound:
+            first = deg
             break
-        bound *= cert.u
     ok_b = cert.condition_b_holds
     return BoundConditionReport(
         ok=first is None and ok_b,
@@ -272,7 +271,7 @@ def verify_growth(
         lines.append(LedgerLine("weighted_tail", n, lhs, rhs, lhs >= rhs))
     for n in range(max(N - 1, 0)):
         lhs = v * b[n + 1]
-        rhs = Fraction(sum(r.get(n + 2 - j, 0) * b[j] for j in range(n + 1)))
+        rhs = Fraction(sum(cnt * b[n + 2 - k] for k, cnt in r.items() if 2 <= k <= n + 2))
         lines.append(LedgerLine("generator_tail", n, lhs, rhs, lhs >= rhs))
     for n in range(max(N - 1, 0)):
         lhs = Fraction(b[n + 2])
@@ -803,11 +802,11 @@ def check_blueprint(bp: GSBlueprint) -> BlueprintReport:
     window size, (min_degree, max_degree) the extreme keys of degree_counts,
     else (n, c')), margin (tuple count strictly below eps**2 * u**(n-2), the
     stored margin being the difference — exact Fractions when representable,
-    certified logs otherwise), and
-    domination (every generator count r_ell within the eps**2 * u**(ell-2)
-    envelope — exact per-degree when counts are exact, otherwise via
-    r_ell <= j_count < eps**2*u**(n-2) <= eps**2*u**(ell-2) for ell >= n,
-    which is valid because u > 1).  Toy blueprints skip the eps checks.
+    certified logs otherwise), and domination, r_ell <= eps**2 * u**(ell-2):
+    route "exact" runs check_bound_conditions on degree_counts when they are
+    known and u**(max_degree-2) has at most EXACT_VALUE_BIT_CAP bits; route
+    "dominated-by-count" has r_ell <= C(n+q-1, n) < eps**2*u**(n-2) <=
+    eps**2*u**(ell-2) for ell >= n, as u > 1.  Toys skip the eps checks.
     """
     params = bp.params
     checks: List[BlockCheck] = []
@@ -837,15 +836,13 @@ def check_blueprint(bp: GSBlueprint) -> BlueprintReport:
                 gap_lo, _ = certified_log2_gap(block.q, block.n, params)
                 margin_ok = gap_lo > 0
                 margin_route = "certified-log"
-            if block.degree_counts is not None:
-                dominated_ok = all(
-                    cnt <= params.eps_sq * params.u ** (deg - 2)
-                    for deg, cnt in block.degree_counts.items()
-                )
+            if counts is not None and _envelope_bits(block.max_degree, params) <= EXACT_VALUE_BIT_CAP:
+                dominated_ok = check_bound_conditions(counts, certificate_from_epsilon(params), block.max_degree).ok_a
                 dominated_route = "exact"
             else:
                 # every per-degree count is at most the block's tuple count
-                dominated_ok = margin_ok and params.u > 1 and block.min_degree >= block.n
+                dominated_ok = margin_ok and block.min_degree >= block.n and (
+                    counts is None or max(counts.values(), default=0) <= comb(block.n + block.q - 1, block.n))
                 dominated_route = "dominated-by-count"
         checks.append(
             BlockCheck(

@@ -13,7 +13,8 @@ d*b_{n-1}-column quotient space).  Agreement between the stacks is the
 point.  One oracle shares the package's machinery on purpose:
 gallop_minimal_power is the search that minimal_power replaced, run on the
 package's own certified comparison, so that the two searches are compared
-on one predicate.
+on one predicate; and dense_bound_conditions is the loop over every degree
+that check_bound_conditions replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from gsalg.errors import (
 from gsalg.field import FieldDescriptor
 from gsalg.freealg import Polynomial, Word, order_key, word_index, words_of_degree
 from gsalg.graded import _check_generators
-from gsalg.gscore import _certified_sides, _exact_predicate
+from gsalg.gscore import BoundConditionReport, _certified_sides, _exact_predicate
 
 # 100 digits, hardcoded so the oracle does not depend on any library constant
 PI_100 = Decimal(
@@ -202,6 +203,22 @@ def gallop_minimal_power(q: int, c_prev: int, params) -> int:
         else:
             lo = mid
     return hi
+
+
+def dense_bound_conditions(r: dict, cert, max_degree: int) -> BoundConditionReport:
+    """check_bound_conditions as the package ran it before it skipped the
+    empty degrees: the envelope c*u**(ell-2) multiplied up by u at every
+    ell from 2 to max_degree, each r.get(ell, 0) compared with it."""
+    first = None
+    bound = cert.c
+    for ell in range(2, max_degree + 1):
+        if r.get(ell, 0) > bound:
+            first = ell
+            break
+        bound *= cert.u
+    ok_b = cert.condition_b_holds
+    return BoundConditionReport(ok=first is None and ok_b, ok_a=first is None, first_violation=first,
+                                ok_b=ok_b, b_value=cert.condition_b_value, v=cert.v)
 
 
 def scan_all_false(

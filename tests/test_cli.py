@@ -514,6 +514,17 @@ def test_bound_quadratic_fails(capsys):
     assert out.splitlines()[0] == "condition (a): FAIL at degree 2 (r_2 = 1 > 4/25)"
 
 
+def test_bound_envelope_past_the_digit_limit_still_fails(capsys):
+    # r_100000 = 1 > c*u**99998 ~ 0.31 at u = 500001/500000, an envelope of
+    # over 4,300 digits: the FAIL line names it, and the run exits 1
+    code, out, err = run(capsys, ["bound", "--d", "2", "--eps", "499999/1000000", "--r", "100000:1"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "condition (a): FAIL at degree 100000 (r_100000 = 1 > c*u**99998)",
+        "condition (b): pass ((v*d-c)/(v+u) = 499999/1000000, v = 499999/1000000)",
+    ]
+
+
 def test_bound_ledger_full_algebra(capsys):
     code, out, err = run(
         capsys, ["bound", "--d", "3", "--eps", "1/2", "--b", "1,3,9,27,81,243"]
@@ -759,6 +770,12 @@ _QUADRATIC_MONOMIALS = os.path.join(os.path.dirname(__file__), "data", "quadrati
 @example(["dims", "--gens", _QUADRATIC_MONOMIALS, "--d", "2", "--maxdeg", "15000"])
 @example(["symfun", "--j", ",".join(map(str, range(1, 2001))), "--q", "2000"])
 @example(["bound", "--d", "3", "--eps", "1/" + "1" * 5000])
+# r_2 summed from two repeats to 4,301 digits
+@example(["bound", "--d", "3", "--eps", "1/2", "--r", ",".join(["2:" + "9" * 4300] * 2)])
+# u = 500001/500000: block degree n = 8,681,514, and condition (a) to degree
+# 30,000 with no generators
+@example(["construct", "--d", "2", "--eps", "499999/1000000", "--blocks", "1"])
+@example(["bound", "--d", "2", "--eps", "499999/1000000", "--range", "30000"])
 def test_integer_arguments_keep_the_exit_contract(argv):
     _assert_exit_contract(argv)
 

@@ -582,15 +582,23 @@ def test_dimension_rows_square_generator():
     assert rows[4].bound == 2 * 5 - 1 * 3 and rows[4].slack == 1
 
 
-def test_dimension_rows_explicit_r():
-    # counts given apart from any table, as bound --r passes them: one
-    # degree-2 or degree-3 generator against the zero ideal's b_n = 2**n
+# one degree-2 or degree-3 generator, and several degrees with the zero-count
+# keys 0 and 1 and a degree past the top n = 4
+@pytest.mark.parametrize("r, want", [
+    ({2: 1}, [2 * 2 - 1 * 1, 2 * 4 - 1 * 2, 2 * 8 - 1 * 4]),
+    ({3: 1}, [2 * 2, 2 * 4 - 1 * 1, 2 * 8 - 1 * 2]),
+    ({0: 0, 1: 0, 2: 1, 4: 3, 9: 1}, [2 * 2 - 1 * 1, 2 * 4 - 1 * 2, 2 * 8 - 1 * 4 - 3 * 1]),
+], ids=["r2", "r3", "several-degrees"])
+def test_degree_bound_explicit_r(r, want):
+    # counts given apart from any table, as bound --r passes them, against
+    # the zero ideal's b_n = 2**n and the bound's literal sum over every j
     b = [1, 2, 4, 8, 16]
-    assert degree_bound(2, b, {2: 1}, 2) == 2 * 2 - 1 * 1
-    assert degree_bound(2, b, {2: 1}, 4) == 2 * 8 - 1 * 4
-    assert degree_bound(2, b, {3: 1}, 3) == 2 * 4 - 1 * 1
-    assert degree_bound(2, b, {3: 1}, 4) == 2 * 8 - 1 * 2
-    # dimension_rows takes its bound from the same helper, on the table's counts
+    assert [degree_bound(2, b, r, n) for n in (2, 3, 4)] == want
+    assert want == [2 * b[n - 1] - sum(r.get(n - j, 0) * b[j] for j in range(n - 1)) for n in (2, 3, 4)]
+
+
+def test_dimension_rows_explicit_r():
+    # dimension_rows takes its bound from degree_bound, on the table's counts
     table = build_table([parse_poly("x1*x1", 2, QQ)], 4)
     b, r = table.b_sequence(), table.r_table()
     expected = [degree_bound(2, b, r, n) for n in (2, 3, 4)]

@@ -51,6 +51,7 @@ from oracles import (
     EXACT_COMB_K,
     brute_minimal_n,
     certified_predicate,
+    dense_bound_conditions,
     exact_log2_comb_bounds,
     fibonacci,
     gallop_minimal_power,
@@ -220,6 +221,34 @@ def test_conditions_input_validation():
         check_bound_conditions({}, cert, 200_000)
 
 
+# u near 1, above and below it, keeps the envelope within reach of the
+# counts for hundreds of degrees
+_HUNDREDTHS = st.builds(Fraction, st.integers(1, 400), st.just(100))
+_U = st.builds(Fraction, st.integers(90, 110), st.just(100)) | _HUNDREDTHS
+
+
+@st.composite
+def _condition_cases(draw):
+    """A certificate, a sparse r of degrees 2..300 whose counts are 0 or
+    within one of the envelope's floor, and a max_degree in 0..300."""
+    cert = draw(st.builds(BoundCertificate, st.integers(2, 5), _HUNDREDTHS, _HUNDREDTHS, _U))
+    r = {}
+    for k in draw(st.lists(st.integers(2, 300), max_size=12, unique=True)):
+        step = draw(st.sampled_from([None, -1, 0, 1]))
+        r[k] = 0 if step is None else max(0, math.floor(cert.c * cert.u ** (k - 2)) + step)
+    if draw(st.booleans()):
+        r.update({0: 0, 1: 0})
+    return r, cert, draw(st.sampled_from([0, 300, *r]) | st.integers(0, 300))
+
+
+@given(_condition_cases())
+def test_conditions_match_the_loop_over_every_degree(case):
+    # skipping the empty degrees and multiplying by u**gap gives the report
+    # of the loop over every degree
+    r, cert, max_degree = case
+    assert check_bound_conditions(r, cert, max_degree) == dense_bound_conditions(r, cert, max_degree)
+
+
 # -- the growth ledger ----------------------------------------------------------------
 
 
@@ -276,9 +305,11 @@ def test_growth_input_validation():
         verify_growth([1, 3, 9.0], {}, cert)
 
 
-def test_growth_ledger_matches_its_definitions():
+# several degrees, with the zero-count keys 0 and 1 and a degree past N = 29
+@pytest.mark.parametrize("r", [{2: 1}, {0: 0, 1: 0, 2: 1, 3: 2, 7: 0, 13: 5, 40: 1}],
+                         ids=["r2", "several-degrees"])
+def test_growth_ledger_matches_its_definitions(r):
     cert = certificate_from_epsilon(GSParams(2, Fraction(2, 5)))
-    r = {2: 1}
     b = [fibonacci(n + 2) for n in range(30)]  # b_n >= 2*b_{n-1} - b_{n-2}
     v, c, u, base, N = cert.v, cert.c, cert.u, cert.growth_base, len(b) - 1
     sides = (
@@ -708,6 +739,25 @@ def test_blueprint_invariants_and_routes(bp3):
     assert routes == [("exact", "exact"), ("certified-log", "dominated-by-count")]
     for c in rep.blocks:
         assert c.separation_ok and c.shape_ok and c.margin_ok and c.dominated_ok
+
+
+def test_blueprint_routes_at_u_near_one(bp2, bp3):
+    # u = 50001/50000: block 1 has n = 745411 and counts {n: n + 1}, whose
+    # envelope u**(n-2) has about 11.6 million bits, so the counts are dominated
+    # by their tuple count, not checked degree by degree
+    bp = build_blueprint(GSParams(2, Fraction(49999, 100000)), 1)
+    start = time.perf_counter()
+    rep = check_blueprint(bp)
+    assert time.perf_counter() - start < 1.0
+    assert rep.ok and [(c.margin_route, c.dominated_route) for c in rep.blocks] == [
+        ("certified-log", "dominated-by-count")]
+    for small in (bp2, bp3):
+        first = check_blueprint(small).blocks[0]
+        assert first.ok and (first.margin_route, first.dominated_route) == ("exact", "exact")
+    # a stored count past the tuple count fails that route too
+    block = bp.blocks[0]
+    forged = block._replace(degree_counts={block.n: 10**9})
+    assert not check_blueprint(bp._replace(blocks=(forged,))).blocks[0].dominated_ok
 
 
 def test_blueprint_def1_bound_exact(bp2, bp3):
