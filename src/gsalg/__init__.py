@@ -23,9 +23,9 @@ _EXPORTS = {
     ),
     "field": ("GF2", "QQ", "FieldDescriptor", "parse_field"),
     "freealg": ("Polynomial", "order_key", "parse_poly", "poly_str", "word_index", "words_of_degree"),
-    "combinat": ("orbit_iter", "orbit_size", "validate_weak_tuple", "weak_tuple_count", "weak_tuples"),
     "symfun": (
-        "MonomialWindow", "generator_degree", "monomial_window", "power_expansion",
+        "MonomialWindow", "generator_degree", "monomial_window", "orbit_iter", "orbit_size",
+        "power_expansion", "validate_weak_tuple", "weak_tuple_count", "weak_tuples",
         "window_generator", "window_generators", "window_size",
     ),
     "graded": (

@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library layers: dims (graded dimension
 tables with the degree-wise bound), construct (block blueprints), nilcheck
 (nil-exponent certificates), bound (certificate conditions and the growth
-ledger), jcount and symfun (combinatorial helpers).
+ledger), jcount and symfun (weak tuples, orbits and window generators).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (negative
 slack, violated condition, failed ledger line, unverified membership, a
@@ -15,7 +15,7 @@ Outputs are deterministic: fixed orderings, no timestamps, exact rationals
 printed as num/den.
 
 Only the modules a dims run needs are imported here; each other
-subcommand imports its gscore, symfun and combinat names when it runs.
+subcommand imports its gscore and symfun names when it runs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from contextlib import suppress
+from decimal import ROUND_DOWN, Context
 from typing import Dict, List, Optional
 
 from .errors import (
@@ -196,8 +197,9 @@ def cmd_construct(args) -> int:
             jtxt = "~2^%.2f" % block.j_count_log2
         if block.margin is not None:
             mtxt = "margin=%s" % _text(block.margin, "the margin")
-        elif block.margin_log2_lo is not None:
-            mtxt = "margin_log2>=%.4f" % block.margin_log2_lo
+        elif block.margin_log2_lo is not None:  # rounded toward zero: never above the certificate
+            lo = Context(prec=4, rounding=ROUND_DOWN).create_decimal_from_float(block.margin_log2_lo)
+            mtxt = "margin_log2>=%s" % format(lo, "f")
         else:
             mtxt = "margin=skipped(toy)"
         heads.append(
@@ -276,7 +278,7 @@ def cmd_bound(args) -> int:
         deg = report.first_violation
         count, envelope = _text(r[deg], "r_%d" % deg), "c*u**%d" % (deg - 2)
         with suppress(TooLarge):  # an envelope too long to print is named instead
-            envelope = _text(cert.c * cert.u ** (deg - 2), envelope)
+            envelope = _text(report.envelope, envelope)
         print("condition (a): FAIL at degree %d (r_%d = %s > %s)" % (deg, deg, count, envelope))
     b_value = _text(report.b_value, "(v*d-c)/(v+u)")
     print("condition (b): %s ((v*d-c)/(v+u) = %s, v = %s)"
@@ -294,7 +296,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_jcount(args) -> int:
-    from .combinat import weak_tuple_count_within, weak_tuples
+    from .symfun import weak_tuple_count_within, weak_tuples
 
     q, n = args.q, args.n
     digits = _digit_limit()
@@ -309,8 +311,7 @@ def cmd_jcount(args) -> int:
 
 
 def cmd_symfun(args) -> int:
-    from .combinat import orbit_size, validate_weak_tuple
-    from .symfun import monomial_window, window_generator
+    from .symfun import monomial_window, orbit_size, validate_weak_tuple, window_generator
 
     j = _parse_ints(args.j, "index tuple")
     window = None

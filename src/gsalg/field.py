@@ -17,6 +17,7 @@ once with mod_p, which takes each value mod p and drops the zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import DivisionByZero, InvalidParams, require_int
@@ -34,27 +35,8 @@ def mod_p(row: dict, p: Optional[int]) -> dict:
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; bases 2,3,5,7 decide everything below 3215031751
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: p < MAX_PRIME = 2**31 tries at most 23,170 odd divisors
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % k for k in range(3, isqrt(n) + 1, 2))
 
 
 class _Modulus(NamedTuple):

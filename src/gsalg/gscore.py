@@ -175,6 +175,7 @@ class BoundConditionReport(NamedTuple):
     ok: bool
     ok_a: bool
     first_violation: Optional[int]
+    envelope: Optional[Fraction]  # c * u**(first_violation - 2), None when (a) holds
     ok_b: bool
     b_value: Fraction
     v: Fraction
@@ -205,6 +206,7 @@ def check_bound_conditions(
         ok=first is None and ok_b,
         ok_a=first is None,
         first_violation=first,
+        envelope=None if first is None else bound,
         ok_b=ok_b,
         b_value=cert.condition_b_value,
         v=cert.v,

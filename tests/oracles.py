@@ -218,6 +218,7 @@ def dense_bound_conditions(r: dict, cert, max_degree: int) -> BoundConditionRepo
         bound *= cert.u
     ok_b = cert.condition_b_holds
     return BoundConditionReport(ok=first is None and ok_b, ok_a=first is None, first_violation=first,
+                                envelope=None if first is None else bound,
                                 ok_b=ok_b, b_value=cert.condition_b_value, v=cert.v)
 
 

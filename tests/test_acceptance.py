@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gsalg.combinat import orbit_size, weak_tuple_count, weak_tuples
+from gsalg.symfun import orbit_size, weak_tuple_count, weak_tuples
 from gsalg.field import GF2, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly, poly_str, words_of_degree
 from gsalg.graded import (

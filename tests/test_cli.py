@@ -170,8 +170,25 @@ def test_construct_two_blocks_d3(capsys):
     lines = out.splitlines()
     assert lines[0] == "block 1: c=1 q=3 n=11 |J|=78 margin=50"
     assert lines[1] == (
-        "block 2: c=12 q=797160 n=2713118 |J|=~2^2713113.95 margin_log2>=0.0516"
+        "block 2: c=12 q=797160 n=2713118 |J|=~2^2713113.95 margin_log2>=0.05164"
     )
+
+
+@pytest.mark.parametrize(
+    "eps, blocks, line",
+    [
+        # 0.0885603 rounded to nearest would print 0.0886, above the certified bound
+        ("9/20", "2", "block 2: c=64 q=36893488147419103230 n=1920719647090318049267 "
+                      "|J|=~2^264105719610650132480.00 margin_log2>=0.08856"),
+        # a bound of 6.05e-06 printed with four decimals would read as zero
+        ("49999/100000", "1", "block 1: c=1 q=2 n=745411 |J|=745412 margin_log2>=0.000006050"),
+    ],
+    ids=("d2-9/20", "d2-49999/100000"),
+)
+def test_construct_margin_rounds_toward_zero(capsys, eps, blocks, line):
+    code, out, err = run(capsys, ["construct", "--d", "2", "--eps", eps, "--blocks", blocks])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == line
 
 
 def test_construct_boundary_eps(capsys):
@@ -1081,7 +1098,7 @@ def test_dims_loads_only_the_table_modules(gens_file):
         "import gsalg.cli\n"
         "code = gsalg.cli.main(['dims', '--gens', %r, '--d', '2', '--maxdeg', '6'])\n"
         "print(sorted(m for m in sys.modules if m == 'gsalg' or m.startswith('gsalg.')))\n"
-        "late = ('gsalg.gscore', 'gsalg.symfun', 'gsalg.combinat', 'dataclasses', 'csv')\n"
+        "late = ('gsalg.gscore', 'gsalg.symfun', 'dataclasses', 'csv')\n"
         "print(code, [m for m in late if m in sys.modules])\n"
         "print(gsalg.build_blueprint.__module__)\n"
         "star = {}\n"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsalg import combinat
-from gsalg.combinat import (
+from gsalg import symfun
+from gsalg.symfun import (
     orbit_iter,
     orbit_size,
     validate_weak_tuple,
@@ -96,7 +96,7 @@ def test_enumeration_caps():
 
 def test_tuple_lists_cap_their_entries(monkeypatch):
     # the cap counts entries, count times n: with q = 1 one tuple holds all n
-    monkeypatch.setattr(combinat, "ENUM_CAP", 100)
+    monkeypatch.setattr(symfun, "ENUM_CAP", 100)
     assert weak_tuples(1, 100) == [(1,) * 100]
     assert len(weak_tuples(3, 4)) == 15  # 60 entries
     for q, n in ((1, 101), (3, 5), (2, 10**30)):

@@ -123,6 +123,12 @@ def test_prime_detection_matches_sieve():
         else:
             with pytest.raises(InvalidParams):
                 FieldDescriptor(p)
+    # strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5; then 46337**2, the
+    # largest prime square below 2**31 (an off-by-one at isqrt lets it through)
+    for n in (2047, 1373653, 25326001, 46337**2):
+        with pytest.raises(InvalidParams, match="is not prime"):
+            FieldDescriptor(n)
+    assert FieldDescriptor(2**31 - 1).p == 2**31 - 1
 
 
 def test_coerce_fraction_over_prime_field():

@@ -6,7 +6,7 @@ import pytest
 
 import gsalg
 from gsalg import cli
-from gsalg.combinat import validate_weak_tuple, weak_tuple_count, weak_tuples
+from gsalg.symfun import validate_weak_tuple, weak_tuple_count, weak_tuples
 from gsalg.errors import InvalidParams
 from gsalg.field import GF2
 from gsalg.freealg import Polynomial, parse_poly

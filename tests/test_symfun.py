@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsalg import symfun
-from gsalg.combinat import weak_tuple_count, weak_tuples
 from gsalg.errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge
 from gsalg.field import GF2, QQ, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly, poly_str
@@ -17,6 +16,8 @@ from gsalg.symfun import (
     monomial_window,
     power_expansion,
     window_generator,
+    weak_tuple_count,
+    weak_tuples,
     window_generators,
     window_size,
 )
@@ -52,6 +53,20 @@ def test_power_expansion_caps_its_entries(monkeypatch):
     assert len(power_expansion(g, 9, w)) == 10  # 90 entries
     with pytest.raises(TooLarge, match="expansion has more entries than the cap 100"):
         power_expansion(g, 10, w)
+
+
+def test_one_cap_bounds_tuples_windows_orbits_and_expansions(monkeypatch):
+    # ENUM_CAP is one binding: lowering it reaches every enumeration of the module
+    monkeypatch.setattr(symfun, "ENUM_CAP", 100)
+    g = parse_poly("x1 + x2", 2, GF2)
+    for make in (
+        lambda: weak_tuples(3, 5),  # 21 tuples, 105 entries
+        lambda: monomial_window(2, 6),  # q = 126 words
+        lambda: window_generator((1, 2, 3, 4, 5), monomial_window(5, 1), GF2),  # orbit of 120
+        lambda: power_expansion(g, 10, monomial_window(2, 1)),  # 11 tuples, 110 entries
+    ):
+        with pytest.raises(TooLarge, match="cap 100"):
+            make()
 
 
 def test_order_symmetric_orbit_sum():
