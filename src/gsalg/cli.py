@@ -14,15 +14,14 @@ a run out of memory, and a standard output closed before all was written.
 Outputs are deterministic: fixed orderings, no timestamps, exact rationals
 printed as num/den.
 
-Only the modules a dims run needs are imported here; each other
-subcommand imports its gscore and symfun names when it runs.
+Only errors and field are imported here; each subcommand imports the
+freealg, graded, gscore and symfun names it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from contextlib import suppress
@@ -36,6 +35,7 @@ from .errors import (
     GsalgError,
     InvalidParams,
     NonHomogeneousGenerator,
+    ParseError,
     TooLarge,
     read_json,
     read_text,
@@ -43,20 +43,14 @@ from .errors import (
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .freealg import ParseError, Polynomial, parse_poly, poly_str
-from .graded import (
-    build_table,
-    check_dimension_bounds,
-    dimension_report,
-    dimension_rows,
-    write_dimension_csv,
-)
 
 
 # -- input parsing helpers -------------------------------------------------------
 
 def _read_generators(path: str, d: int, field: FieldDescriptor) -> List[Polynomial]:
     """One polynomial per line; '#' starts a comment line; blanks skipped."""
+    from .freealg import parse_poly
+
     gens: List[Polynomial] = []
     for lineno, line in enumerate(read_text(path, "generator file").split("\n"), start=1):
         text = line.strip()
@@ -144,6 +138,9 @@ def _text(x, what: str) -> str:
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_dims(args) -> int:
+    from .graded import (build_table, check_dimension_bounds, dimension_report, dimension_rows,
+                         write_dimension_csv)
+
     field = parse_field(args.field)
     gens = _read_generators(args.gens, args.d, field)
     # every output holds dim_Tn = d**n: a table whose last row would not
@@ -159,6 +156,7 @@ def cmd_dims(args) -> int:
     if args.csv:
         write_text_atomic(args.csv, buf.getvalue())
     if args.json:
+        import json
         write_text_atomic(args.json, json.dumps(dimension_report(table, rows), indent=2) + "\n")
     bad = check_dimension_bounds(rows)
     if bad:
@@ -218,6 +216,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_nilcheck(args) -> int:
+    from .freealg import parse_poly
     from .gscore import blueprint_table, load_blueprint, nil_certificate
 
     bp = load_blueprint(args.blueprint)
@@ -327,6 +326,7 @@ def cmd_symfun(args) -> int:
     print("q = %d" % q)
     print("orbit size = %s" % _text(orbit_size(j), "the orbit size"))
     if window is not None:
+        from .freealg import poly_str
         print("h = %s" % poly_str(window_generator(j, window, field)))
     return 0
 

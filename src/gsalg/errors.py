@@ -4,7 +4,6 @@ read_text, read_json and write_text_atomic turn every failure to read or
 write a file into InvalidParams, which the CLI maps to exit 2.
 """
 
-import json
 import os
 
 
@@ -137,6 +136,8 @@ def read_json(path: str, what: str):
     ValueError covers JSON syntax, RecursionError nesting deeper than the
     decoder recurses.
     """
+    import json
+
     text = read_text(path, what)
     try:
         return json.loads(text)

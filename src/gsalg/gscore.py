@@ -28,7 +28,6 @@ any reachable block degree is refused before it is built.
 
 from __future__ import annotations
 
-import json
 import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -48,9 +47,8 @@ from .errors import (
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .freealg import Polynomial
-from .graded import GradedIdealTable, degree_bound
-from .symfun import monomial_window, tuples_by_degree, window_generator, window_generators, window_size
+from .symfun import (monomial_window, tuple_counts_by_degree, tuples_by_degree, window_generator,
+                     window_generators, window_size)
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
@@ -246,6 +244,8 @@ def verify_growth(
       stepwise_ratio:  b_{n+2}   >= (d-v)*b_{n+1}
       power_bound:     b_n       >= (d-v)**n
     """
+    from .graded import degree_bound
+
     b = list(b)
     if not b or b[0] != 1:
         raise InvalidParams("b must start with b_0 = 1")
@@ -731,7 +731,7 @@ def build_blueprint(
         if mode == "dense":
             if not toy:
                 window = monomial_window(d, c)
-            degree_counts = {deg: len(js) for deg, js in tuples_by_degree(window, n).items()}
+            degree_counts = tuple_counts_by_degree(window, n)
             if toy:
                 # one generator per weak tuple; counted after the window's cap check
                 j_count = sum(degree_counts.values())
@@ -946,6 +946,8 @@ def blueprint_from_dict(data: dict) -> GSBlueprint:
 
 
 def save_blueprint(bp: GSBlueprint, path: str) -> None:
+    import json
+
     write_text_atomic(path, json.dumps(blueprint_to_dict(bp), indent=2) + "\n")
 
 
@@ -972,6 +974,8 @@ def nil_certificate(
     (GradedIdealTable.power_normal_form), and `verified` reports the outcome;
     without one the certificate stands by construction.
     """
+    from .freealg import Polynomial
+
     if not isinstance(g, Polynomial):
         raise InvalidParams("nil_certificate expects a Polynomial")
     if g.constant_coefficient():
@@ -997,6 +1001,8 @@ def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
     that vanish over the field (orbit-sum collisions) are left out; the
     construction's nominal counts stay in GSBlueprint.r_table().
     """
+    from .graded import GradedIdealTable
+
     if bp.mode != "dense":
         raise InvalidParams("a dense blueprint is required")
     gens = {}

@@ -19,6 +19,7 @@ which power_expansion computes and, at toy scale, re-verifies by expanding.
 ENUM_CAP is the one enumeration cap: tuple lists (count times n entries),
 windows, orbits and expansions are sized against it before they are built,
 and weak_tuple_count_within sizes a count without forming one past it.
+Only window_generator makes a polynomial, so only it imports freealg.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import ConstantTerm, DegreeTooHigh, InvalidParams, TooLarge, require_int
 from .field import FieldDescriptor, mod_p
-from .freealg import Polynomial, Word
 
 WeakTuple = Tuple[int, ...]
+Word = Tuple[int, ...]
 
 ENUM_CAP = 10**7
 
@@ -72,10 +73,14 @@ def weak_tuple_count_within(q: int, n: int, limit: int) -> Optional[int]:
     return None
 
 
-def weak_tuples(q: int, n: int) -> list[WeakTuple]:
-    """All weak tuples in lexicographic order, at most ENUM_CAP entries in all."""
+def _refuse_past_cap(q: int, n: int) -> None:
     if weak_tuple_count_within(q, n, ENUM_CAP // max(n, 1)) is None:
         raise TooLarge("J(%d, %d) has more tuple entries than the cap %d" % (q, n, ENUM_CAP))
+
+
+def weak_tuples(q: int, n: int) -> list[WeakTuple]:
+    """All weak tuples in lexicographic order, at most ENUM_CAP entries in all."""
+    _refuse_past_cap(q, n)
     if n == 0:
         return [()]  # combinations_with_replacement would copy all q entries first
     return list(itertools.combinations_with_replacement(range(1, q + 1), n))
@@ -158,6 +163,8 @@ def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescripto
     Distinct permutations can produce the same word after substitution, so
     coefficients accumulate; over small fields a generator can vanish.
     """
+    from .freealg import Polynomial
+
     terms: dict[Word, object] = {}
     for t in _orbit(j, window.q):
         w: Word = ()
@@ -180,6 +187,24 @@ def tuples_by_degree(window: MonomialWindow, n: int) -> dict[int, list[WeakTuple
     for j in weak_tuples(window.q, n):
         groups.setdefault(sum(map(size.__getitem__, j)), []).append(j)
     return dict(sorted(groups.items()))
+
+
+def tuple_counts_by_degree(window: MonomialWindow, n: int) -> dict[int, int]:
+    """The group sizes of tuples_by_degree, refused as weak_tuples refuses, listing no tuple.
+
+    The size at degree k is the coefficient of s**n * t**k in the product over
+    l of (1 - s*t**l)**(-d**l), whose factor l picks e of the d**l words of length l.
+    """
+    _refuse_past_cap(window.q, n)
+    counts = {(0, 0): 1}  # (entries, degree) -> count
+    for length in range(1, window.c + 1):
+        step: dict[tuple[int, int], int] = {}
+        for (m, k), count in counts.items():
+            for e in range(n - m + 1):
+                key = (m + e, k + e * length)
+                step[key] = step.get(key, 0) + count * math.comb(window.d ** length + e - 1, e)
+        counts = step
+    return dict(sorted((k, count) for (m, k), count in counts.items() if m == n))
 
 
 def window_generators(window: MonomialWindow, n: int,

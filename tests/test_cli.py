@@ -1098,7 +1098,7 @@ def test_dims_loads_only_the_table_modules(gens_file):
         "import gsalg.cli\n"
         "code = gsalg.cli.main(['dims', '--gens', %r, '--d', '2', '--maxdeg', '6'])\n"
         "print(sorted(m for m in sys.modules if m == 'gsalg' or m.startswith('gsalg.')))\n"
-        "late = ('gsalg.gscore', 'gsalg.symfun', 'dataclasses', 'csv')\n"
+        "late = ('gsalg.gscore', 'gsalg.symfun', 'dataclasses', 'csv', 'json')\n"
         "print(code, [m for m in late if m in sys.modules])\n"
         "print(gsalg.build_blueprint.__module__)\n"
         "star = {}\n"
@@ -1115,6 +1115,34 @@ def test_dims_loads_only_the_table_modules(gens_file):
     loaded = ["gsalg", "gsalg.cli", "gsalg.errors", "gsalg.field", "gsalg.freealg", "gsalg.graded"]
     assert lines[-4] == str(loaded)
     assert lines[-3:] == ["0 []", "gsalg.gscore", "[] []"]
+
+
+@pytest.mark.parametrize("argv, loaded, json_loaded", [
+    (["construct", "--d", "3", "--eps", "1/2", "--blocks", "2"], ["gscore", "symfun"], False),
+    (["nilcheck", "--blueprint", "{bp}", "--g", "x1*x2"], ["freealg", "gscore", "symfun"], True),
+    (["bound", "--d", "3", "--eps", "1/2", "--range", "20"], ["gscore", "symfun"], False),
+    (["jcount", "--q", "3", "--n", "4"], ["symfun"], False),
+], ids=["construct", "nilcheck", "bound", "jcount"])
+def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, loaded, json_loaded):
+    # a symbolic construct, a bound without a b sequence and a nilcheck
+    # without --verify build no table, so they never load graded; construct,
+    # bound and jcount make no polynomial, so they never load freealg; only
+    # the runs that read or write JSON load json
+    path = tmp_path / "bp.json"
+    save_blueprint(build_blueprint(GSParams(3, Fraction(1, 2)), 2), str(path))
+    script = (
+        "import sys\n"
+        "from gsalg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('gsalg.')), 'json' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *(arg.format(bp=path) for arg in argv)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    modules = ["gsalg.%s" % m for m in ["cli", "errors", "field", *loaded]]
+    assert proc.stdout.splitlines()[-1] == "0 %s %s" % (sorted(modules), json_loaded)
 
 
 def test_construct_loads_no_dataclass_machinery():
@@ -1138,7 +1166,7 @@ def test_out_of_memory_exits_two_without_traceback(capsys, gens_file, monkeypatc
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(gsalg.cli, "build_table", exhausted)
+    monkeypatch.setattr(graded, "build_table", exhausted)
     code, out, err = run(capsys, ["dims", "--gens", gens_file, "--d", "2", "--maxdeg", "6"])
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: out of memory running dims"]
@@ -1152,8 +1180,8 @@ def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch
     calls, tables = [], []
     finish = graded._finish
     monkeypatch.setattr(graded, "_finish", lambda *args: calls.append(1) or finish(*args))
-    build = gsalg.cli.build_table
-    monkeypatch.setattr(gsalg.cli, "build_table", lambda *args, **kw: tables.append(build(*args, **kw)) or tables[-1])
+    build = graded.build_table
+    monkeypatch.setattr(graded, "build_table", lambda *args, **kw: tables.append(build(*args, **kw)) or tables[-1])
     path = tmp_path / "quadric.txt"
     path.write_text("x1*x2 + x2*x3 + x3*x1\n")
     code, out, err = run(capsys, ["dims", "--gens", str(path), "--d", "3", "--maxdeg", "6", "--field", "gf2"])

@@ -15,6 +15,8 @@ from gsalg.symfun import (
     generator_degree,
     monomial_window,
     power_expansion,
+    tuple_counts_by_degree,
+    tuples_by_degree,
     window_generator,
     weak_tuple_count,
     weak_tuples,
@@ -110,6 +112,23 @@ def test_generator_degree_range():
         for j in weak_tuples(w.q, n):
             deg = generator_degree(j, w)
             assert n <= deg <= n * 2
+
+
+@pytest.mark.parametrize("d, c", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_degree_counts_match_the_listed_groups(d, c, monkeypatch):
+    # the counts are those of the listed tuples, key for key and in order, at
+    # every n whose list is small; past the cap both refuse with one text
+    w = monomial_window(d, c)
+    for n in range(6):
+        if weak_tuple_count(w.q, n) <= 20_000:
+            groups = tuples_by_degree(w, n)
+            assert list(tuple_counts_by_degree(w, n).items()) == [(k, len(js)) for k, js in groups.items()]
+    monkeypatch.setattr(symfun, "ENUM_CAP", 10)  # q >= 2: over 10 tuples of 10 entries
+    with pytest.raises(TooLarge) as listed:
+        weak_tuples(w.q, 10)
+    with pytest.raises(TooLarge) as counted:
+        tuple_counts_by_degree(w, 10)
+    assert str(counted.value) == str(listed.value)
 
 
 def test_window_generators_count_and_order():
