@@ -25,50 +25,71 @@ standard words are prefix-closed (the tree of normal words), so the image
 table is all a degree keeps: its standard words are the candidate columns of
 its int entries, built into word tuples on first use (a dims run builds
 none).  The image tables are the right multiplications by x_t in the
-quotient, so the rows b*f are built by walking f's terms letter by letter
+quotient, so the rows b*f are built by walking words letter by letter
 through them, as in F4 (rows built as products, then eliminated as one
-sparse system).  One walk, _walk_pairs, serves rows and normal forms.  The
-generators of one degree share one prefix tree of their words (_trie), built
-when the build first reaches that degree, and walked for a block of up to
-WALK_BLOCK standard start words at once, each the unit state of one (slot,
-state) pair; each tree node steps the list in one loop, once for all the
-generators below it, and words that fall in the ideal drop out.  A walk
-state that is a single standard word stays an index, since its step is the
-image entry itself, already reduced.  The degree being built has no image
-table yet, so there the top step writes candidate columns into each row's
-own accumulator, a unit state its column directly.  The block's raw
-accumulators go into a semi-echelon, a dict {pivot column: row} that _insert
-fills: each row is reduced mod p, cleared at its leading column against the
-stored rows alone and scaled to a leading 1 (least-column pivots, the column
-rank profile, so the standard words are canonical, whatever the order the
-rows come in).  Keeping the rows fully reduced on every insert instead, with
-a column -> rows index to find the rows a new pivot must clear, took 3.4x
-and 6.6x as long as one sweep at the end on two pairs of random d=3 GF(2)
-quadrics to degree 11, whose rows fill in.  b_n is the width less the rank,
-the dict's length.  Finishing a degree (_finish, the one reader of the rows)
-reads the table straight off the semi-echelon: a bytearray mask over the
-width clears the pivots, and its running sum (itertools.accumulate) numbers
-the standard columns; then, the highest pivot first, each pivot entry
-becomes minus the rest of its row, a later pivot in it giving its image,
-already built.  This is back-substitution in the standard (non-pivot)
-coordinates alone, the split of Faugere and Lachartre (PASCO 2010).  A table
-builds each degree when something first needs it: b(n), b_sequence (every
-degree), basis, or a walk that steps through it.  Building degree n puts its
-rows in and keeps the semi-echelon, whose rank gives b_n.  The level is
-finished on its first read, and the walk of degree n+1 is one, which drops
-the semi-echelon before a row of degree n+1 goes in.  So a dims run, which
-needs only b_n, never finishes the top degree (most of the table, b_n
-growing geometrically), and the normal form of g**n builds only the degrees
-up to n*deg g.  A normal form walks one state, from the empty word, to
-degrees whose level is built, so its top step goes through that level's
-image table and it ends in standard coordinates, with no reduction left to
-do.  The normal form of g**n is n such multiplications by g, nf(a*g) =
-nf(nf(a)*g) since the ideal is two-sided, so g**n is never expanded.
+sparse system).  One walk, _walk_pairs, serves rows and normal forms: it
+steps a block of up to WALK_BLOCK (slot, state) pairs, from standard start
+words, through a prefix tree of words (_trie), each tree node stepping the
+list in one loop, and words that fall in the ideal drop out.  A walk state
+that is a single standard word stays an index, since its step is the image
+entry itself, already reduced.  The rows of one degree come from a row
+source, which plans the walk of the generators of a degree when the build
+first reaches it and walks each block of start words:
+
+- a generator list (dims, build_table) is the trie source: the generators
+  of one degree share one prefix tree of their words, so a node steps once
+  for every generator below it;
+- a dense blueprint (WindowRows) is the lattice source, which makes no
+  window generator.  The generator h_j of a weak tuple j is the sum of the
+  words of the distinct orderings of j over the window words w_i, and
+  grouping them by their last entry gives h_j = sum over the distinct
+  entries i of j of h_{j-i}*w_i, with h_() = 1.  So for a start word s the
+  states nf(s*h_m) of the sub-multisets m of a degree's tuples are built
+  layer by layer, each stepping the layer below through the words w_i
+  (_lattice, _walk_lattice), and every tuple holding m shares its state.
+  The row of j is the sum of nf(s*h_{j-i})*w_i.  Block 1 of (3, 1/2) puts
+  in the rows of its 78 generators of degree 11 (3**11 words in all) in
+  0.14-0.17 s this way, and 37 MB, where walking the trie of their words
+  takes 0.7-0.9 s and 111 MB on a 2-core Xeon VM.
+
+The degree being built has no image table yet, so there the top step writes
+candidate columns into each row's own accumulator, a unit state its column
+directly.  The block's raw accumulators go into a semi-echelon, a dict
+{pivot column: row} that _insert fills: each row is reduced mod p, cleared
+at its leading column against the stored rows alone and scaled to a leading
+1 (least-column pivots, the column rank profile, so the standard words are
+canonical, whatever the order the rows come in).  Keeping the rows fully
+reduced on every insert instead, with a column -> rows index to find the
+rows a new pivot must clear, took 3.4x and 6.6x as long as one sweep at the
+end on two pairs of random d=3 GF(2) quadrics to degree 11, whose rows fill
+in.  b_n is the width less the rank, the dict's length.  Finishing a degree
+(_finish, the one reader of the rows) reads the table straight off the
+semi-echelon: a bytearray mask over the width clears the pivots, and its
+running sum (itertools.accumulate) numbers the standard columns; then, the
+highest pivot first, each pivot entry becomes minus the rest of its row, a
+later pivot in it giving its image, already built.  This is
+back-substitution in the standard (non-pivot) coordinates alone, the split
+of Faugere and Lachartre (PASCO 2010).  A table builds each degree when
+something first needs it: b(n), b_sequence (every degree), basis, or a walk
+that steps through it.  Building degree n puts its rows in and keeps the
+semi-echelon, whose rank gives b_n.  The level is finished on its first
+read, and the walk of degree n+1 is one, which drops the semi-echelon before
+a row of degree n+1 goes in.  So a dims run, which needs only b_n, never
+finishes the top degree (most of the table, b_n growing geometrically), and
+the normal form of g**i builds only the degrees up to i*deg g.  A normal
+form walks one state, from the empty word, to degrees whose level is built,
+so its top step goes through that level's image table and it ends in
+standard coordinates, with no reduction left to do.  The normal form of g**n
+is n such multiplications by g, nf(a*g) = nf(nf(a)*g) since the ideal is
+two-sided, so g**n is never expanded; the i-th builds the levels up to i*deg
+g, and the first zero power ends it.
 
 The rows of the paper's generators stay sparse: the d=3 quadric over GF(2)
 keeps about 3.6 nonzeros per row, and the toy d=2, c=2, n=5 blueprint
-(244 generators of degree 5-10) over GF(5) puts 832 rows in to degree 10
-for a total rank of 231.  Generators whose images fill in cost a dict entry
+(244 nonzero generators of degree 5-10) over GF(5) puts 832 rows in to
+degree 10 for a total rank of 231 from its generator list, and 840 over the
+lattice, where each of the 8 generators that vanish adds its zero own row
+once.  Generators whose images fill in cost a dict entry
 per nonzero, most of it in _finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 +
 x3*x1 and x1*x2 + x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.45
 million nonzeros in its image tables) take 0.93 s / 126 MB on a 2-core Xeon
@@ -79,6 +100,7 @@ VM, 0.61 s of it in _finish; reading that level later takes 2.6 s more, to a
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -211,16 +233,16 @@ def _finish(rows: Dict[int, dict], width: int, p: Optional[int]) -> list:
     return image
 
 
-def _trie(polys) -> dict:
-    """Prefix tree of the words of polynomials of one degree >= 1.  A leaf
-    (a word's last letter) lists (position in polys, coefficient)."""
+def _trie(leaves) -> dict:
+    """Prefix tree of words of one length >= 1, from (word, position,
+    coefficient) triples.  A leaf (a word's last letter) lists (position,
+    coefficient)."""
     root: dict = {}
-    for i, f in enumerate(polys):
-        for word, c in sorted(f.terms.items()):
-            node = root
-            for letter in word[:-1]:
-                node = node.setdefault(letter, {})
-            node.setdefault(word[-1], []).append((i, c))
+    for word, i, c in leaves:
+        node = root
+        for letter in word[:-1]:
+            node = node.setdefault(letter, {})
+        node.setdefault(word[-1], []).append((i, c))
     return root
 
 
@@ -287,30 +309,149 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
             _walk_pairs(levels, d, p, sub, nxt, level + 1, top, accs, count)
 
 
+def _lattice(words, tuples, one) -> list:
+    """The multiset lattice below weak tuples of one size n >= 1 over the
+    window words (rank i is words[i-1]): layers 1..n, bottom up, each a pair
+    (width, subs).  Width counts the multisets of that many entries (the
+    tuples themselves, in their order, at the top), and subs holds, for each
+    multiset m of the layer below (the empty one under layer 1), its degree
+    and one trie per word length of the words w_i with m+i in the layer, a
+    leaf giving the position of m+i."""
+    layers = []
+    upper = {j: pos for pos, j in enumerate(tuples)}
+    while True:
+        below: dict = {}
+        edges: dict = {}
+        for m, pos in upper.items():
+            for x, i in enumerate(m):
+                if x and m[x - 1] == i:  # one edge per distinct entry
+                    continue
+                a = below.setdefault(m[:x] + m[x + 1 :], len(below))
+                w = words[i - 1]
+                edges.setdefault(a, {}).setdefault(len(w), []).append((w, pos, one))
+        subs = [(sum(len(words[i - 1]) for i in m), [(k, _trie(leaves)) for k, leaves in sorted(edges[a].items())])
+                for m, a in below.items()]
+        layers.append((len(upper), subs))
+        if () in below:
+            return layers[::-1]
+        upper = below
+
+
+def _walk_lattice(levels, d, p, lattice, pairs, level: int, top: int, accs, count: int) -> None:
+    """accs[slot*count + i] += state * h_i at degree top, for each (slot,
+    state) pair at `level` and the count tuples i on top of the lattice.
+    Grouping the orderings of a multiset j by their last entry gives
+    h_j = sum over the distinct entries i of j of h_{j-i} * w_i, so each
+    layer steps the states of the layer below through the words w_i by
+    _walk_pairs.  A state below the top is reduced at its own degree; the
+    top layer writes candidate columns."""
+    slots, last = len(accs) // count, len(lattice) - 1
+    states = [pairs]  # (slot, state) pairs of each multiset of the layer below
+    for r, (width, subs) in enumerate(lattice):
+        out = accs if r == last else [{} for _ in range(slots * width)]
+        for below, (deg, tries) in zip(states, subs):
+            if below:
+                for k, trie in tries:
+                    _walk_pairs(levels, d, p, trie, below, level + deg, level + deg + k, out, width)
+        if r < last:
+            states = [[(s, _unit(vec)) for s in range(slots) if (vec := mod_p(out[s * width + pos], p))]
+                      for pos in range(width)]
+
+
+def _unit(vec: dict):
+    """A state {s: 1} as its standard index s, whose step is its image entry."""
+    if len(vec) == 1:
+        ((s, a),) = vec.items()
+        if a == 1:
+            return s
+    return vec
+
+
+# -- row sources -----------------------------------------------------------------
+
+def _poly_trie(polys) -> dict:
+    """The trie of polynomials of one degree, a leaf giving the polynomial's position."""
+    return _trie((w, i, c) for i, f in enumerate(polys) for w, c in sorted(f.terms.items()))
+
+
+class _GeneratorRows:
+    """The trie source: rows s*f of a generator list, those of one degree
+    sharing the prefix tree of their words."""
+
+    walk = staticmethod(_walk_pairs)
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+        self._by_degree: Dict[int, list] = {}
+        for g in self.generators:
+            self._by_degree.setdefault(g.degree(), []).append(g)
+
+    def items(self, m: int) -> list:
+        return self._by_degree.get(m, [])
+
+    def plan(self, m: int, polys: list) -> dict:
+        return _poly_trie(polys)
+
+
+class WindowRows:
+    """The lattice source: rows s*h_j of the window generators of dense
+    blocks, over the multiset lattice below each degree's weak tuples, with
+    no window polynomial made.  blocks lists (window, n) pairs over one d;
+    the generators themselves are made on first use of `generators`."""
+
+    walk = staticmethod(_walk_lattice)
+
+    def __init__(self, field: FieldDescriptor, blocks):
+        from .symfun import tuples_by_degree  # here, so that dims never loads symfun
+
+        self.d = blocks[0][0].d
+        self.field = field
+        self._blocks = blocks
+        self._by_degree = {deg: (window.words, tuples) for window, n in blocks
+                           for deg, tuples in tuples_by_degree(window, n).items()}
+
+    def items(self, m: int) -> list:
+        tuples = self._by_degree[m][1] if m in self._by_degree else []
+        if tuples and m < 2:  # n = 1: the generators are the window words, x1 first
+            raise DegreeBelowTwo("generator 0 has degree %d < 2" % m)
+        return tuples
+
+    def plan(self, m: int, tuples: list) -> list:
+        return _lattice(self._by_degree[m][0], tuples, self.field.one)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Every nonzero window generator, block by block in weak-tuple order."""
+        from .symfun import window_generators
+
+        return tuple(g for window, n in self._blocks
+                     for _, g in window_generators(window, n, self.field) if g.terms)
+
+
 # -- the table -----------------------------------------------------------------
 
 class GradedIdealTable:
     """Per-degree quotient bases of a homogeneous ideal, up to maxdeg, each
     degree built when it is first needed.
 
-    Generators are homogeneous of degree >= 2 over one field: a list, or a
-    dict {degree: iterable of (key, generator or zero)} made on demand and
-    listed in key order, which, like the empty list, needs d and field.  A
-    degree over COLUMN_CAP columns (d*b_{n-1}) is refused with TooLarge.
+    Generators are a list of homogeneous polynomials of degree >= 2 over one
+    field (the empty list needs d and field), or the WindowRows of a dense
+    blueprint, which carry their d and field.  A degree over COLUMN_CAP
+    columns (d*b_{n-1}) is refused with TooLarge.
     """
 
     def __init__(self, generators, maxdeg, *, d=None, field=None):
-        made = generators if isinstance(generators, dict) else {}
-        listed, d, field = _check_generators(() if made else generators, d, field)
+        if isinstance(generators, WindowRows):
+            source, d, field = generators, generators.d, generators.field
+        else:
+            gens, d, field = _check_generators(generators, d, field)
+            source = _GeneratorRows(gens)
         require_int(maxdeg, "maxdeg", 0)
         self.d = d
         self.field = field
         self.maxdeg = maxdeg
-        # degree -> (key, generator) list, or the iterable that makes it
-        self._gens: Dict[int, object] = {deg: iter(pairs) for deg, pairs in made.items()}
-        for i, g in enumerate(listed):
-            self._gens.setdefault(g.degree(), []).append((i, g))
-        self._tries: dict = {}  # degree -> (trie, generators) still in the walk
+        self._source = source
+        self._walked: dict = {}  # degree -> (plan, generators) still in the walk
         self._b = [1]  # b_0.. of the degrees whose rows are in
         self._finished = [None]  # image tables 0.., the last degree's on first read
         self._rows = None  # semi-echelon of the last degree until it is finished
@@ -327,9 +468,10 @@ class GradedIdealTable:
         """Put in the rows of every degree up to n not yet built.  The walk
         of degree m steps through degree m-1, so it finishes that level
         first, dropping its semi-echelon before a row of degree m goes in.
-        The trie of the degree-m generators is built when m is reached."""
+        The row source plans the walk of the degree-m generators (a trie or
+        a lattice) when m is reached."""
         self._check_degree(n)
-        d, p, b, tries = self.d, self.field.p, self._b, self._tries
+        d, p, b, source, walked = self.d, self.field.p, self._b, self._source, self._walked
         while len(b) <= n:
             m = len(b)
             width = b[m - 1] * d
@@ -339,43 +481,34 @@ class GradedIdealTable:
                     % (m, m - 1, width, COLUMN_CAP)
                 )
             self._level(m - 1)
-            polys = [g for _, g in self._drawn(m)]
-            if polys:
-                tries[m] = (_trie(polys), polys)
+            items = source.items(m)
+            if items:
+                walked[m] = (source.plan(m, items), items)
             rows: Dict[int, dict] = {}
-            for k, (trie, polys) in tries.items():
-                count, starts = len(polys), b[m - k]
+            for k, (plan, items) in walked.items():
+                count, starts = len(items), b[m - k]
                 for lo in range(0, starts, WALK_BLOCK):
                     block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
                     accs = [{} for _ in range(len(block) * count)]
-                    _walk_pairs(self._finished, d, p, trie, block, m - k, m, accs, count)
+                    source.walk(self._finished, d, p, plan, block, m - k, m, accs, count)
                     pivots = [_insert(rows, acc, p) for acc in accs]
             # a degree-m generator whose own row (the last block) adds no pivot
             # lies in the ideal of the others and leaves every later degree's walk
-            if m in tries and None in pivots:
-                kept = [g for g, c in zip(tries[m][1], pivots) if c is not None]
+            if m in walked and None in pivots:
+                kept = [x for x, c in zip(walked[m][1], pivots) if c is not None]
                 if kept:
-                    tries[m] = (_trie(kept), kept)
+                    walked[m] = (source.plan(m, kept), kept)
                 else:
-                    del tries[m]
+                    del walked[m]
             b.append(width - len(rows))
             self._rows = rows
         if len(b) > self.maxdeg:  # no degree is left to walk
-            self._tries = None
-
-    def _drawn(self, m: int) -> list:
-        """The (key, generator) pairs of degree m, made and checked once."""
-        made = self._gens.get(m, [])
-        if made.__class__ is not list:
-            made = self._gens[m] = [(key, g) for key, g in made if g.terms]
-            _check_generators([g for _, g in made], self.d, self.field)
-        return made
+            self._walked = None
 
     @property
     def generators(self) -> tuple:
-        """Every generator in key order (a list's own), zeros left out."""
-        pairs = [pair for m in self._gens for pair in self._drawn(m)]
-        return tuple(g for _, g in sorted(pairs, key=lambda pair: pair[0]))
+        """Every generator, in the list's order or the blueprint's, zeros left out."""
+        return self._source.generators
 
     def _level(self, n: int) -> list:
         """Image table n, finished on its first read."""
@@ -411,7 +544,10 @@ class GradedIdealTable:
 
     def r_table(self) -> Dict[int, int]:
         """Degree -> number of generators of that degree, with multiplicity."""
-        return {m: len(made) for m in sorted(self._gens) if (made := self._drawn(m))}
+        r: Dict[int, int] = {}
+        for g in self.generators:
+            r[g.degree()] = r.get(g.degree(), 0) + 1
+        return dict(sorted(r.items()))
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Residue of p modulo the ideal; zero iff p is a member."""
@@ -420,7 +556,9 @@ class GradedIdealTable:
     def power_normal_form(self, g: Polynomial, n: int) -> Polynomial:
         """Residue of g**n modulo the ideal, by n multiplications by g in the
         quotient: nf(a*g) = nf(nf(a)*g), the ideal being two-sided, so g**n
-        itself is never formed."""
+        itself is never formed.  Step i builds the levels up to i*deg g
+        alone, and the first zero power ends the climb, every higher power
+        lying in the ideal too."""
         if not isinstance(g, Polynomial):
             raise InvalidParams("expected a Polynomial, got %r" % (g,))
         if g.d != self.d:
@@ -432,12 +570,16 @@ class GradedIdealTable:
                 "polynomial is over %s, table over %s" % (g.field, self.field)
             )
         require_int(n, "exponent", 0)
-        self._level(max(n * g.degree(), 0))  # the highest level the walk steps through
+        top = max(g.degree(), 0)
+        self._check_degree(n * top)  # the highest level the walk would step through
         levels, d, p = self._finished, self.d, self.field.p
-        tries = [(k, _trie([comp])) for k, comp in g.homogeneous_components().items() if k]
+        tries = [(k, _poly_trie([comp])) for k, comp in g.homogeneous_components().items() if k]
         c0 = g.constant_coefficient()
         v: dict = {0: 0}  # degree -> walk state of nf(g**i), here nf(1)
-        for _ in range(n):
+        for i in range(1, n + 1):
+            if not v:
+                break
+            self._level(i * top)
             out: dict = {}
             for m, state in v.items():
                 if c0:  # a constant term keeps the degree

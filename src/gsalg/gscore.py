@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import ceil, comb, factorial, log, log1p, log2, nextafter, pi, sqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -47,8 +47,7 @@ from .errors import (
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .symfun import (monomial_window, tuple_counts_by_degree, tuples_by_degree, window_generator,
-                     window_generators, window_size)
+from .symfun import monomial_window, window_generators, window_size, window_tuple_counts
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
@@ -699,10 +698,6 @@ def build_blueprint(
     for k in range(1, num_blocks + 1):
         if toy:
             c, n = toy_c, toy_n
-            # the window's cap check reads sizes first, so a huge c is
-            # refused before q is built
-            window = monomial_window(d, c)
-            q = window.q
         else:
             c = c_prime_prev + 1
             # size wall: for n <= N, C(n+q-1, n) >= (q/n)**n >= (q/N)**n while
@@ -729,12 +724,10 @@ def build_blueprint(
 
         degree_counts: Optional[Dict[int, int]] = None
         if mode == "dense":
-            if not toy:
-                window = monomial_window(d, c)
-            degree_counts = tuple_counts_by_degree(window, n)
+            # counted from (d, c, n), after the window's and the tuples' cap checks
+            q, degree_counts = window_tuple_counts(d, c, n)
             if toy:
-                # one generator per weak tuple; counted after the window's cap check
-                j_count = sum(degree_counts.values())
+                j_count = sum(degree_counts.values())  # one generator per weak tuple
         elif c == 1 and j_count is not None:
             # a width-1 window makes every generator degree exactly n
             degree_counts = {n: j_count}
@@ -997,19 +990,15 @@ def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
     """Graded table of a dense blueprint's ideal, up to the last block's c'.
 
     Nothing is built or made here: a query builds each degree it first
-    needs and makes its window generators, keyed by weak tuple.  Generators
-    that vanish over the field (orbit-sum collisions) are left out; the
-    construction's nominal counts stay in GSBlueprint.r_table().
+    needs, its rows those of the window generators over the multiset lattice
+    of their weak tuples (graded.WindowRows), with no generator made.
+    Generators that vanish over the field (orbit-sum collisions) add no row
+    and are left out of table.generators; the construction's nominal counts
+    stay in GSBlueprint.r_table().
     """
-    from .graded import GradedIdealTable
+    from .graded import GradedIdealTable, WindowRows
 
     if bp.mode != "dense":
         raise InvalidParams("a dense blueprint is required")
-    gens = {}
-    for block in bp.blocks:
-        window = monomial_window(bp.d, block.c)
-        make = partial(window_generator, window=window, field=bp.field)
-        for deg, tuples in tuples_by_degree(window, block.n).items():
-            gens[deg] = zip(tuples, map(make, tuples))
-    maxdeg = max(block.c_prime for block in bp.blocks)
-    return GradedIdealTable(gens, maxdeg, d=bp.d, field=bp.field)
+    rows = WindowRows(bp.field, [(monomial_window(bp.d, block.c), block.n) for block in bp.blocks])
+    return GradedIdealTable(rows, max(block.c_prime for block in bp.blocks))

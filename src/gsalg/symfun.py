@@ -135,13 +135,19 @@ def window_size(d: int, c: int) -> int:
     return (d ** (c + 1) - d) // (d - 1) if d > 1 else c
 
 
-def monomial_window(d: int, c: int) -> MonomialWindow:
+def _capped_window_size(d: int, c: int) -> int:
+    """window_size(d, c), refused when the window has more words than ENUM_CAP."""
     require_int(d, "window rank d", 1)
     require_int(c, "window cap c", 1)
     # q >= d**c >= 2**(c*(bit_length(d)-1)): a huge c is refused before
     # window_size builds d**(c+1)
     if c * (d.bit_length() - 1) >= ENUM_CAP.bit_length() or window_size(d, c) > ENUM_CAP:
         raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, ENUM_CAP))
+    return window_size(d, c)
+
+
+def monomial_window(d: int, c: int) -> MonomialWindow:
+    _capped_window_size(d, c)
     words = []
     for n in range(1, c + 1):
         words.extend(itertools.product(range(1, d + 1), repeat=n))
@@ -189,22 +195,35 @@ def tuples_by_degree(window: MonomialWindow, n: int) -> dict[int, list[WeakTuple
     return dict(sorted(groups.items()))
 
 
-def tuple_counts_by_degree(window: MonomialWindow, n: int) -> dict[int, int]:
-    """The group sizes of tuples_by_degree, refused as weak_tuples refuses, listing no tuple.
+def _degree_counts(d: int, c: int, q: int, n: int) -> dict[int, int]:
+    """Tuple counts by degree, refused as weak_tuples refuses.
 
     The size at degree k is the coefficient of s**n * t**k in the product over
     l of (1 - s*t**l)**(-d**l), whose factor l picks e of the d**l words of length l.
     """
-    _refuse_past_cap(window.q, n)
+    _refuse_past_cap(q, n)
     counts = {(0, 0): 1}  # (entries, degree) -> count
-    for length in range(1, window.c + 1):
+    for length in range(1, c + 1):
         step: dict[tuple[int, int], int] = {}
         for (m, k), count in counts.items():
             for e in range(n - m + 1):
                 key = (m + e, k + e * length)
-                step[key] = step.get(key, 0) + count * math.comb(window.d ** length + e - 1, e)
+                step[key] = step.get(key, 0) + count * math.comb(d ** length + e - 1, e)
         counts = step
     return dict(sorted((k, count) for (m, k), count in counts.items() if m == n))
+
+
+def tuple_counts_by_degree(window: MonomialWindow, n: int) -> dict[int, int]:
+    """The group sizes of tuples_by_degree, refused as weak_tuples refuses, listing no tuple."""
+    return _degree_counts(window.d, window.c, window.q, n)
+
+
+def window_tuple_counts(d: int, c: int, n: int) -> tuple[int, dict[int, int]]:
+    """q and tuple_counts_by_degree for the window (d, c), from the parameters
+    alone: the window is refused as monomial_window refuses it, and no word is
+    listed."""
+    q = _capped_window_size(d, c)
+    return q, _degree_counts(d, c, q, n)
 
 
 def window_generators(window: MonomialWindow, n: int,

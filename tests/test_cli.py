@@ -1196,11 +1196,12 @@ def test_dims_finishes_no_level_past_the_last_walk(capsys, tmp_path, monkeypatch
         assert len(calls) == 6
 
 
-def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monkeypatch):
+def test_verify_builds_only_the_degrees_the_power_reaches_and_makes_no_generator(capsys, tmp_path, monkeypatch):
     # the toy table reaches c' = 10, but g**5 for a linear g lies in degree 5:
     # the verify puts in the rows of degrees 1-5 alone and finishes each once
-    # (a table built to c' first finishes degrees 1-9), and makes the 6
-    # degree-5 generators and their trie alone (of 252 of degree 5-10)
+    # (a table built to c' first finishes degrees 1-9).  The rows of the 6
+    # degree-5 generators (of 252 of degree 5-10) come from the lattice of
+    # their weak tuples, so no window generator is made at all
     path = tmp_path / "toy25.json"
     save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5), str(path))
     calls, tables, made = [], [], []
@@ -1218,8 +1219,9 @@ def test_verify_builds_only_the_degrees_the_power_reaches(capsys, tmp_path, monk
     (table,) = tables
     assert table.maxdeg == 10
     assert len(calls) == 5 and len(table._b) == 6
-    assert list(table._tries) == [5]
-    assert made == [j for j in gsalg.weak_tuples(6, 5) if max(j) <= 2]
+    assert list(table._walked) == [5]
+    assert table._walked[5][1] == [j for j in gsalg.weak_tuples(6, 5) if max(j) <= 2]
+    assert made == []
 
 
 def test_dims_out_of_address_space_exits_two(tmp_path):
@@ -1280,3 +1282,28 @@ def test_dense_construct_runs_in_bounded_memory(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[0] == "block 1: c=4 q=30 n=5 |J|=278256 margin=skipped(toy)"
     assert json.loads(path.read_text())["blocks"][0]["j_count"] == 278256
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--d", "3", "--eps", "1/2", "--blocks", "2"], 2, "",
+     "error: J(797160, 2713118) has more tuple entries than the cap 10000000\n"),
+    (["--d", "2", "--toy-c", "22", "--toy-n", "1"], 0,
+     "block 1: c=22 q=8388606 n=1 |J|=8388606 margin=skipped(toy)\n", ""),
+], ids=["refused-block-2", "toy-c22"])
+def test_dense_construct_lists_no_window_word(argv, code, out, err):
+    # a dense block's q and tuple counts come from (d, c, n) alone, so the
+    # tuple cap refuses block 2 of (3, 1/2) before any of its window's
+    # 797,160 words is listed, and the toy c=22 runs without listing its
+    # 8,388,606 words (1.9 GB when they were), under a 100 MB address-space
+    # limit set on this child alone
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+         "construct", "--mode", "dense", *argv],
+        capture_output=True, text=True, env=_src_env(), preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

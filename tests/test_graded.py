@@ -239,23 +239,6 @@ def test_stored_nonzeros_stay_sparse():
     assert nnz == [3, 10, 28, 75, 198, 520, 1363, 3570, 9348, 24475]
 
 
-def test_merged_walk_step_count(monkeypatch):
-    # one walk per start word serves every generator of a degree: the toy
-    # d=2, c=2, n=5 blueprint's table over GF(5) (244 nonzero generators of
-    # degree 5-10) takes exactly this many steps through _step; a walk per
-    # generator takes 41,642.  A unit state writes the candidate column of
-    # its last step itself, without _step, which took this count down from
-    # 33,694 (and a walk per generator from 55,400).  Generators that lie in
-    # the ideal of the others leave the walk, which took it from 19,936
-    bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
-    calls = []
-    step = graded._step
-    monkeypatch.setattr(graded, "_step", lambda *args: calls.append(1) or step(*args))
-    table = blueprint_table(bp)
-    assert table.b_sequence() == [1, 2, 4, 8, 16, 26, 44, 70, 104, 140, 185]
-    assert len(calls) == 8562
-
-
 def _count_rows(mp):
     """Count the rows that go into graded._insert, through mp."""
     rows = []
@@ -264,16 +247,47 @@ def _count_rows(mp):
     return rows
 
 
-def test_redundant_generators_leave_the_walk(monkeypatch):
-    # the same toy table: of 2,136 rows, 89% reduced to zero for a total rank
-    # of 231 while every generator stayed in the walk.  A generator whose own
-    # row adds no pivot lies in the ideal of the others and is dropped
+def _toy25_generators():
     bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5, field=FieldDescriptor(5))
+    return bp, [g for g in bp.all_generators() if not g.is_zero()]
+
+
+def test_merged_walk_step_count_of_either_row_source(monkeypatch):
+    # one walk per start word serves every generator of a degree: the toy
+    # d=2, c=2, n=5 blueprint's 244 nonzero generators over GF(5) (degree
+    # 5-10), as a list, take exactly this many steps through _step; a walk
+    # per generator takes 41,642.  A unit state writes the candidate column of
+    # its last step itself, without _step, which took this count down from
+    # 33,694 (and a walk per generator from 55,400).  Generators that lie in
+    # the ideal of the others leave the walk, which took it from 19,936.  The
+    # blueprint's own table walks the multiset lattice of the window words,
+    # sharing the states of common sub-multisets, in fewer steps
+    bp, gens = _toy25_generators()
+    calls = []
+    step = graded._step
+    monkeypatch.setattr(graded, "_step", lambda *args: calls.append(1) or step(*args))
+    table = build_table(gens, 10)
+    assert table.b_sequence() == [1, 2, 4, 8, 16, 26, 44, 70, 104, 140, 185]
+    assert len(calls) == 8562
+    calls.clear()
+    assert blueprint_table(bp).b_sequence() == table.b_sequence()
+    assert len(calls) == 7138
+
+
+def test_redundant_generators_leave_the_walk_of_either_row_source(monkeypatch):
+    # the same toy: of 2,136 rows, 89% reduced to zero for a total rank of
+    # 231 while every generator stayed in the walk.  A generator whose own
+    # row adds no pivot lies in the ideal of the others and is dropped.  The
+    # lattice makes no generator, so each of the 8 that vanish over GF(5)
+    # puts its own (zero) row in once before it leaves
+    bp, gens = _toy25_generators()
     rows = _count_rows(monkeypatch)
-    table = blueprint_table(bp)
-    b = table.b_sequence()
+    b = build_table(gens, 10).b_sequence()
     assert len(rows) == 832
     assert sum(2 * b[n - 1] - b[n] for n in range(1, len(b))) == 231  # pivots
+    rows.clear()
+    table = blueprint_table(bp)
+    assert table.b_sequence() == b and len(rows) == 840
     assert len(table.generators) == 244 and sum(table.r_table().values()) == 244
 
 

@@ -1022,6 +1022,75 @@ def test_every_window_element_is_nil_on_a_table_built_on_demand(c, n, p):
     assert lazy.b_sequence() == eager.b_sequence()
 
 
+def test_block_one_of_d3_through_the_window_lattice():
+    """Block 1 of (3, 1/2) over GF(2) through blueprint_table: the rows of its
+    78 generators come from the lattice of their weak tuples, none made.
+    b_11 = 177,069, and each of the 7 nonzero linear g has g**11 in the
+    ideal but not g**10."""
+    bp = build_blueprint(P3, 1, "dense", d=3, field=GF2)
+    table = blueprint_table(bp)
+    assert table.maxdeg == 11
+    assert table.b_sequence() == [3**n for n in range(11)] + [177069]
+    _assert_nil_exactly_at(table, 11)
+
+
+_ROW_SOURCE_CELLS = [
+    (d, c, n, field)
+    for d, c, n in [(2, 1, 3), (2, 2, 2), (2, 2, 5), (2, 3, 3), (3, 1, 4)]
+    for field in (GF2, FieldDescriptor(3), FieldDescriptor(5), QQ)
+]
+
+
+@pytest.mark.parametrize("d, c, n, field", _ROW_SOURCE_CELLS,
+                         ids=["d%dc%dn%d-%s" % (d, c, n, f) for d, c, n, f in _ROW_SOURCE_CELLS])
+def test_lattice_rows_match_the_generator_trie(d, c, n, field):
+    # blueprint_table builds its rows over the multiset lattice of the window
+    # words, build_table by walking the trie of the generators themselves.
+    # Pivots are canonical, so the two give equal levels, standard words and
+    # normal forms
+    bp = build_blueprint(None, mode="dense", d=d, toy_c=c, toy_n=n, field=field)
+    lattice = blueprint_table(bp)
+    trie = build_table([g for g in bp.all_generators() if not g.is_zero()], n * c, d=d, field=field)
+    assert lattice.b_sequence() == trie.b_sequence()
+    for m in range(n * c + 1):
+        assert lattice.basis(m) == trie.basis(m)
+        assert lattice._level(m) == trie._level(m)
+    rng = random.Random("%d %d %d %s" % (d, c, n, field))
+    for _ in range(8):
+        g = _random_poly(rng, d, field, n * c, constant=True)
+        assert lattice.normal_form(g) == trie.normal_form(g)
+
+
+def test_the_climb_stops_at_the_least_exponent():
+    # the power stops at the first i with nf(g**i) = 0.  For each of the 63
+    # nonzero g in the span of the c=2, n=5 window over GF(2), that i is the
+    # least m with g**m, expanded, in the ideal
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5)
+    table = blueprint_table(bp)
+    words = monomial_window(2, 2).words
+    least = []
+    for coeffs in itertools.product(range(2), repeat=len(words)):
+        if any(coeffs):
+            g = Polynomial(2, GF2, {w: 1 for w, a in zip(words, coeffs) if a})
+            m = next(m for m in range(1, 6) if table.power_normal_form(g, m).is_zero())
+            assert m == next(m for m in range(1, 6) if table.normal_form(g**m).is_zero()), g
+            least.append(m)
+    # 60 g are nil exactly at n = 5; x1*x1, x2*x2 and (x1 + x2)**2 already at
+    # 3, their cubes being x1**6, x2**6 and (x1 + x2)**6
+    assert (len(least), least.count(5), least.count(3)) == (63, 60, 3)
+
+
+def test_a_power_in_the_ideal_ends_the_climb():
+    # x2**5 generates the tuple (2, 2, 2, 2, 2) of the c=3, n=5 toy, so
+    # (x2*x2*x2)**2 = x2**6 lies in the ideal: the verify of x2*x2*x2 stops
+    # at its square, with the table built to degree 6 of its 15
+    bp = build_blueprint(None, mode="dense", d=2, toy_c=3, toy_n=5)
+    table = blueprint_table(bp)
+    cert = nil_certificate(parse_poly("x2*x2*x2", 2, GF2), bp, table)
+    assert (cert.exponent, cert.verified) == (5, True)
+    assert table.maxdeg == 15 and len(table._b) == 7
+
+
 def test_nil_certificate_degree_beyond_table(toy13, toy22):
     # g**n would reach past the table: refused up front, as when g**n was
     # expanded and reduced
