@@ -11,13 +11,13 @@ forming the raw power.
 Every sparse coefficient map ({word: coefficient} in a polynomial,
 {column: coefficient} in a row) is kept canonical by one rule: add raw
 values (over QQ each summand is a Fraction, so each sum is one), then reduce
-once with mod_p, which takes each value mod p and drops the zeros.
+once with mod_p, which takes each value mod p and drops the zeros.  Graded
+tables over GF(2) keep index sets instead, which leave nothing to reduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import DivisionByZero, InvalidParams, require_int
@@ -35,8 +35,14 @@ def mod_p(row: dict, p: Optional[int]) -> dict:
 
 
 def _is_prime(n: int) -> bool:
-    # trial division: p < MAX_PRIME = 2**31 tries at most 23,170 odd divisors
-    return n == 2 or n > 2 and n % 2 == 1 and all(n % k for k in range(3, isqrt(n) + 1, 2))
+    # deterministic Miller-Rabin: no strong pseudoprime to the bases 2, 3, 5, 7
+    # lies below 3,215,031,751 > MAX_PRIME
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = m * 2**s with m odd
+    m = (n - 1) >> s
+    return not any(pow(a, m, n) != 1 and all(pow(a, m << k, n) != n - 1 for k in range(s))
+                   for a in (2, 3, 5, 7))
 
 
 class _Modulus(NamedTuple):

@@ -16,13 +16,15 @@ resulting standard words are exactly the non-pivot monomials of the
 textbook full-width reduction; the naive oracle in tests/oracles.py
 recomputes everything at full width to cross-check them.
 
-One sparse engine serves every field: vectors are dicts {index: coefficient}
-mod p (GF(2) is p = 2), or Fractions over QQ (p None).  Each finished degree
-n stores, for every candidate column c = i*d + t-1, the image of the word
-b_i*x_t in the standard coordinates of degree n: the standard index itself
-when c is not a pivot, and its reduction to standard words when it is.  The
-standard words are prefix-closed (the tree of normal words), so the image
-table is all a degree keeps: its standard words are the candidate columns of
+The sparse engine keeps vectors in one of two forms: dicts {index:
+coefficient} mod p, or of Fractions over QQ (p None); and, over GF(2)
+(p == 2), the set of the indices, whose sums are symmetric differences in
+C with nothing to reduce.  Each finished degree n stores, for every
+candidate column c = i*d + t-1, the image of the word b_i*x_t in the
+standard coordinates of degree n: the standard index itself when c is not
+a pivot, and its reduction to standard words when it is.  The standard
+words are prefix-closed (the tree of normal words), so the image table is
+all a degree keeps: its standard words are the candidate columns of
 its int entries, built into word tuples on first use (a dims run builds
 none).  The image tables are the right multiplications by x_t in the
 quotient, so the rows b*f are built by walking words letter by letter
@@ -67,7 +69,7 @@ in.  b_n is the width less the rank, the dict's length.  Finishing a degree
 semi-echelon: a bytearray mask over the width clears the pivots, and its
 running sum (itertools.accumulate) numbers the standard columns; then, the
 highest pivot first, each pivot entry becomes minus the rest of its row, a
-later pivot in it giving its image, already built.  This is
+later pivot in it giving its image, already built (XORed over GF(2)).  This is
 back-substitution in the standard (non-pivot) coordinates alone, the split
 of Faugere and Lachartre (PASCO 2010).  A table builds each degree when
 something first needs it: b(n), b_sequence (every degree), basis, or a walk
@@ -89,12 +91,13 @@ keeps about 3.6 nonzeros per row, and the toy d=2, c=2, n=5 blueprint
 (244 nonzero generators of degree 5-10) over GF(5) puts 832 rows in to
 degree 10 for a total rank of 231 from its generator list, and 840 over the
 lattice, where each of the 8 generators that vanish adds its zero own row
-once.  Generators whose images fill in cost a dict entry
-per nonzero, most of it in _finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 +
-x3*x1 and x1*x2 + x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.45
-million nonzeros in its image tables) take 0.93 s / 126 MB on a 2-core Xeon
-VM, 0.61 s of it in _finish; reading that level later takes 2.6 s more, to a
-152 MB peak.
+once.  Generators whose images fill in cost an entry per nonzero, most of
+it in _finish.  The d=3 GF(2) quadrics x2*x1 + x2*x3 + x3*x1 and x1*x2 +
+x1*x3 + x2*x1 + x2*x2 + x2*x3 + x3*x3 to degree 12 (1.59 million nonzeros
+in its image tables and top semi-echelon) take 1.0-1.1 s / 106 MB on a
+2-core Xeon VM, 0.6 s of it in _finish (1.4-1.6 s / 126 MB as dicts);
+reading that level later takes 2.5-2.6 s more, to a 124 MB peak (3.9-4.5 s,
+150 MB as dicts).
 """
 
 from __future__ import annotations
@@ -186,11 +189,20 @@ def _axpy(row: dict, a, other: dict, p: Optional[int]) -> None:
                 del row[k]
 
 
-def _insert(rows: Dict[int, dict], row: dict, p: Optional[int]) -> Optional[int]:
+def _insert(rows: dict, row, p: Optional[int]) -> Optional[int]:
     """Add a row, reduced mod p here (the caller's dict is not changed), to
     the semi-echelon rows {pivot column: row}, each row 0 before its pivot
     and 1 at it; returns its pivot column, or None if it is zero or in the
-    span.  Only the leading column is cleared, against the stored rows."""
+    span.  Only the leading column is cleared, against the stored rows.
+    Over GF(2) a row is a column set, stored as a tuple; each XOR is a new set."""
+    if p == 2:
+        while row:
+            c = min(row)
+            if (prow := rows.get(c)) is None:
+                rows[c] = tuple(row)
+                return c
+            row = row.symmetric_difference(prow)
+        return None
     row = mod_p(row, p)
     while row:
         c = min(row)
@@ -206,18 +218,28 @@ def _insert(rows: Dict[int, dict], row: dict, p: Optional[int]) -> Optional[int]
     return None
 
 
-def _finish(rows: Dict[int, dict], width: int, p: Optional[int]) -> list:
+def _finish(rows: dict, width: int, p: Optional[int]) -> list:
     """Read a degree's image table off its semi-echelon: image[c] is its
     standard index for a standard column c, and for a pivot column a dict
-    {index: coef} (empty when the word lies in the ideal).  Row c is 0
-    before c and 1 at it, so word c is minus the rest of its row in the
-    quotient, where each later pivot already has its image."""
+    {index: coef} or over GF(2) a frozenset (empty when the word lies in the
+    ideal).  Row c is 0 before c and 1 at it, so word c is minus the rest of
+    its row in the quotient, where each later pivot already has its image."""
     # standard columns are the unmasked ones, numbered by a running sum
     mask = bytearray(b"\x01") * width
     for c in rows:
         mask[c] = 0
     image = list(accumulate(mask, initial=-1))
     del image[0]
+    if p == 2:  # distinct standard indices, then the later pivots' images XORed in
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            vec = {j for k in row if k != c and (j := image[k]).__class__ is int}
+            if len(vec) + 1 < len(row):
+                for k in row:
+                    if (img := image[k]).__class__ is not int:
+                        vec ^= img
+            image[c] = frozenset(vec)  # sized to fit: an XOR walks the whole table
+        return image
     neg = p or 0  # neg - v is -v in [1, p) over GF(p), or over QQ
     for c in sorted(rows, reverse=True):
         row = rows[c]
@@ -246,10 +268,20 @@ def _trie(leaves) -> dict:
     return root
 
 
-def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
-    """out += coef * state * x_t, through image (candidate columns if None)."""
-    get = out.get
+def _step(state, image, d: int, t: int, coef, out) -> None:
+    """out += coef * state * x_t, through image (candidate columns if None);
+    over GF(2), on index sets, a unit image toggles and a pivot image XORs."""
     off = t - 1
+    if out.__class__ is set:
+        for i in state:
+            if (j := i * d + off if image is None else image[i * d + off]).__class__ is not int:
+                out ^= j
+            elif j in out:
+                out.remove(j)
+            else:
+                out.add(j)
+        return
+    get = out.get
     if image is None:
         for i, a in state.items():
             c = i * d + off
@@ -268,13 +300,28 @@ def _step(state: dict, image, d: int, t: int, coef, out: dict) -> None:
 def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: int) -> None:
     """accs[slot*count + i] += state * f_i at degree top, for each (slot,
     state) pair at `level` and the count polynomials f_i in trie; a state is
-    a vector in standard coordinates, or a standard index s for {s: 1}, whose
-    step is its image entry.  Each node steps the whole list in one loop.  A
-    built top level (a normal form) takes the top step through its image
-    table; otherwise the step writes candidate columns, s*d + t-1 for a unit
-    state s."""
+    a vector in standard coordinates (a set over GF(2)), or an index s for
+    {s: 1}, whose step is its image entry.  Each node steps the whole list
+    in one loop.  A built top level (a normal form) takes the top step
+    through its image table; otherwise the step writes candidate columns,
+    s*d + t-1 for a unit state s."""
     if level + 1 == top:
         image = levels[top] if top < len(levels) else None
+        if p == 2:  # a unit's image toggles its index, a pivot image is XORed in
+            for t, leaf in trie.items():
+                off = t - 1
+                for i, _ in leaf:
+                    for slot, state in pairs:
+                        acc = accs[slot * count + i]
+                        if state.__class__ is not int:
+                            _step(state, image, d, t, 1, acc)
+                        elif (j := state * d + off if image is None else image[state * d + off]).__class__ is not int:
+                            acc ^= j
+                        elif j in acc:
+                            acc.remove(j)
+                        else:
+                            acc.add(j)
+            return
         for t, leaf in trie.items():
             off = t - 1
             for i, c in leaf:
@@ -300,9 +347,9 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
             if state.__class__ is int:
                 out = image[state * d + off]
             else:
-                out = {}
+                out = set() if p == 2 else {}
                 _step(state, image, d, t, 1, out)
-                out = mod_p(out, p)
+                out = out if p == 2 else mod_p(out, p)
             if out.__class__ is int or out:
                 keep((slot, out))
         if nxt:
@@ -348,20 +395,21 @@ def _walk_lattice(levels, d, p, lattice, pairs, level: int, top: int, accs, coun
     slots, last = len(accs) // count, len(lattice) - 1
     states = [pairs]  # (slot, state) pairs of each multiset of the layer below
     for r, (width, subs) in enumerate(lattice):
-        out = accs if r == last else [{} for _ in range(slots * width)]
+        out = accs if r == last else [set() if p == 2 else {} for _ in range(slots * width)]
         for below, (deg, tries) in zip(states, subs):
             if below:
                 for k, trie in tries:
                     _walk_pairs(levels, d, p, trie, below, level + deg, level + deg + k, out, width)
         if r < last:
-            states = [[(s, _unit(vec)) for s in range(slots) if (vec := mod_p(out[s * width + pos], p))]
+            vecs = out if p == 2 else [mod_p(acc, p) for acc in out]  # a GF(2) set is canonical
+            states = [[(s, _unit(vec)) for s in range(slots) if (vec := vecs[s * width + pos])]
                       for pos in range(width)]
 
 
-def _unit(vec: dict):
-    """A state {s: 1} as its standard index s, whose step is its image entry."""
+def _unit(vec):
+    """A state {s: 1}, or {s} over GF(2), as the index s: its step is its image entry."""
     if len(vec) == 1:
-        ((s, a),) = vec.items()
+        ((s, a),) = (vec if vec.__class__ is dict else dict.fromkeys(vec, 1)).items()
         if a == 1:
             return s
     return vec
@@ -472,6 +520,7 @@ class GradedIdealTable:
         a lattice) when m is reached."""
         self._check_degree(n)
         d, p, b, source, walked = self.d, self.field.p, self._b, self._source, self._walked
+        new = set if p == 2 else dict
         while len(b) <= n:
             m = len(b)
             width = b[m - 1] * d
@@ -489,7 +538,7 @@ class GradedIdealTable:
                 count, starts = len(items), b[m - k]
                 for lo in range(0, starts, WALK_BLOCK):
                     block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
-                    accs = [{} for _ in range(len(block) * count)]
+                    accs = [new() for _ in range(len(block) * count)]
                     source.walk(self._finished, d, p, plan, block, m - k, m, accs, count)
                     pivots = [_insert(rows, acc, p) for acc in accs]
             # a degree-m generator whose own row (the last block) adds no pivot
@@ -583,18 +632,22 @@ class GradedIdealTable:
             out: dict = {}
             for m, state in v.items():
                 if c0:  # a constant term keeps the degree
-                    acc = out.setdefault(m, {})
-                    for j, a in ({state: 1} if state.__class__ is int else state).items():
-                        acc[j] = acc.get(j, 0) + c0 * a
+                    acc = out.setdefault(m, set() if p == 2 else {})
+                    if p == 2:  # c0 is 1
+                        acc ^= {state} if state.__class__ is int else state
+                    else:
+                        for j, a in ({state: 1} if state.__class__ is int else state).items():
+                            acc[j] = acc.get(j, 0) + c0 * a
                 for k, trie in tries:
-                    acc = out.setdefault(m + k, {})
+                    acc = out.setdefault(m + k, set() if p == 2 else {})
                     _walk_pairs(levels, d, p, trie, [(0, state)], m, m + k, [acc], 1)
-            v = {m: vec for m, acc in sorted(out.items()) if (vec := mod_p(acc, p))}
+            v = {m: vec for m, acc in sorted(out.items()) if (vec := acc if p == 2 else mod_p(acc, p))}
         terms = {}
         for m, vec in v.items():
             words = self._words_at(m)
-            for j, a in sorted(({vec: self.field.one} if vec.__class__ is int else vec).items()):
-                terms[words[j]] = a
+            if vec.__class__ is not dict:  # a unit, or a GF(2) set
+                vec = dict.fromkeys({vec} if vec.__class__ is int else vec, self.field.one)
+            terms.update((words[j], a) for j, a in sorted(vec.items()))
         return Polynomial._raw(self.d, self.field, terms)
 
     def contains(self, p: Polynomial) -> bool:

@@ -274,6 +274,63 @@ def fibonacci(n: int) -> int:
     return a
 
 
+# -- combinatorially free least words (Anick) --------------------------------------
+
+def combinatorially_free(words: Sequence[Word]) -> bool:
+    """No word is a factor of another, and no proper suffix of any word is a
+    prefix of any word, the same word included (no two can overlap)."""
+    for u in words:
+        for v in words:
+            if u != v and any(v[i : i + len(u)] == u for i in range(len(v) - len(u) + 1)):
+                return False
+            if any(u[-k:] == v[:k] for k in range(1, min(len(u), len(v) + 1))):
+                return False
+    return True
+
+
+def free_dimensions(d: int, degrees: Sequence[int], maxdeg: int) -> List[int]:
+    """b_n = d*b_{n-1} - sum_k r_k*b_{n-k}, which holds at every degree when
+    the generators' least words are combinatorially free (D. J. Anick,
+    "Non-commutative graded algebras and their Hilbert series", J. Algebra
+    78, 1982); degrees lists the least words' lengths."""
+    b = [1]
+    for n in range(1, maxdeg + 1):
+        b.append(d * b[n - 1] - sum(b[n - k] for k in degrees if k <= n))
+    return b
+
+
+def words_avoiding(d: int, forbidden: Sequence[Word], maxdeg: int) -> List[List[Word]]:
+    """The words of each degree up to maxdeg with no forbidden factor, in lex
+    order, each extending one of the degree below by a last letter."""
+    out = [[()]]
+    for _ in range(maxdeg):
+        out.append([w + (t,) for w in out[-1] for t in range(1, d + 1)
+                    if not any((w + (t,))[-len(f):] == f for f in forbidden if len(f) <= len(w) + 1)])
+    return out
+
+
+def random_free_generators(rng, d: int, field: FieldDescriptor, count: int,
+                           degrees: Sequence[int]) -> Tuple[List[Polynomial], List[Word]]:
+    """Up to count generators whose least words (their least terms in lex
+    order, the leading words of the table's least-column pivots) form a
+    combinatorially free set: the least words are drawn first, then each
+    gets up to three random terms of its degree that are greater in lex
+    order (more make rows that fill in, and a slow test)."""
+    least: List[Word] = []
+    for _ in range(50 * count):
+        w = tuple(rng.randrange(1, d + 1) for _ in range(rng.choice(degrees)))
+        if len(least) < count and w not in least and combinatorially_free(least + [w]):
+            least.append(w)
+    p = field.p or 7
+    gens = []
+    for w in least:
+        greater = [v for v in itertools.product(range(1, d + 1), repeat=len(w)) if v > w]
+        terms = {v: rng.randrange(1, p) for v in rng.sample(greater, min(len(greater), rng.randrange(4)))}
+        terms[w] = rng.randrange(1, p)
+        gens.append(Polynomial(d, field, terms))
+    return gens, least
+
+
 # -- the text form, printed term by term ------------------------------------------
 
 def reference_poly_str(p: Polynomial) -> str:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from gsalg.errors import DivisionByZero, InvalidParams, MixedFields
 from gsalg.field import (
     GF2,
+    MAX_PRIME,
     QQ,
     FieldDescriptor,
+    _is_prime,
     mod_p,
     parse_field,
 )
@@ -129,6 +131,23 @@ def test_prime_detection_matches_sieve():
         with pytest.raises(InvalidParams, match="is not prime"):
             FieldDescriptor(n)
     assert FieldDescriptor(2**31 - 1).p == 2**31 - 1
+
+
+def test_miller_rabin_matches_a_sieve():
+    # _is_prime is Miller-Rabin to the bases 2, 3, 5 and 7, exact below
+    # 3,215,031,751, the least strong pseudoprime to all four, which is above
+    # MAX_PRIME; a sieve of Eratosthenes (trial division's table) is the oracle
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # the least strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n)
+    assert MAX_PRIME < 3215031751 and _is_prime(2**31 - 1) and not _is_prime(2**31 - 3)
 
 
 def test_coerce_fraction_over_prime_field():

@@ -32,7 +32,15 @@ from gsalg.graded import (
     write_dimension_csv,
 )
 
-from oracles import count_avoiding_factor, fibonacci, naive_dimension_table
+from oracles import (
+    combinatorially_free,
+    count_avoiding_factor,
+    fibonacci,
+    free_dimensions,
+    naive_dimension_table,
+    random_free_generators,
+    words_avoiding,
+)
 
 
 # -- frozen dimension sequences --------------------------------------------------
@@ -423,6 +431,104 @@ def test_words_built_on_demand():
                 terms[tuple(rng.randint(1, 3) for _ in range(m))] = 1
         probe = Polynomial(3, GF2, terms)
         assert table.normal_form(probe) == oracle.normal_form(probe)
+
+
+# -- GF(2) vectors as index sets, against the oracles ----------------------------
+
+# ROADMAP's two d = 3 GF(2) pairs whose rows fill in
+PAIR_A = ("x1*x1 + x1*x2 + x2*x1 + x2*x3 + x3*x1 + x3*x3", "x1*x1 + x2*x3 + x3*x2 + x3*x3")
+PAIR_B = ("x2*x1 + x2*x3 + x3*x2 + x3*x3", "x1*x2 + x2*x1 + x2*x2 + x3*x1 + x3*x3")
+
+
+def _gf2_ideals():
+    """Seeded GF(2) ideals with the degree the naive oracle reaches: pairs A
+    and B, random sparse ones over d = 2 and 3 (to degree 9), and a random
+    d = 3 one whose rows fill in."""
+    rng = random.Random(3202)
+    cases = [([parse_poly(g, 3, GF2) for g in pair], 7) for pair in (PAIR_A, PAIR_B)]
+    for d, maxdeg, degrees, terms in ((2, 9, (3, 4), 2), (2, 9, (2, 3), 3), (3, 9, (2,), 4),
+                                      (3, 9, (3, 3), 2), (3, 7, (2, 3), 6)):
+        cases.append(([Polynomial(d, GF2, {tuple(rng.randrange(1, d + 1) for _ in range(k)): 1
+                                           for _ in range(terms)}) for k in degrees], maxdeg))
+    return cases
+
+
+def _naive_level(oracle, d, n):
+    """Level n as the table keeps it over GF(2), from the naive oracle: for
+    each candidate word b_i*x_t its standard index, or else the set of the
+    indices of the words of its normal form."""
+    index = {w: j for j, w in enumerate(oracle.standard_words[n])}
+    level = []
+    for w in (u + (t,) for u in oracle.standard_words[n - 1] for t in range(1, d + 1)):
+        nf = oracle.normal_form(Polynomial.monomial(w, d, GF2)).terms
+        level.append(index[w] if w in index else {index[v] for v in nf})
+    return level
+
+
+@pytest.mark.parametrize("case", range(7), ids=["pairA", "pairB", "d2-sparse", "d2-mixed", "d3-sparse",
+                                                "d3-cubics", "d3-fill"])
+def test_gf2_index_sets_match_naive_table(case):
+    # over GF(2) the table keeps every vector as the set of its indices;
+    # dimensions, standard words, the level tables read as supports, normal
+    # forms and powers (coefficient-1 polynomials) equal the naive oracle's
+    gens, maxdeg = _gf2_ideals()[case]
+    d = gens[0].d
+    table = build_table(gens, maxdeg)
+    oracle = naive_dimension_table(gens, maxdeg, column_cap=d**maxdeg)
+    assert table.b_sequence() == oracle.b
+    for n in range(maxdeg + 1):
+        assert table.basis(n) == oracle.standard_words[n]
+    rng = random.Random(case)
+    for n in range(1, min(maxdeg, 6) + 1):
+        assert table._level(n) == _naive_level(oracle, d, n)
+        # a sum of candidate words that reduce: their images overlap, so the
+        # walk's top step must XOR each one in, not merge it
+        standard = set(oracle.standard_words[n])
+        reducible = [u + (t,) for u in oracle.standard_words[n - 1] for t in range(1, d + 1)
+                     if u + (t,) not in standard]
+        probe = Polynomial(d, GF2, dict.fromkeys(rng.sample(reducible, min(len(reducible), 12)), 1))
+        assert table.normal_form(probe) == oracle.normal_form(probe)
+    for _ in range(6):
+        probe = Polynomial(d, GF2, {tuple(rng.randrange(1, d + 1) for _ in range(rng.randrange(maxdeg + 1))): 1
+                                    for _ in range(rng.randrange(1, 9))})
+        nf = table.normal_form(probe)
+        assert nf == oracle.normal_form(probe) and set(nf.terms.values()) <= {1}
+        g = Polynomial(d, GF2, {tuple(rng.randrange(1, d + 1) for _ in range(rng.randrange(3))): 1
+                                for _ in range(rng.randrange(1, 5))})
+        for k in range(maxdeg // max(g.degree(), 1) + 1):
+            power = table.power_normal_form(g, k)
+            assert isinstance(power, Polynomial) and set(power.terms.values()) <= {1}
+            assert power == oracle.normal_form(g**k)
+
+
+# -- Anick's free least words, past the naive oracle's depth ----------------------
+
+
+@pytest.mark.parametrize("field, maxdeg", [(GF2, 12), (FieldDescriptor(3), 12), (QQ, 11)], ids=["gf2", "gf3", "q"])
+def test_free_least_words_give_the_free_dimensions(field, maxdeg):
+    # when the generators' least words are combinatorially free, b_n =
+    # d*b_{n-1} - sum_k r_k*b_{n-k} at every degree and the standard words
+    # are the words that avoid the least words (Anick 1982): an exact check
+    # to degrees where naive_dimension_table, which stops at 9, cannot go
+    rng = random.Random("free %s" % field)
+    cells = [(2, 1, (3, 4, 5)), (3, 2, (2, 3, 4)), (3, 3, (2, 3))]
+    for d, count, degrees in cells * 2 if field.p else cells[::2] * 2:
+        gens, least = random_free_generators(rng, d, field, count, degrees)
+        table = build_table(gens, maxdeg)
+        assert table.b_sequence() == free_dimensions(d, [len(w) for w in least], maxdeg)
+        avoiding = words_avoiding(d, least, 9)
+        for n in range(10):
+            assert table.basis(n) == avoiding[n]
+
+
+def test_the_free_oracle_on_known_sets():
+    # x1*x2 alone is free and gives the paths count; x1*x1 overlaps itself;
+    # x1*x2 and x2*x3 overlap at x2; x1*x2 is a factor of x3*x1*x2
+    assert combinatorially_free([(1, 2)]) and combinatorially_free([(1, 1, 2), (1, 3, 2)])
+    assert not combinatorially_free([(1, 1)]) and not combinatorially_free([(1, 2, 1)])
+    assert not combinatorially_free([(1, 2), (2, 3)]) and not combinatorially_free([(1, 2), (3, 1, 2)])
+    assert free_dimensions(2, [2], 10) == [count_avoiding_factor(2, (1, 2), n) for n in range(11)]
+    assert [len(ws) for ws in words_avoiding(2, [(1, 2)], 10)] == free_dimensions(2, [2], 10)
 
 
 # -- the top degree, finished on first read ------------------------------------

@@ -1,5 +1,7 @@
 """The semi-echelon of graded._insert and the image table graded._finish reads
-off it, against naive eliminations and known-rank matrices."""
+off it, against naive eliminations and known-rank matrices.  Over GF(2) a
+row goes in as the set of its columns, and an image is read back as the set
+of its indices (its support)."""
 
 import random
 from fractions import Fraction
@@ -83,7 +85,16 @@ def _naive_rref_q(rows):
 
 
 def _sparse(row, p=None):
-    return {c: (x if p is None else x % p) for c, x in enumerate(row) if (x if p is None else x % p)}
+    # the form graded._insert takes: {column: coefficient}, over GF(2) the set of columns
+    vec = {c: (x if p is None else x % p) for c, x in enumerate(row) if (x if p is None else x % p)}
+    return set(vec) if p == 2 else vec
+
+
+def _coefs(v):
+    # {index: coefficient} of a dict, of a unit index, or of a GF(2) set or tuple of indices
+    if v.__class__ is dict:
+        return v
+    return {v: 1} if v.__class__ is int else dict.fromkeys(v, 1)
 
 
 def _insert_all(rows, mat, p=None):
@@ -100,15 +111,16 @@ def _naive_image(rows, width, p=None):
     image = [index.get(c) for c in range(width)]
     for row, c in zip(red, pivots):
         image[c] = {index[k]: -x if p is None else -x % p for k, x in enumerate(row) if k in index and x}
+    if p == 2:  # GF(2) images are supports
+        image = [x if x.__class__ is int else set(x) for x in image]
     return image
 
 
 def _through(image, row, p=None):
     # a row mapped into standard coordinates by an image table: its normal form
     out = {}
-    for k, a in row.items():
-        img = image[k]
-        for j, v in ({img: 1} if img.__class__ is int else img).items():
+    for k, a in _coefs(row).items():
+        for j, v in _coefs(image[k]).items():
             out[j] = out.get(j, 0) + a * v
     return {j: v if p is None else v % p for j, v in out.items() if (v if p is None else v % p)}
 
@@ -133,12 +145,12 @@ def test_gf2_echelon_normal_form():
     rows = [[rng.randrange(2) for _ in range(width)] for _ in range(12)]
     _insert_all(ech, rows, 2)
     for c, row in ech.items():
-        assert min(row) == c and row[c] == 1
+        assert min(row) == c and _coefs(row)[c] == 1
     image = _finish(ech, width, 2)
     assert image == _naive_image(rows, width, 2)
     # anything already in the span is dependent
     span_elt = [(a + b) % 2 for a, b in zip(rows[0], rows[3])]
-    assert _insert(ech, _sparse(span_elt), 2) is None
+    assert _insert(ech, _sparse(span_elt, 2), 2) is None
     assert _through(image, _sparse(span_elt), 2) == {}
 
 
@@ -148,7 +160,7 @@ def test_gf2_echelon_known_rank():
     ech = {}
     _insert_all(ech, mat, 2)
     assert len(ech) == 6
-    assert all(min(r) == c and r[c] == 1 for c, r in ech.items())
+    assert all(min(r) == c and _coefs(r)[c] == 1 for c, r in ech.items())
 
 
 # -- GF(p) and QQ --------------------------------------------------------------------
@@ -175,7 +187,7 @@ def test_gfp_echelon_differential(p, seed, cuts):
     # naive RREF's, whether the rows go in at once or in batches with a
     # finish after each; insert reduces what it is fed (about half the rows
     # come unreduced, and one row is zero mod p) and never changes the
-    # caller's dict
+    # caller's dict.  A GF(2) row is a set of columns, which has no unreduced form
     rng = random.Random(seed)
     width = rng.randrange(8, 40)
 
@@ -197,6 +209,8 @@ def test_gfp_echelon_differential(p, seed, cuts):
 
     def unreduced(row):
         # entries shifted by multiples of p, some negative, and explicit zeros
+        if p == 2:
+            return _sparse(row, p)
         return {
             c: x if p is None else x + p * rng.randrange(-3, 4)
             for c, x in enumerate(row)
@@ -205,8 +219,10 @@ def test_gfp_echelon_differential(p, seed, cuts):
 
     fed = [unreduced(r) if rng.random() < 0.5 else _sparse(r, p) for r in mat]
     zero = {c: 0 if p is None else p * rng.randrange(-3, 4) for c in range(0, width, 3)}
+    if p == 2:
+        zero = set()
     fed.insert(rng.randrange(len(fed) + 1), zero)
-    kept = [dict(r) for r in fed]
+    kept = [r.copy() for r in fed]
     assert _insert({}, zero, p) is None
     whole = {}
     for r in fed:
