@@ -35,14 +35,15 @@ words, through a prefix tree of words (_trie), each tree node stepping the
 list in one loop, and words that fall in the ideal drop out.  A walk state
 that is a single standard word stays an index, since its step is the image
 entry itself, already reduced.  The rows of one degree come from a row
-source, which plans the walk of the generators of a degree when the build
-first reaches it and walks each block of start words:
+source, which plans a degree's generators as a lattice for _walk_lattice
+when the build first reaches it:
 
 - a generator list (dims, build_table) is the trie source: the generators
   of one degree share one prefix tree of their words, so a node steps once
-  for every generator below it;
+  for every generator below it, and the lattice is that one trie;
 - a dense blueprint (WindowRows) is the lattice source, which makes no
-  window generator.  The generator h_j of a weak tuple j is the sum of the
+  window generator and draws the weak tuples of a degree only when the
+  build reaches it.  The generator h_j of a weak tuple j is the sum of the
   words of the distinct orderings of j over the window words w_i, and
   grouping them by their last entry gives h_j = sum over the distinct
   entries i of j of h_{j-i}*w_i, with h_() = 1.  So for a start word s the
@@ -358,7 +359,7 @@ def _walk_pairs(levels, d, p, trie, pairs, level: int, top: int, accs, count: in
 
 def _lattice(words, tuples, one) -> list:
     """The multiset lattice below weak tuples of one size n >= 1 over the
-    window words (rank i is words[i-1]): layers 1..n, bottom up, each a pair
+    window words (words[i] the word of rank i): layers 1..n, bottom up, each a pair
     (width, subs).  Width counts the multisets of that many entries (the
     tuples themselves, in their order, at the top), and subs holds, for each
     multiset m of the layer below (the empty one under layer 1), its degree
@@ -374,9 +375,9 @@ def _lattice(words, tuples, one) -> list:
                 if x and m[x - 1] == i:  # one edge per distinct entry
                     continue
                 a = below.setdefault(m[:x] + m[x + 1 :], len(below))
-                w = words[i - 1]
+                w = words[i]
                 edges.setdefault(a, {}).setdefault(len(w), []).append((w, pos, one))
-        subs = [(sum(len(words[i - 1]) for i in m), [(k, _trie(leaves)) for k, leaves in sorted(edges[a].items())])
+        subs = [(sum(len(words[i]) for i in m), [(k, _trie(leaves)) for k, leaves in sorted(edges[a].items())])
                 for m, a in below.items()]
         layers.append((len(upper), subs))
         if () in below:
@@ -384,14 +385,14 @@ def _lattice(words, tuples, one) -> list:
         upper = below
 
 
-def _walk_lattice(levels, d, p, lattice, pairs, level: int, top: int, accs, count: int) -> None:
-    """accs[slot*count + i] += state * h_i at degree top, for each (slot,
-    state) pair at `level` and the count tuples i on top of the lattice.
-    Grouping the orderings of a multiset j by their last entry gives
-    h_j = sum over the distinct entries i of j of h_{j-i} * w_i, so each
-    layer steps the states of the layer below through the words w_i by
-    _walk_pairs.  A state below the top is reduced at its own degree; the
-    top layer writes candidate columns."""
+def _walk_lattice(levels, d, p, lattice, pairs, level: int, accs, count: int) -> None:
+    """accs[slot*count + i] += state * h_i for each (slot, state) pair at
+    `level` and the count items i atop the lattice (for a trie source, one
+    layer: the generators' trie).  Grouping the orderings of a multiset j by
+    their last entry gives h_j = sum over the distinct entries i of j of
+    h_{j-i} * w_i, so each layer steps the states of the layer below through
+    the words w_i by _walk_pairs.  A state below the top is reduced at its
+    own degree; the top layer writes candidate columns."""
     slots, last = len(accs) // count, len(lattice) - 1
     states = [pairs]  # (slot, state) pairs of each multiset of the layer below
     for r, (width, subs) in enumerate(lattice):
@@ -424,9 +425,7 @@ def _poly_trie(polys) -> dict:
 
 class _GeneratorRows:
     """The trie source: rows s*f of a generator list, those of one degree
-    sharing the prefix tree of their words."""
-
-    walk = staticmethod(_walk_pairs)
+    sharing the prefix tree of their words, walked as a lattice of one layer."""
 
     def __init__(self, generators):
         self.generators = tuple(generators)
@@ -437,43 +436,41 @@ class _GeneratorRows:
     def items(self, m: int) -> list:
         return self._by_degree.get(m, [])
 
-    def plan(self, m: int, polys: list) -> dict:
-        return _poly_trie(polys)
+    def plan(self, m: int, polys: list) -> list:
+        return [(len(polys), [(0, [(m, _poly_trie(polys))])])]
 
 
 class WindowRows:
     """The lattice source: rows s*h_j of the window generators of dense
     blocks, over the multiset lattice below each degree's weak tuples, with
-    no window polynomial made.  blocks lists (window, n) pairs over one d;
-    the generators themselves are made on first use of `generators`."""
+    no window polynomial made.  blocks lists (window, n) pairs over one d, and
+    `generators` keeps the nonzero ones of all_generators(), called on first use."""
 
-    walk = staticmethod(_walk_lattice)
-
-    def __init__(self, field: FieldDescriptor, blocks):
-        from .symfun import tuples_by_degree  # here, so that dims never loads symfun
+    def __init__(self, field: FieldDescriptor, blocks, all_generators):
+        from .symfun import tuple_counts_by_degree  # here, so that dims never loads symfun
 
         self.d = blocks[0][0].d
         self.field = field
-        self._blocks = blocks
-        self._by_degree = {deg: (window.words, tuples) for window, n in blocks
-                           for deg, tuples in tuples_by_degree(window, n).items()}
+        self._all_generators = all_generators
+        self._blocks = {deg: block for block in blocks for deg in tuple_counts_by_degree(*block)}
 
     def items(self, m: int) -> list:
-        tuples = self._by_degree[m][1] if m in self._by_degree else []
-        if tuples and m < 2:  # n = 1: the generators are the window words, x1 first
+        from .symfun import tuples_of_degree
+
+        if m in self._blocks and m < 2:  # n = 1: the generators are the window words, x1 first
             raise DegreeBelowTwo("generator 0 has degree %d < 2" % m)
-        return tuples
+        return tuples_of_degree(*self._blocks[m], m) if m in self._blocks else []
 
     def plan(self, m: int, tuples: list) -> list:
-        return _lattice(self._by_degree[m][0], tuples, self.field.one)
+        from .symfun import window_word
+
+        words = {i: window_word(self.d, i) for i in {i for j in tuples for i in j}}  # each distinct entry once
+        return _lattice(words, tuples, self.field.one)
 
     @cached_property
     def generators(self) -> tuple:
         """Every nonzero window generator, block by block in weak-tuple order."""
-        from .symfun import window_generators
-
-        return tuple(g for window, n in self._blocks
-                     for _, g in window_generators(window, n, self.field) if g.terms)
+        return tuple(g for g in self._all_generators() if g.terms)
 
 
 # -- the table -----------------------------------------------------------------
@@ -539,7 +536,7 @@ class GradedIdealTable:
                 for lo in range(0, starts, WALK_BLOCK):
                     block = list(enumerate(range(lo, min(lo + WALK_BLOCK, starts))))
                     accs = [new() for _ in range(len(block) * count)]
-                    source.walk(self._finished, d, p, plan, block, m - k, m, accs, count)
+                    _walk_lattice(self._finished, d, p, plan, block, m - k, accs, count)
                     pivots = [_insert(rows, acc, p) for acc in accs]
             # a degree-m generator whose own row (the last block) adds no pivot
             # lies in the ideal of the others and leaves every later degree's walk

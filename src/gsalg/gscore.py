@@ -47,7 +47,7 @@ from .errors import (
     write_text_atomic,
 )
 from .field import GF2, FieldDescriptor, parse_field
-from .symfun import monomial_window, window_generators, window_size, window_tuple_counts
+from .symfun import monomial_window, tuple_counts_by_degree, window_generators, window_size
 
 # exact-arithmetic effort caps; beyond them verdicts come from the certified
 # log path (see _certified_sides)
@@ -725,7 +725,8 @@ def build_blueprint(
         degree_counts: Optional[Dict[int, int]] = None
         if mode == "dense":
             # counted from (d, c, n), after the window's and the tuples' cap checks
-            q, degree_counts = window_tuple_counts(d, c, n)
+            window = monomial_window(d, c)
+            q, degree_counts = window.q, tuple_counts_by_degree(window, n)
             if toy:
                 j_count = sum(degree_counts.values())  # one generator per weak tuple
         elif c == 1 and j_count is not None:
@@ -1000,5 +1001,5 @@ def blueprint_table(bp: GSBlueprint) -> GradedIdealTable:
 
     if bp.mode != "dense":
         raise InvalidParams("a dense blueprint is required")
-    rows = WindowRows(bp.field, [(monomial_window(bp.d, block.c), block.n) for block in bp.blocks])
+    rows = WindowRows(bp.field, [(monomial_window(bp.d, b.c), b.n) for b in bp.blocks], bp.all_generators)
     return GradedIdealTable(rows, max(block.c_prime for block in bp.blocks))

@@ -5,8 +5,9 @@ canonical representative of an orbit of the symmetric group permuting tuple
 positions.  Orbit sizes are the multinomials n! / prod(multiplicities!), and
 summing them over all weak tuples partitions the q**n arbitrary tuples.
 
-The monomial window of parameters (d, c) lists every word of degree 1..c in
-the monomial order; there are q = d + d**2 + ... + d**c of them.  For a weak
+The monomial window of parameters (d, c) is the q = d + d**2 + ... + d**c
+words of degree 1..c, shortest first, word i being i in bijective base d
+(window_word, window_rank), so it keeps only (d, c).  For a weak
 tuple j in [1..q]**n, the order-symmetric polynomial s_j is the sum of the
 distinct position-permutations of j read as words in q commuting-slot
 variables (coefficients all 1, which stays correct in positive
@@ -17,7 +18,7 @@ words.  Any g of degree <= c without constant term satisfies
 
 which power_expansion computes and, at toy scale, re-verifies by expanding.
 ENUM_CAP is the one enumeration cap: tuple lists (count times n entries),
-windows, orbits and expansions are sized against it before they are built,
+windows, orbits and expansions are sized against it before they are made,
 and weak_tuple_count_within sizes a count without forming one past it.
 Only window_generator makes a polynomial, so only it imports freealg.
 """
@@ -117,15 +118,14 @@ def orbit_iter(j: WeakTuple) -> Iterator[Tuple[int, ...]]:
 
 
 class MonomialWindow(NamedTuple):
-    """All words of degree 1..c over d variables, in monomial order."""
+    """The words of degree 1..c over d variables, word i being window_word(d, i)."""
 
     d: int
     c: int
-    words: Tuple[Word, ...]
 
     @property
     def q(self) -> int:
-        return len(self.words)
+        return window_size(self.d, self.c)
 
 
 def window_size(d: int, c: int) -> int:
@@ -135,32 +135,30 @@ def window_size(d: int, c: int) -> int:
     return (d ** (c + 1) - d) // (d - 1) if d > 1 else c
 
 
-def _capped_window_size(d: int, c: int) -> int:
-    """window_size(d, c), refused when the window has more words than ENUM_CAP."""
+def window_word(d: int, i: int) -> Word:
+    """Word i >= 1 of every window over d letters: the digits of i in
+    bijective base d, whose counting order is the shortlex window order."""
+    word: Word = ()
+    while i:
+        i, t = divmod(i - 1, d)
+        word = (t + 1,) + word
+    return word
+
+
+def window_rank(d: int, word: Word) -> int:
+    """The i with window_word(d, i) == word."""
+    return sum(t * d**e for e, t in enumerate(reversed(word)))
+
+
+def monomial_window(d: int, c: int) -> MonomialWindow:
+    """The window (d, c), refused when it has more words than ENUM_CAP."""
     require_int(d, "window rank d", 1)
     require_int(c, "window cap c", 1)
     # q >= d**c >= 2**(c*(bit_length(d)-1)): a huge c is refused before
     # window_size builds d**(c+1)
     if c * (d.bit_length() - 1) >= ENUM_CAP.bit_length() or window_size(d, c) > ENUM_CAP:
         raise TooLarge("window d=%d, c=%d has more words than the cap %d" % (d, c, ENUM_CAP))
-    return window_size(d, c)
-
-
-def monomial_window(d: int, c: int) -> MonomialWindow:
-    _capped_window_size(d, c)
-    words = []
-    for n in range(1, c + 1):
-        words.extend(itertools.product(range(1, d + 1), repeat=n))
-    return MonomialWindow(d, c, tuple(words))
-
-
-def _orbit(j: WeakTuple, q: int):
-    """The orbit of j, lazily, once j is checked and its size is under the cap."""
-    validate_weak_tuple(j, q)
-    size = orbit_size(j)
-    if size > ENUM_CAP:
-        raise TooLarge("orbit of %r has %d terms, over the cap %d" % (j, size, ENUM_CAP))
-    return orbit_iter(j)
+    return MonomialWindow(d, c)
 
 
 def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescriptor) -> Polynomial:
@@ -171,11 +169,13 @@ def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescripto
     """
     from .freealg import Polynomial
 
+    validate_weak_tuple(j, window.q)
+    if (size := orbit_size(j)) > ENUM_CAP:
+        raise TooLarge("orbit of %r has %d terms, over the cap %d" % (j, size, ENUM_CAP))
+    words = {i: window_word(window.d, i) for i in set(j)}
     terms: dict[Word, object] = {}
-    for t in _orbit(j, window.q):
-        w: Word = ()
-        for i in t:
-            w = w + window.words[i - 1]
+    for t in orbit_iter(j):
+        w = sum(map(words.__getitem__, t), ())
         terms[w] = terms.get(w, 0) + field.one
     return Polynomial._raw(window.d, field, mod_p(terms, field.p))
 
@@ -183,47 +183,48 @@ def window_generator(j: WeakTuple, window: MonomialWindow, field: FieldDescripto
 def generator_degree(j: WeakTuple, window: MonomialWindow) -> int:
     """Nominal degree of the window generator: sum of window-word degrees."""
     validate_weak_tuple(j, window.q)
-    return sum(len(window.words[i - 1]) for i in j)
+    return sum(len(window_word(window.d, i)) for i in j)
 
 
-def tuples_by_degree(window: MonomialWindow, n: int) -> dict[int, list[WeakTuple]]:
-    """The weak tuples of [1..q]**n in lexicographic order, by generator_degree."""
-    size = (0,) + tuple(len(w) for w in window.words)
-    groups: dict[int, list[WeakTuple]] = {}
-    for j in weak_tuples(window.q, n):
-        groups.setdefault(sum(map(size.__getitem__, j)), []).append(j)
-    return dict(sorted(groups.items()))
+def tuples_of_degree(window: MonomialWindow, n: int, k: int) -> list[WeakTuple]:
+    """The weak tuples of [1..q]**n whose generator has degree k, in
+    lexicographic order, refused as weak_tuples refuses.  Word lengths never
+    drop along a weak tuple, so a first entry of length l is taken only when
+    n*l <= k <= l + (n-1)*c, and every branch entered yields a tuple."""
+    _refuse_past_cap(window.q, n)
+    d, c = window.d, window.c
+
+    def tails(lo: int, n: int, k: int) -> list[WeakTuple]:  # entries >= lo
+        if n == 0:
+            return [()] if k == 0 else []
+        out, start = [], 1  # start: the rank of the first word of each length
+        for length in range(1, min(c, k // n) + 1):
+            if k <= length + (n - 1) * c:
+                out += [(i,) + t for i in range(max(lo, start), start + d ** length)
+                        for t in tails(i, n - 1, k - length)]
+            start += d ** length
+        return out
+
+    return tails(1, n, k)
 
 
-def _degree_counts(d: int, c: int, q: int, n: int) -> dict[int, int]:
-    """Tuple counts by degree, refused as weak_tuples refuses.
+def tuple_counts_by_degree(window: MonomialWindow, n: int) -> dict[int, int]:
+    """The number of weak tuples of [1..q]**n at each generator degree,
+    refused as weak_tuples refuses, listing no tuple.
 
-    The size at degree k is the coefficient of s**n * t**k in the product over
+    The count at degree k is the coefficient of s**n * t**k in the product over
     l of (1 - s*t**l)**(-d**l), whose factor l picks e of the d**l words of length l.
     """
-    _refuse_past_cap(q, n)
+    _refuse_past_cap(window.q, n)
     counts = {(0, 0): 1}  # (entries, degree) -> count
-    for length in range(1, c + 1):
+    for length in range(1, window.c + 1):
         step: dict[tuple[int, int], int] = {}
         for (m, k), count in counts.items():
             for e in range(n - m + 1):
                 key = (m + e, k + e * length)
-                step[key] = step.get(key, 0) + count * math.comb(d ** length + e - 1, e)
+                step[key] = step.get(key, 0) + count * math.comb(window.d ** length + e - 1, e)
         counts = step
     return dict(sorted((k, count) for (m, k), count in counts.items() if m == n))
-
-
-def tuple_counts_by_degree(window: MonomialWindow, n: int) -> dict[int, int]:
-    """The group sizes of tuples_by_degree, refused as weak_tuples refuses, listing no tuple."""
-    return _degree_counts(window.d, window.c, window.q, n)
-
-
-def window_tuple_counts(d: int, c: int, n: int) -> tuple[int, dict[int, int]]:
-    """q and tuple_counts_by_degree for the window (d, c), from the parameters
-    alone: the window is refused as monomial_window refuses it, and no word is
-    listed."""
-    q = _capped_window_size(d, c)
-    return q, _degree_counts(d, c, q, n)
 
 
 def window_generators(window: MonomialWindow, n: int,
@@ -248,8 +249,8 @@ def power_expansion(g: Polynomial, n: int, window: MonomialWindow) -> dict[WeakT
     if g.degree() > window.c:
         raise DegreeTooHigh("deg g = %d exceeds the window degree %d" % (g.degree(), window.c))
     f = g.field
-    alpha = {i: g.coefficient(window.words[i - 1]) for i in range(1, window.q + 1)}
-    support = [i for i, a in alpha.items() if a]
+    alpha = {window_rank(window.d, w): a for w, a in g.terms.items()}
+    support = sorted(alpha)
     lam: dict[WeakTuple, object] = {}
     if support:
         if weak_tuple_count_within(len(support), n, ENUM_CAP // n) is None:

@@ -1307,3 +1307,30 @@ def test_dense_construct_lists_no_window_word(argv, code, out, err):
         capture_output=True, text=True, env=_src_env(), preexec_fn=limit,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["nilcheck", "--blueprint", "TOY", "--g", "x1", "--verify"], 2, "",
+     "error: generator 0 has degree 1 < 2\n"),
+    (["symfun", "--j", "1", "--d", "2", "--c", "20"], 0,
+     "q = 2097150\norbit size = 1\nh = x1\n", ""),
+], ids=["verify-toy-c22", "symfun-c20"])
+def test_window_reads_list_no_window_word(tmp_path, argv, code, out, err):
+    # a window keeps only (d, c) and unranks the words it reads, so the verify
+    # on the toy c=22, n=1 is refused at its first generator, x1, and h_(1) of
+    # the c=20 window prints, with neither window's words listed (8,388,606
+    # and 2,097,150 of them, 2.6 GB and 445 MB when they were), under a
+    # 100 MB address-space limit set on this child alone
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    path = tmp_path / "toy22.json"
+    save_blueprint(build_blueprint(None, mode="dense", d=2, toy_c=22, toy_n=1), str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gsalg.cli; sys.exit(gsalg.cli.main(sys.argv[1:]))",
+         *[str(path) if a == "TOY" else a for a in argv]],
+        capture_output=True, text=True, env=_src_env(), preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -21,7 +21,7 @@ from gsalg.freealg import (
     word_index,
     words_of_degree,
 )
-from gsalg.symfun import monomial_window, window_generator
+from gsalg.symfun import monomial_window, window_generator, window_word
 
 from oracles import reference_fold, reference_poly_str
 
@@ -351,7 +351,7 @@ def test_window_generator_matches_the_eager_fold(field, d, c, data):
     window = monomial_window(d, c)
     j = tuple(sorted(data.draw(st.lists(st.integers(min_value=1, max_value=window.q),
                                         min_size=1, max_size=4))))
-    words = [sum((window.words[i - 1] for i in t), ()) for t in set(itertools.permutations(j))]
+    words = [sum((window_word(d, i) for i in t), ()) for t in set(itertools.permutations(j))]
     h = window_generator(j, window, field)
     assert h.terms == reference_fold([(w, 1) for w in words], field)
     _assert_canonical(h)

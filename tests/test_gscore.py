@@ -25,7 +25,7 @@ from gsalg.errors import (
 from gsalg.field import GF2, QQ, FieldDescriptor
 from gsalg.freealg import Polynomial, parse_poly
 from gsalg.graded import build_table
-from gsalg.symfun import monomial_window
+from gsalg.symfun import window_size, window_word
 from gsalg.gscore import (
     BoundCertificate,
     GSParams,
@@ -1005,7 +1005,7 @@ def test_every_window_element_is_nil_on_a_table_built_on_demand(c, n, p):
     # degrees g**n reaches gives the residue of a table built to c' = n*c
     field = FieldDescriptor(p)
     bp = build_blueprint(None, mode="dense", d=2, toy_c=c, toy_n=n, field=field)
-    words = monomial_window(2, c).words
+    words = [window_word(2, i) for i in range(1, window_size(2, c) + 1)]
     gs = sorted(
         (Polynomial(2, field, {w: a for w, a in zip(words, coeffs) if a})
          for coeffs in itertools.product(range(p), repeat=len(words)) if any(coeffs)),
@@ -1067,7 +1067,7 @@ def test_the_climb_stops_at_the_least_exponent():
     # least m with g**m, expanded, in the ideal
     bp = build_blueprint(None, mode="dense", d=2, toy_c=2, toy_n=5)
     table = blueprint_table(bp)
-    words = monomial_window(2, 2).words
+    words = [window_word(2, i) for i in range(1, window_size(2, 2) + 1)]
     least = []
     for coeffs in itertools.product(range(2), repeat=len(words)):
         if any(coeffs):

@@ -1,5 +1,6 @@
 """Monomial windows, order-symmetric sums, and the power expansion."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ from gsalg.symfun import (
     monomial_window,
     power_expansion,
     tuple_counts_by_degree,
-    tuples_by_degree,
+    tuples_of_degree,
     window_generator,
     weak_tuple_count,
     weak_tuples,
     window_generators,
+    window_rank,
     window_size,
+    window_word,
 )
 
 from oracles import reference_window_generator
@@ -38,9 +41,13 @@ def test_window_size_formula():
 
 
 def test_window_enumeration_order():
-    w = monomial_window(2, 2)
-    assert w.q == 6
-    assert w.words == ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+    # word i is i in bijective base d (d = 1 too): the words shortest first,
+    # in monomial order within a length, and window_rank inverts it
+    for d, c in itertools.product([1, 2, 3], [1, 2, 3]):
+        w = monomial_window(d, c)
+        words = [t for k in range(1, c + 1) for t in itertools.product(range(1, d + 1), repeat=k)]
+        assert [window_word(d, i) for i in range(1, w.q + 1)] == words
+        assert [window_rank(d, word) for word in words] == list(range(1, w.q + 1))
 
 
 def test_window_cap():
@@ -121,8 +128,10 @@ def test_degree_counts_match_the_listed_groups(d, c, monkeypatch):
     w = monomial_window(d, c)
     for n in range(6):
         if weak_tuple_count(w.q, n) <= 20_000:
-            groups = tuples_by_degree(w, n)
-            assert list(tuple_counts_by_degree(w, n).items()) == [(k, len(js)) for k, js in groups.items()]
+            counts = tuple_counts_by_degree(w, n)
+            groups = [tuples_of_degree(w, n, k) for k in counts]
+            assert sum(groups, []) == sorted(weak_tuples(w.q, n), key=lambda j: generator_degree(j, w))
+            assert list(counts.values()) == list(map(len, groups))
     monkeypatch.setattr(symfun, "ENUM_CAP", 10)  # q >= 2: over 10 tuples of 10 entries
     with pytest.raises(TooLarge) as listed:
         weak_tuples(w.q, 10)
@@ -230,7 +239,7 @@ def _window_poly(draw):
     field = draw(st.sampled_from([GF2, FieldDescriptor(5), QQ]))
     w = monomial_window(2, draw(st.integers(min_value=1, max_value=2)))
     g = Polynomial.zero(2, field)
-    for word in w.words:
+    for word in (window_word(2, i) for i in range(1, w.q + 1)):
         coeff = draw(st.integers(min_value=-3, max_value=3))
         if coeff:
             g = g + Polynomial.monomial(word, 2, field, coeff)
