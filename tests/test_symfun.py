@@ -138,6 +138,9 @@ def test_degree_counts_match_the_listed_groups(d, c, monkeypatch):
     with pytest.raises(TooLarge) as counted:
         tuple_counts_by_degree(w, 10)
     assert str(counted.value) == str(listed.value)
+    with pytest.raises(TooLarge) as drawn:
+        tuples_of_degree(w, 10, 10)
+    assert str(drawn.value) == str(listed.value)
 
 
 def test_window_generators_count_and_order():
